@@ -163,19 +163,6 @@ void BM_FftScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FftScalar)->Arg(8192)->Arg(65536);
 
-void BM_SlidingCorrelateNaiveScalar(benchmark::State& state) {
-  const ScalarForced guard;
-  const cvec sig = corr_signal(static_cast<std::size_t>(state.range(0)), 5);
-  const cvec ref = corr_signal(static_cast<std::size_t>(state.range(1)), 6);
-  for (auto _ : state) {
-    cvec y = dsp::sliding_correlate_naive(sig, ref);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_SlidingCorrelateNaiveScalar)->Args({16384, 360});
-
 void BM_FirDecimateScalar(benchmark::State& state) {
   const ScalarForced guard;
   common::Rng rng(9);
@@ -192,17 +179,6 @@ void BM_FirDecimateScalar(benchmark::State& state) {
                           static_cast<std::int64_t>(x.size()));
 }
 BENCHMARK(BM_FirDecimateScalar);
-
-void BM_DownconvertScalar(benchmark::State& state) {
-  const ScalarForced guard;
-  const rvec x = dsp::make_tone(18500.0, 96000.0, 65536);
-  for (auto _ : state) {
-    cvec y = dsp::downconvert(x, 18500.0, 96000.0);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 65536);
-}
-BENCHMARK(BM_DownconvertScalar);
 
 // End-to-end waveform trial (single thread): the unit of work every
 // EXPERIMENTS sweep repeats thousands of times.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/fft.hpp"
-#include "dsp/simd/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "obs/metrics.hpp"
 
@@ -20,10 +19,56 @@ bool use_naive(std::size_t n_out, std::size_t ref_len) {
   return ref_len <= kNaiveRefCutoff || n_out * ref_len <= kNaiveWorkCutoff;
 }
 
+/// acc + s * conj(r), with conj(r) given as (cr, ci) = (r.re, -r.im). Spelled
+/// out like cmul_inplace (dsp/fft.hpp); the bits agree with std::complex.
+cplx conj_mac(cplx acc, cplx s, double cr, double ci) {
+  return cplx{acc.real() + (s.real() * cr - s.imag() * ci),
+              acc.imag() + (s.imag() * cr + s.real() * ci)};
+}
+
+/// out[k] = sum_{n < ref_len} sig[k+n] * conj(ref[n]), k in [0, n_out), each
+/// lag summed in n order.
+void ccorr_dot(const cplx* sig, const cplx* ref, std::size_t ref_len, cplx* out,
+               std::size_t n_out) {
+  std::size_t k = 0;
+  // Four lags per pass share each conj(ref[n]) and give four independent
+  // add chains, hiding the FP-add latency a single accumulator serializes on.
+  for (; k + 4 <= n_out; k += 4) {
+    cplx a0{}, a1{}, a2{}, a3{};
+    for (std::size_t n = 0; n < ref_len; ++n) {
+      const double cr = ref[n].real();
+      const double ci = -ref[n].imag();
+      const cplx* s = sig + k + n;
+      a0 = conj_mac(a0, s[0], cr, ci);
+      a1 = conj_mac(a1, s[1], cr, ci);
+      a2 = conj_mac(a2, s[2], cr, ci);
+      a3 = conj_mac(a3, s[3], cr, ci);
+    }
+    out[k] = a0;
+    out[k + 1] = a1;
+    out[k + 2] = a2;
+    out[k + 3] = a3;
+  }
+  for (; k < n_out; ++k) {
+    cplx acc{};
+    for (std::size_t n = 0; n < ref_len; ++n)
+      acc = conj_mac(acc, sig[k + n], ref[n].real(), -ref[n].imag());
+    out[k] = acc;
+  }
+}
+
+/// Serial-order sum of |x|^2, never reassociated.
+double sum_norms(const cplx* x, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    acc += x[i].real() * x[i].real() + x[i].imag() * x[i].imag();
+  return acc;
+}
+
 void sliding_correlate_naive_into(const cvec& sig, const cvec& ref, cvec& out) {
   const std::size_t n_out = sig.size() - ref.size() + 1;
   out.resize(n_out);
-  simd::ccorr_dot(sig.data(), ref.data(), ref.size(), out.data(), n_out);
+  ccorr_dot(sig.data(), ref.data(), ref.size(), out.data(), n_out);
 }
 
 // Overlap-save cross-correlation. With h[m] = conj(ref[M-1-m]) the full
@@ -57,7 +102,7 @@ void sliding_correlate_fft_into(const cvec& sig, const cvec& ref, cvec& out) {
               sig.begin() + static_cast<std::ptrdiff_t>(k0 + avail), blk.begin());
     std::fill(blk.begin() + static_cast<std::ptrdiff_t>(avail), blk.end(), cplx{});
     plan.forward(blk.data());
-    simd::cmul_inplace(blk.data(), href.data(), nfft);
+    cmul_inplace(blk.data(), href.data(), nfft);
     plan.inverse(blk.data());
     const std::size_t n_take = std::min(block_len, n_out - k0);
     for (std::size_t j = 0; j < n_take; ++j) out[k0 + j] = blk[m - 1 + j];
@@ -111,7 +156,7 @@ void normalized_correlate(const cvec& sig, const cvec& ref, rvec& out) {
 
   // Running window energy for O(N) normalization.
   out.resize(n_out);
-  double win_energy = simd::sum_norms(sig.data(), ref.size());
+  double win_energy = sum_norms(sig.data(), ref.size());
   for (std::size_t k = 0; k < n_out; ++k) {
     const double denom = std::sqrt(std::max(win_energy, 1e-30)) * ref_norm;
     out[k] = std::abs(dot[k]) / denom;
@@ -140,16 +185,17 @@ std::optional<CorrelationPeak> find_peak(const cvec& sig, const cvec& ref,
   if (corr[best] < threshold) return std::nullopt;
 
   cplx raw{};
-  simd::ccorr_dot(sig.data() + best, ref.data(), ref.size(), &raw, 1);
+  ccorr_dot(sig.data() + best, ref.data(), ref.size(), &raw, 1);
   return CorrelationPeak{best, corr[best], raw};
 }
 
-// All four energy/rms wrappers fold through the one serial-order reduction
-// implementation in the simd layer (deliberately not widened; see
-// dsp/simd/simd.hpp).
-double energy(const cvec& x) { return simd::sum_norms(x.data(), x.size()); }
+double energy(const cvec& x) { return sum_norms(x.data(), x.size()); }
 
-double energy(const rvec& x) { return simd::sum_squares(x.data(), x.size()); }
+double energy(const rvec& x) {
+  double acc = 0.0;
+  for (const double v : x) acc += v * v;
+  return acc;
+}
 
 double rms(const rvec& x) {
   return x.empty() ? 0.0 : std::sqrt(energy(x) / static_cast<double>(x.size()));

@@ -24,6 +24,12 @@ std::size_t next_pow2(std::size_t n) {
 
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
+void cmul_inplace(cplx* a, const cplx* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    a[i] = cplx{a[i].real() * b[i].real() - a[i].imag() * b[i].imag(),
+                a[i].imag() * b[i].real() + a[i].real() * b[i].imag()};
+}
+
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (!is_pow2(n)) throw std::invalid_argument("fft size must be a power of two");
   // The bit-reversal table holds 32-bit indices (half the plan's footprint
@@ -72,7 +78,8 @@ void FftPlan::transform(cplx* x, const cplx* twiddle, bool inverse) const {
   simd::fft_stages(x, n, twiddle);
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n);
-    simd::cscale_inplace(x, inv_n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = cplx{inv_n * x[i].real(), inv_n * x[i].imag()};
   }
 }
 
@@ -172,7 +179,7 @@ rvec fft_convolve(const rvec& a, const rvec& b) {
   const FftPlan& plan = fft_plan(n);
   plan.forward(fa.data());
   plan.forward(fb.data());
-  simd::cmul_inplace(fa.data(), fb.data(), n);
+  cmul_inplace(fa.data(), fb.data(), n);
   plan.inverse(fa.data());
   rvec out(out_len);
   for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
@@ -193,7 +200,7 @@ cvec fft_xcorr(const cvec& a, const cvec& b) {
   const FftPlan& plan = fft_plan(n);
   plan.forward(fa.data());
   plan.forward(fb.data());
-  simd::cmul_inplace(fa.data(), fb.data(), n);
+  cmul_inplace(fa.data(), fb.data(), n);
   plan.inverse(fa.data());
   return cvec(fa.begin(), fa.begin() + static_cast<std::ptrdiff_t>(out_len));
 }

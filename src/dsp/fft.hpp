@@ -27,6 +27,12 @@ std::size_t next_pow2(std::size_t n);
 /// True if n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
 
+/// a[i] *= b[i], i in [0, n): the spectral product of the FFT convolution
+/// and correlation paths. Written as the explicit (ac - bd, bc + ad)
+/// product, not std::complex operator* with its per-product NaN check; the
+/// bits agree for finite values.
+void cmul_inplace(cplx* a, const cplx* b, std::size_t n);
+
 /// Precomputed transform of one power-of-two size: bit-reversal permutation
 /// plus per-stage twiddle tables for both directions. Plans are immutable
 /// after construction and safe to share across threads read-only, but the

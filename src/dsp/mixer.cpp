@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "dsp/simd/simd.hpp"
 #include "obs/metrics.hpp"
 
 namespace vab::dsp {
@@ -31,11 +30,13 @@ void Nco::set_frequency(double freq_hz) { step_ = common::kTwoPi * freq_hz / fs_
 namespace {
 
 // Per-thread cache of complex oscillator tables. The serial sin/cos phase
-// recurrence is the one part of the mixers the batch kernels cannot
-// vectorize (each sample's phase depends on the previous wrap_angle), and
-// the simulator mixes against the same handful of carriers millions of
-// samples at a time — so memoize the oscillator output and reduce every
-// mixer to an elementwise product.
+// recurrence dominates a mixer (each sample's phase depends on the previous
+// wrap_angle), and the simulator mixes against the same handful of carriers
+// millions of samples at a time — so memoize the oscillator output and
+// reduce every mixer to an elementwise product. The products spell out their
+// real arithmetic instead of std::complex operator*, which adds a NaN-recovery
+// check per complex product; for finite values the bits equal the fresh-Nco
+// fallbacks.
 //
 // Bit-identity: a cached table holds exactly the values a fresh Nco would
 // emit (the stored Nco continues the same phase recurrence when a longer
@@ -104,8 +105,9 @@ rvec make_tone(double freq_hz, double fs_hz, std::size_t n, double amplitude,
 void make_tone(double freq_hz, double fs_hz, std::size_t n, double amplitude,
                double phase_rad, rvec& out) {
   if (const cvec* tone = tone_table(freq_hz, fs_hz, phase_rad, n)) {
+    const cplx* t = tone->data();
     out.resize(n);
-    simd::tone_real(tone->data(), amplitude, out.data(), n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = amplitude * t[i].real();
     return;
   }
   Nco nco(freq_hz, fs_hz, phase_rad);
@@ -122,8 +124,10 @@ cvec downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad) 
 void downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad,
                  cvec& out) {
   if (const cvec* tone = tone_table(-freq_hz, fs_hz, -phase_rad, x.size())) {
+    const cplx* t = tone->data();
     out.resize(x.size());
-    simd::mix_real_tone(x.data(), tone->data(), out.data(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      out[i] = cplx{t[i].real() * x[i], t[i].imag() * x[i]};
     return;
   }
   Nco nco(-freq_hz, fs_hz, -phase_rad);
@@ -133,8 +137,10 @@ void downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad,
 
 rvec upconvert(const cvec& x, double freq_hz, double fs_hz, double phase_rad) {
   if (const cvec* tone = tone_table(freq_hz, fs_hz, phase_rad, x.size())) {
+    const cplx* t = tone->data();
     rvec out(x.size());
-    simd::mix_to_real(x.data(), tone->data(), out.data(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      out[i] = x[i].real() * t[i].real() - x[i].imag() * t[i].imag();
     return out;
   }
   Nco nco(freq_hz, fs_hz, phase_rad);

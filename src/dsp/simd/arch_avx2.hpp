@@ -10,9 +10,10 @@
 // the bits agree with std::complex multiplication for finite values.
 //
 // This header is intentionally empty unless __AVX2__ is defined: only
-// simd_avx2.cpp is compiled with -mavx2 (and -ffp-contract=off so mul+add
-// can never fuse into an FMA, which would change result bits), and the
-// header self-containment lint compiles headers without it.
+// simd_avx2.cpp is compiled with -mavx2 (never -mfma; vab_dsp builds with
+// -ffp-contract=off, so mul+add can never fuse into an FMA, which would change
+// result bits), and the header self-containment lint compiles headers
+// without it.
 #pragma once
 
 #if defined(__AVX2__)
@@ -29,7 +30,6 @@ struct Avx2Arch {
   static constexpr std::size_t kLanes = 2;
   using V = __m256d;  // [re0, im0, re1, im1]
   using R = __m256d;  // broadcast real factor
-  using I = __m256d;  // broadcast imaginary factor (for split-broadcast cmul)
 
   static V zero() { return _mm256_setzero_pd(); }
   static V load(const cplx* p) {
@@ -43,32 +43,13 @@ struct Avx2Arch {
     _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
   }
   static R broadcast_real(double s) { return _mm256_set1_pd(s); }
-  static I broadcast_imag(double d) { return _mm256_set1_pd(d); }
-  static V load_dup_real(const double* p) {
-    // [x0, x1] -> [x0, x0, x1, x1]; the permute only reads the low 128 bits,
-    // so the undefined upper half of the cast never leaks through.
-    return _mm256_permute4x64_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p)), 0x50);
-  }
-  static void store_real(double* p, V v) {
-    // [re0, im0, re1, im1] -> [re0, re1] in the low 128 bits.
-    _mm_storeu_pd(p, _mm256_castpd256_pd128(_mm256_permute4x64_pd(v, 0x08)));
-  }
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul_real(V a, R s) { return _mm256_mul_pd(s, a); }
-  static V mul_elems(V a, V b) { return _mm256_mul_pd(a, b); }
   static V cmul(V a, V b) {
     const V t1 = _mm256_mul_pd(a, _mm256_movedup_pd(b));        // [ac, bc]
     const V t2 = _mm256_mul_pd(_mm256_permute_pd(a, 0x5),       // [b, a]
                                _mm256_permute_pd(b, 0xF));      // * [d, d]
-    return _mm256_addsub_pd(t1, t2);                            // [ac-bd, bc+ad]
-  }
-  /// cmul(a, b) with b pre-split into broadcast (re, im) halves. Hot loops
-  /// that reuse one b across many a's hoist the two broadcasts out, cutting
-  /// cmul's three shuffles down to one permute per element.
-  static V cmul_bcast(V a, R re, I im) {
-    const V t1 = _mm256_mul_pd(a, re);                          // [ac, bc]
-    const V t2 = _mm256_mul_pd(_mm256_permute_pd(a, 0x5), im);  // [bd, ad]
     return _mm256_addsub_pd(t1, t2);                            // [ac-bd, bc+ad]
   }
 };

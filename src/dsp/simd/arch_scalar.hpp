@@ -21,30 +21,18 @@ struct ScalarArch {
   static constexpr std::size_t kLanes = 1;
   using V = cplx;    // one complex lane
   using R = double;  // broadcast real factor
-  using I = double;  // broadcast imaginary factor (for split-broadcast cmul)
 
   static V zero() { return cplx{}; }
   static V load(const cplx* p) { return *p; }
   static V load_stride(const cplx* p, std::size_t /*m*/) { return *p; }
   static void store(cplx* p, V v) { *p = v; }
   static R broadcast_real(double s) { return s; }
-  static I broadcast_imag(double d) { return d; }
-  static V load_dup_real(const double* p) { return cplx{*p, *p}; }
-  static void store_real(double* p, V v) { *p = v.real(); }
   static V add(V a, V b) { return cplx{a.real() + b.real(), a.imag() + b.imag()}; }
   static V sub(V a, V b) { return cplx{a.real() - b.real(), a.imag() - b.imag()}; }
   static V mul_real(V a, R s) { return cplx{s * a.real(), s * a.imag()}; }
-  static V mul_elems(V a, V b) {
-    return cplx{a.real() * b.real(), a.imag() * b.imag()};
-  }
   static V cmul(V a, V b) {
     return cplx{a.real() * b.real() - a.imag() * b.imag(),
                 a.imag() * b.real() + a.real() * b.imag()};
-  }
-  /// cmul(a, b) with b pre-split into broadcast (re, im) halves: the same
-  /// four products in the same order, so the bits match cmul exactly.
-  static V cmul_bcast(V a, R re, I im) {
-    return cplx{a.real() * re - a.imag() * im, a.imag() * re + a.real() * im};
   }
 };
 

@@ -1,12 +1,12 @@
-// Width-generic kernel templates over an Arch (arch_scalar / arch_avx2 /
-// arch_neon). Each kernel vectorizes across independent outputs — every lane
+// Width-generic kernel templates over an Arch (arch_scalar / arch_avx2).
+// Each kernel vectorizes across independent outputs — every lane
 // runs the full scalar operation sequence for its own output — and hands any
 // remainder tail to the ScalarArch instantiation of the same helper, so
 // "scalar reference" and "SIMD remainder" are one code path.
 //
-// Included only by the simd_{scalar,avx2,neon}.cpp translation units, each
-// compiled with exactly its ISA's flags (and -ffp-contract=off everywhere:
-// a contracted FMA would change result bits and break the identity
+// Included only by the simd_{scalar,avx2}.cpp translation units, each
+// compiled with exactly its ISA's flags (and -ffp-contract=off, like all of
+// vab_dsp: a contracted FMA would change result bits and break the identity
 // contract).
 #pragma once
 
@@ -63,72 +63,6 @@ void fir_decimate_k(const double* taps, std::size_t n_taps, const cplx* x,
                       fir_lane<ScalarArch>(taps, n_taps, x + i_first + j * m, m));
 }
 
-/// One correlation-lag lane: sum_n sig[n] * conj(ref[n]) per lane. The
-/// conjugate is pre-split into broadcast (re, -im) halves — cmul_bcast folds
-/// the same four products in the same order as cmul(load, broadcast-of-conj),
-/// it just hoists the shuffles off the element.
-template <class A>
-inline typename A::V ccorr_lane(const cplx* sig, const cplx* ref,
-                                std::size_t ref_len) {
-  typename A::V acc = A::zero();
-  for (std::size_t n = 0; n < ref_len; ++n)
-    acc = A::add(acc, A::cmul_bcast(A::load(sig + n),
-                                    A::broadcast_real(ref[n].real()),
-                                    A::broadcast_imag(-ref[n].imag())));
-  return acc;
-}
-
-template <class A>
-void ccorr_dot_k(const cplx* sig, const cplx* ref, std::size_t ref_len,
-                 cplx* out, std::size_t n_out) {
-  std::size_t k = 0;
-  // Unroll by four vectors: the split conj broadcast is shared across
-  // 4*kLanes lags and four add chains hide the FP-add latency; each lag
-  // still owns its accumulator, summed in n order.
-  for (; k + 4 * A::kLanes <= n_out; k += 4 * A::kLanes) {
-    typename A::V acc0 = A::zero();
-    typename A::V acc1 = A::zero();
-    typename A::V acc2 = A::zero();
-    typename A::V acc3 = A::zero();
-    for (std::size_t n = 0; n < ref_len; ++n) {
-      const typename A::R cr = A::broadcast_real(ref[n].real());
-      const typename A::I ci = A::broadcast_imag(-ref[n].imag());
-      acc0 = A::add(acc0, A::cmul_bcast(A::load(sig + k + n), cr, ci));
-      acc1 = A::add(acc1, A::cmul_bcast(A::load(sig + k + A::kLanes + n), cr, ci));
-      acc2 = A::add(acc2, A::cmul_bcast(A::load(sig + k + 2 * A::kLanes + n), cr, ci));
-      acc3 = A::add(acc3, A::cmul_bcast(A::load(sig + k + 3 * A::kLanes + n), cr, ci));
-    }
-    A::store(out + k, acc0);
-    A::store(out + k + A::kLanes, acc1);
-    A::store(out + k + 2 * A::kLanes, acc2);
-    A::store(out + k + 3 * A::kLanes, acc3);
-  }
-  for (; k + A::kLanes <= n_out; k += A::kLanes)
-    A::store(out + k, ccorr_lane<A>(sig + k, ref, ref_len));
-  for (; k < n_out; ++k)
-    ScalarArch::store(out + k, ccorr_lane<ScalarArch>(sig + k, ref, ref_len));
-}
-
-template <class A>
-void cmul_inplace_k(cplx* a, const cplx* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + A::kLanes <= n; i += A::kLanes)
-    A::store(a + i, A::cmul(A::load(a + i), A::load(b + i)));
-  for (; i < n; ++i)
-    ScalarArch::store(a + i, ScalarArch::cmul(ScalarArch::load(a + i),
-                                              ScalarArch::load(b + i)));
-}
-
-template <class A>
-void cscale_inplace_k(cplx* x, double s, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + A::kLanes <= n; i += A::kLanes)
-    A::store(x + i, A::mul_real(A::load(x + i), A::broadcast_real(s)));
-  for (; i < n; ++i)
-    ScalarArch::store(x + i, ScalarArch::mul_real(ScalarArch::load(x + i),
-                                                  ScalarArch::broadcast_real(s)));
-}
-
 /// One radix-2 butterfly over kLanes adjacent (lo, hi) pairs.
 template <class A>
 inline void fft_butterfly(cplx* lo, cplx* hi, const cplx* tw) {
@@ -157,40 +91,6 @@ void fft_stages_k(cplx* x, std::size_t n, const cplx* twiddle) {
   }
 }
 
-template <class A>
-void mix_real_tone_k(const double* x, const cplx* tone, cplx* out,
-                     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + A::kLanes <= n; i += A::kLanes)
-    A::store(out + i, A::mul_elems(A::load(tone + i), A::load_dup_real(x + i)));
-  for (; i < n; ++i)
-    ScalarArch::store(out + i,
-                      ScalarArch::mul_elems(ScalarArch::load(tone + i),
-                                            ScalarArch::load_dup_real(x + i)));
-}
-
-template <class A>
-void mix_to_real_k(const cplx* x, const cplx* tone, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + A::kLanes <= n; i += A::kLanes)
-    A::store_real(out + i, A::cmul(A::load(x + i), A::load(tone + i)));
-  for (; i < n; ++i)
-    ScalarArch::store_real(out + i, ScalarArch::cmul(ScalarArch::load(x + i),
-                                                     ScalarArch::load(tone + i)));
-}
-
-template <class A>
-void tone_real_k(const cplx* tone, double amplitude, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + A::kLanes <= n; i += A::kLanes)
-    A::store_real(out + i, A::mul_real(A::load(tone + i),
-                                       A::broadcast_real(amplitude)));
-  for (; i < n; ++i)
-    ScalarArch::store_real(out + i,
-                           ScalarArch::mul_real(ScalarArch::load(tone + i),
-                                                ScalarArch::broadcast_real(amplitude)));
-}
-
 // Instantiates the per-ISA entry points declared in kernels_decl.hpp for
 // `arch` under name suffix `suffix`; used once per simd_*.cpp TU.
 #define VAB_SIMD_DEFINE_KERNELS(suffix, arch)                                  \
@@ -199,30 +99,8 @@ void tone_real_k(const cplx* tone, double amplitude, double* out, std::size_t n)
                              std::size_t m, cplx* out, std::size_t n_out) {    \
     fir_decimate_k<arch>(taps, n_taps, x, i_first, m, out, n_out);             \
   }                                                                            \
-  void ccorr_dot_##suffix(const cplx* sig, const cplx* ref,                    \
-                          std::size_t ref_len, cplx* out, std::size_t n_out) { \
-    ccorr_dot_k<arch>(sig, ref, ref_len, out, n_out);                          \
-  }                                                                            \
-  void cmul_inplace_##suffix(cplx* a, const cplx* b, std::size_t n) {          \
-    cmul_inplace_k<arch>(a, b, n);                                             \
-  }                                                                            \
-  void cscale_inplace_##suffix(cplx* x, double s, std::size_t n) {             \
-    cscale_inplace_k<arch>(x, s, n);                                           \
-  }                                                                            \
   void fft_stages_##suffix(cplx* x, std::size_t n, const cplx* twiddle) {      \
     fft_stages_k<arch>(x, n, twiddle);                                         \
-  }                                                                            \
-  void mix_real_tone_##suffix(const double* x, const cplx* tone, cplx* out,    \
-                              std::size_t n) {                                 \
-    mix_real_tone_k<arch>(x, tone, out, n);                                    \
-  }                                                                            \
-  void mix_to_real_##suffix(const cplx* x, const cplx* tone, double* out,      \
-                            std::size_t n) {                                   \
-    mix_to_real_k<arch>(x, tone, out, n);                                      \
-  }                                                                            \
-  void tone_real_##suffix(const cplx* tone, double amplitude, double* out,     \
-                          std::size_t n) {                                     \
-    tone_real_k<arch>(tone, amplitude, out, n);                                \
   }
 
 }  // namespace vab::dsp::simd::detail

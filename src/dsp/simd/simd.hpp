@@ -1,20 +1,15 @@
-// Hand-vectorized batch kernels for the DSP hot loops, dispatched at runtime
-// over the ISAs compiled into the binary (AVX2 / NEON / scalar).
+// Hand-vectorized batch kernels for the two DSP hot loops whose vector path
+// moves end-to-end throughput (radix-2 FFT stages and decimating FIR),
+// dispatched at runtime between AVX2 and the width-1 scalar reference.
 //
-// Bit-identity contract: every kernel vectorizes across *independent outputs*
-// (decimated FIR outputs, correlation lags, FFT butterflies within a stage,
-// mixer samples), never across a reduction axis, so each SIMD lane executes
-// exactly the scalar sequence of IEEE-754 operations for its output.
-// Remainder tails reuse the same kernel templates instantiated at width 1
-// (arch_scalar.hpp). Seeded results are therefore bit-identical on every ISA
-// and with dispatch forced to scalar — unlike the VAB_NATIVE escape hatch,
-// this path is on by default and gated in CI (see tests/test_simd_kernels.cpp
-// and the simd-identity CI job).
-//
-// Reductions that fold many inputs into one accumulator (`sum_squares`,
-// `sum_norms`) keep the historical serial order and are deliberately *not*
-// widened: reassociating the accumulator would change the result bits. They
-// live here so energy()/rms() share one reduction implementation.
+// Bit-identity contract: each kernel vectorizes across *independent outputs*
+// (FFT butterflies within a stage, decimated FIR outputs), never across a
+// reduction axis, so each SIMD lane executes exactly the scalar sequence of
+// IEEE-754 operations for its output. Remainder tails reuse the same kernel
+// templates instantiated at width 1 (arch_scalar.hpp). Seeded results are
+// therefore bit-identical with AVX2 and with dispatch forced to scalar —
+// unlike the VAB_NATIVE escape hatch, this path is on by default and gated
+// by tests/test_simd_kernels.cpp.
 #pragma once
 
 #include <cstddef>
@@ -23,17 +18,15 @@
 
 namespace vab::dsp::simd {
 
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2 };
 
-/// Widest instruction set compiled into this binary (VAB_SIMD at configure
-/// time; AVX2 on x86-64 and NEON on aarch64 under the default "auto").
+/// Widest instruction set compiled into this binary: AVX2 when the target is
+/// x86-64 and the compiler accepts -mavx2, scalar otherwise.
 Isa compiled_isa();
 
 /// Instruction set the kernels currently dispatch to: `compiled_isa()`
-/// downgraded by a runtime CPU check and the VAB_SIMD environment variable
-/// ("scalar" forces the width-1 reference path), or whatever `force_isa`
-/// selected. The resolved name is recorded in the obs run manifest under
-/// "simd_isa".
+/// downgraded by a runtime CPU check, or whatever `force_isa` selected. The
+/// resolved name is recorded in the obs run manifest under "simd_isa".
 Isa active_isa();
 
 const char* isa_name(Isa isa);
@@ -43,7 +36,7 @@ const char* isa_name(Isa isa);
 /// binary or on this CPU.
 bool force_isa(Isa isa);
 
-/// Returns to automatic resolution (CPU check + VAB_SIMD env var).
+/// Returns to automatic resolution (the CPU check).
 void reset_isa();
 
 /// out[j] = sum_{k < n_taps} taps[k] * x[i_first + j*m - k], j in [0, n_out).
@@ -54,34 +47,9 @@ void fir_decimate(const double* taps, std::size_t n_taps, const cplx* x,
                   std::size_t i_first, std::size_t m, cplx* out,
                   std::size_t n_out);
 
-/// out[k] = sum_{n < ref_len} sig[k+n] * conj(ref[n]), k in [0, n_out).
-void ccorr_dot(const cplx* sig, const cplx* ref, std::size_t ref_len, cplx* out,
-               std::size_t n_out);
-
-/// a[i] *= b[i] (spectral products in the overlap-save/FFT paths).
-void cmul_inplace(cplx* a, const cplx* b, std::size_t n);
-
-/// x[i] *= s (inverse-FFT 1/n normalization).
-void cscale_inplace(cplx* x, double s, std::size_t n);
-
 /// All Danielson-Lanczos stages of a radix-2 DIT FFT over `n` (a power of
 /// two) already bit-reversed samples; `twiddle` is the FftPlan per-stage
 /// table with stage `len` starting at offset len/2 - 1.
 void fft_stages(cplx* x, std::size_t n, const cplx* twiddle);
-
-/// out[i] = x[i] * tone[i] (real passband sample times complex tone).
-void mix_real_tone(const double* x, const cplx* tone, cplx* out, std::size_t n);
-
-/// out[i] = Re(x[i] * tone[i]) (upconversion to a real passband).
-void mix_to_real(const cplx* x, const cplx* tone, double* out, std::size_t n);
-
-/// out[i] = amplitude * tone[i].real().
-void tone_real(const cplx* tone, double amplitude, double* out, std::size_t n);
-
-/// Serial-order reductions — the one accumulation implementation behind the
-/// energy()/rms() wrappers in dsp/correlate.hpp. Identical on every ISA by
-/// construction (never widened; see the header comment).
-double sum_squares(const double* x, std::size_t n);
-double sum_norms(const cplx* x, std::size_t n);
 
 }  // namespace vab::dsp::simd

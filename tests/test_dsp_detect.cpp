@@ -1,11 +1,10 @@
-// Correlation, Goertzel, LMS, AGC and spectral estimation.
+// Correlation, Goertzel, LMS and spectral estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "dsp/agc.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/lms.hpp"
@@ -194,27 +193,6 @@ TEST(Lms, FreezeStopsAdaptation) {
 TEST(Lms, ParameterValidation) {
   EXPECT_THROW(LmsCanceller(0, 0.5), std::invalid_argument);
   EXPECT_THROW(LmsCanceller(4, 2.5), std::invalid_argument);
-}
-
-TEST(Agc, ConvergesToTargetRms) {
-  common::Rng rng(4);
-  Agc agc(1.0, 10.0, 100.0);
-  double rms_acc = 0.0;
-  int count = 0;
-  for (int i = 0; i < 5000; ++i) {
-    const double y = agc.process(0.01 * rng.gaussian());
-    if (i > 4000) {
-      rms_acc += y * y;
-      ++count;
-    }
-  }
-  EXPECT_NEAR(std::sqrt(rms_acc / count), 1.0, 0.35);
-}
-
-TEST(Agc, GainCapped) {
-  Agc agc(1.0, 1.0, 1.0, 100.0);
-  for (int i = 0; i < 100; ++i) agc.process(1e-9);
-  EXPECT_LE(agc.gain(), 100.0);
 }
 
 TEST(Welch, WhiteNoisePsdFlatAtCorrectLevel) {

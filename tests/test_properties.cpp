@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -29,13 +30,16 @@ namespace {
 
 // ---- Link budget invariants over environment x bitrate -------------------
 
+// The environment is a std::string, not a const char*, so gtest prints it by
+// value: a pointer parameter would put a per-process (ASLR) address into the
+// discovered ctest name.
 class BudgetSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(BudgetSweep, SnrStrictlyDecreasingInRange) {
   const auto [env, bitrate] = GetParam();
-  sim::Scenario s = std::string(env) == "ocean" ? sim::vab_ocean_scenario()
-                                                : sim::vab_river_scenario();
+  sim::Scenario s = env == "ocean" ? sim::vab_ocean_scenario()
+                                   : sim::vab_river_scenario();
   s.phy.bitrate_bps = bitrate;
   const sim::LinkBudget lb(s);
   double prev = 1e99;
@@ -48,8 +52,8 @@ TEST_P(BudgetSweep, SnrStrictlyDecreasingInRange) {
 
 TEST_P(BudgetSweep, BerBoundedAndMonotoneInFading) {
   const auto [env, bitrate] = GetParam();
-  sim::Scenario s = std::string(env) == "ocean" ? sim::vab_ocean_scenario()
-                                                : sim::vab_river_scenario();
+  sim::Scenario s = env == "ocean" ? sim::vab_ocean_scenario()
+                                   : sim::vab_river_scenario();
   s.phy.bitrate_bps = bitrate;
   const sim::LinkBudget lb(s);
   for (double r : {50.0, 200.0, 600.0}) {
@@ -63,8 +67,8 @@ TEST_P(BudgetSweep, BerBoundedAndMonotoneInFading) {
 
 TEST_P(BudgetSweep, HalvingBitrateBuysAbout3dB) {
   const auto [env, bitrate] = GetParam();
-  sim::Scenario s = std::string(env) == "ocean" ? sim::vab_ocean_scenario()
-                                                : sim::vab_river_scenario();
+  sim::Scenario s = env == "ocean" ? sim::vab_ocean_scenario()
+                                   : sim::vab_river_scenario();
   s.phy.bitrate_bps = bitrate;
   const double snr_full =
       sim::LinkBudget(s).evaluate(common::Meters{200.0}).snr_chip_db.raw();
@@ -75,7 +79,8 @@ TEST_P(BudgetSweep, HalvingBitrateBuysAbout3dB) {
 }
 
 INSTANTIATE_TEST_SUITE_P(EnvRates, BudgetSweep,
-                         ::testing::Combine(::testing::Values("river", "ocean"),
+                         ::testing::Combine(::testing::Values(std::string("river"),
+                                                              std::string("ocean")),
                                             ::testing::Values(100.0, 500.0, 2000.0)));
 
 // ---- Line-code invariants over random payloads ----------------------------

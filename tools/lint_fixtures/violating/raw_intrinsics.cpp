@@ -2,7 +2,7 @@
 // A decimator "optimization" reaching for raw intrinsics outside
 // src/dsp/simd/. ISA-specific code must live behind the runtime dispatch
 // layer so the scalar-vs-SIMD bit-identity suite covers every instruction it
-// can emit; nothing gates this loop against the VAB_SIMD=scalar build.
+// can emit; nothing compares this loop against the forced-scalar path.
 #include <immintrin.h>
 
 #include <cstddef>
