@@ -1,12 +1,12 @@
 # Static-analysis and build-accelerator wiring: clang-tidy gate, clang-format
-# check, the vab_lint domain linter, and ccache pickup.
+# check, the vab-tidy domain analyzer, and ccache pickup.
 #
 # Targets (all no-ops with a warning when the host lacks the tool, so a
 # g++-only container can still configure and build everything else):
 #   cmake --build build --target tidy           # clang-tidy over src/, fails on findings
 #   cmake --build build --target format-check   # clang-format --dry-run -Werror
 #   cmake --build build --target format         # rewrites files in place
-#   cmake --build build --target lint           # tools/vab_lint.py over src/
+#   cmake --build build --target vab-tidy       # tools/vab_tidy/vab_tidy.py over src/
 
 # ccache: transparently accelerates the CI sanitizer/tidy matrix; harmless
 # locally. Opt out with -DVAB_CCACHE=OFF (e.g. when profiling compile time).
@@ -72,10 +72,15 @@ else()
 endif()
 
 if(Python3_FOUND)
-  add_custom_target(lint
-      COMMAND "${Python3_EXECUTABLE}" "${PROJECT_SOURCE_DIR}/tools/vab_lint.py"
-              "${PROJECT_SOURCE_DIR}/src"
+  add_custom_target(vab-tidy
+      COMMAND "${Python3_EXECUTABLE}" "${PROJECT_SOURCE_DIR}/tools/vab_tidy/vab_tidy.py"
+              --repo-root "${PROJECT_SOURCE_DIR}" "${PROJECT_SOURCE_DIR}/src"
       WORKING_DIRECTORY "${PROJECT_SOURCE_DIR}"
-      COMMENT "vab_lint determinism/hygiene linter over src/"
+      COMMENT "vab-tidy domain analyzer over src/ (fails on findings)"
       VERBATIM)
+else()
+  add_custom_target(vab-tidy
+      COMMAND "${CMAKE_COMMAND}" -E echo
+              "vab-tidy: python3 not found on this host; skipping"
+      COMMENT "vab-tidy unavailable")
 endif()

@@ -60,8 +60,6 @@ def main() -> int:
             files.append(root)
             continue
         for dirpath, _, names in os.walk(root):
-            if "lint_fixtures" in dirpath:
-                continue  # fixtures demonstrate violations on purpose
             files.extend(os.path.join(dirpath, n) for n in sorted(names)
                          if n.endswith(EXTENSIONS))
     problems = []

@@ -1,4 +1,4 @@
-// expect-self-contained-failure
+// expect: self-contained:1
 // Uses std::vector but never includes <vector>: compiles only when the
 // includer happened to pull it in first.
 #pragma once

@@ -1,3 +1,4 @@
+// expect: own-header-first:0  (companion of wrong_first_include.cpp)
 #pragma once
 
 namespace vab::fixture {

@@ -1,8 +1,43 @@
 #!/usr/bin/env python3
-"""vab-tidy: domain-aware static analysis for the VAB tree.
+"""vab-tidy: domain static analysis for the VAB tree.
 
-Four check families, each encoding an invariant the regex linter
-(tools/vab_lint.py) could only approximate:
+The repro's core guarantee is that every seeded experiment is bit-identical
+across thread counts and feature toggles. The golden-pin and multi-thread
+suites enforce that *dynamically*; these checks enforce the hazard classes
+*statically*, so a change that reintroduces one fails before anyone has to
+debug a golden re-pin.
+
+Determinism bans (token scans over the comment/string-blanked source):
+
+  no-libc-rand               rand()/srand()/rand_r(): process-global hidden
+                             state, not seedable per trial. Use common::Rng.
+  no-random-device           std::random_device: nondeterministic by
+                             definition.
+  no-time-seeded-rng         constructing/seeding an RNG from a clock: every
+                             run gets a different stream.
+  no-pointer-key-order       std::map/std::set keyed on a raw pointer:
+                             ordering follows allocation addresses, which vary
+                             run to run (ASLR) and thread to thread.
+  no-wallclock               std::chrono clocks / time() / gettimeofday
+                             outside obs/, common/log and common/parallel:
+                             wall-clock reads feeding logic make outcomes
+                             timing-dependent. Timeouts run on simulated time.
+  simd-intrinsics-confined   raw SIMD intrinsics (immintrin/arm_neon
+                             includes, _mm*/__m* tokens, NEON v*_f64 calls)
+                             outside src/dsp/simd/: ISA-specific code must sit
+                             behind the runtime dispatch layer, where the
+                             scalar-vs-SIMD bit-identity suite covers it.
+
+Include hygiene:
+
+  pragma-once                every header starts with #pragma once.
+  own-header-first           foo.cpp includes its own header before any
+                             other include, proving the header is
+                             self-sufficient at its primary point of use.
+  no-using-namespace         file-scope `using namespace` in a header leaks
+                             into every includer.
+
+Structural checks (body- and graph-aware):
 
   unit-suffix-double-param   Public headers must not declare raw `double`
                              function parameters whose names carry a unit
@@ -18,24 +53,26 @@ Four check families, each encoding an invariant the regex linter
                              flagged when the loop body accumulates or emits
                              output (the hash order would leak into results);
                              pure lookups and counting stay legal.
-  layering                   The module DAG is enforced from the real
-                             `#include` edges: a module may include only
-                             lower-ranked modules (obs is an include-anywhere
-                             sink), and no cycle may appear.
+  layering                   The module DAG, read from the `#include "..."`
+                             lines of the analysed files: a module may
+                             include only lower-ranked modules (obs is an
+                             include-anywhere sink), and no cycle may appear.
 
-The tool is driven by the build's exported compile_commands.json (configure
-with CMAKE_EXPORT_COMPILE_COMMANDS=ON, which cmake/StaticAnalysis.cmake sets
-unconditionally): translation units listed there are analysed, plus every
-header under the source roots. Without a build directory it falls back to
-walking the tree, so the ctest gate works on a fresh checkout too.
+With --self-contained, every header is also compiled alone
+(`<cxx> -std=c++20 -fsyntax-only`); one that leans on its includers'
+includes is reported as `self-contained` with the compiler's first error.
 
-A libTooling twin (vab_tidy.cpp) builds when a clang development install is
-discovered; this Python engine is the portable gate and the twin must agree
-with it on the fixture set.
+Point exceptions name the check and say why:
 
-Point exceptions use the same annotation idiom as vab_lint:
+    code();  // vab-tidy: allow(check-id) reason
 
-    code();  // vab-tidy: allow(rule-id) reason
+A trailing annotation covers its own line; one standing on its own line
+also covers the next line. `// vab-tidy: skip-file` exempts a whole file.
+
+Usage:
+  vab_tidy.py [path...]                   analyse files/directories (default: src/)
+  vab_tidy.py --self-contained [path...]  also compile each header in isolation
+  vab_tidy.py --list-checks               print the check ids and exit
 
 Exit status: 0 when clean, 1 on findings, 2 on usage errors.
 """
@@ -43,20 +80,21 @@ Exit status: 0 when clean, 1 on findings, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
+import concurrent.futures
 import os
 import re
+import shutil
+import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
-CXX_EXTENSIONS = (".hpp", ".cpp")
+CXX_EXTENSIONS = (".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h")
+HEADER_EXTENSIONS = (".hpp", ".hh", ".h")
 
-CHECKS = [
-    "unit-suffix-double-param",
-    "rng-parallel-capture",
-    "unordered-iter-accumulate",
-    "layering",
-]
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_ALLOWLIST = os.path.join(HERE, "allowlist.txt")
+SELF_CONTAINED = "self-contained"
 
 #: Module ranks for the layering DAG. An `#include "mod/..."` edge from
 #: module A to module B is legal iff A == B, B is a sink, or
@@ -89,10 +127,10 @@ ACCUMULATE_RE = re.compile(
     r"(?:\+=|\|=|\^=|<<|\bpush_back\s*\(|\bemplace_back\s*\(|"
     r"\bappend\s*\(|\binsert\s*\(|\bemplace\s*\()")
 
-ALLOW_RE = re.compile(r"//\s*vab-tidy:\s*allow\(([a-z-]+)\)")
+ALLOW_RE = re.compile(r"//\s*vab-tidy:\s*allow\(([a-z0-9-]+)\)")
 SKIP_FILE_RE = re.compile(r"//\s*vab-tidy:\s*skip-file")
 
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"])([^">]+)[">]', re.MULTILINE)
 
 
 @dataclass
@@ -160,8 +198,12 @@ def blank_comments_and_strings(text: str) -> str:
                 state = "code"
                 out.append(quote)
                 i += 1
+            elif ch == "\n":  # unterminated; resync rather than cascade
+                state = "code"
+                out.append("\n")
+                i += 1
             else:
-                out.append("\n" if ch == "\n" else " ")
+                out.append(" ")
                 i += 1
     return "".join(out)
 
@@ -171,12 +213,14 @@ class SourceFile:
     path: str
     text: str
     code: str = field(init=False)
+    code_lines: list[str] = field(init=False)
     skip: bool = field(init=False)
     allowed: dict[int, set[str]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.skip = bool(SKIP_FILE_RE.search(self.text))
         self.code = blank_comments_and_strings(self.text)
+        self.code_lines = self.code.splitlines()
         self.allowed = {}
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             for m in ALLOW_RE.finditer(raw):
@@ -186,7 +230,7 @@ class SourceFile:
                     self.allowed.setdefault(lineno + 1, set()).add(m.group(1))
 
     def is_header(self) -> bool:
-        return self.path.endswith(".hpp")
+        return self.path.endswith(HEADER_EXTENSIONS)
 
     def is_allowed(self, line: int, check: str) -> bool:
         return check in self.allowed.get(line, set())
@@ -196,7 +240,8 @@ class SourceFile:
 
 
 def load_source(path: str) -> SourceFile:
-    with open(path, encoding="utf-8") as fh:
+    # A stray Latin-1 byte in a comment must not hide the file's findings.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return SourceFile(path, fh.read())
 
 
@@ -214,13 +259,141 @@ def extract_balanced(text: str, open_idx: int, open_ch: str,
     return -1
 
 
+def match_findings(src: SourceFile, check: str, pattern: re.Pattern,
+                   message: str) -> list[Finding]:
+    """One finding per line: a single hazardous statement often trips
+    several sub-patterns of the same check."""
+    found = []
+    seen: set[int] = set()
+    for m in pattern.finditer(src.code):
+        line = src.line_of(m.start())
+        if line not in seen and not src.is_allowed(line, check):
+            seen.add(line)
+            found.append(Finding(src.path, line, check, message))
+    return found
+
+
+def pattern_check(check: str, pattern: re.Pattern, message: str,
+                  exempt_parts: tuple[str, ...] = (),
+                  headers_only: bool = False):
+    def run_check(src: SourceFile) -> list[Finding]:
+        if headers_only and not src.is_header():
+            return []
+        norm = src.path.replace(os.sep, "/")
+        if any(part in norm for part in exempt_parts):
+            return []
+        return match_findings(src, check, pattern, message)
+    return run_check
+
+
+# --- determinism bans -------------------------------------------------------
+
+LIBC_RAND_RE = re.compile(
+    r"\bstd\s*::\s*s?rand\s*\(|(?<![\w:.])(?:s?rand|rand_r)\s*\(")
+RANDOM_DEVICE_RE = re.compile(r"\bstd\s*::\s*random_device\b")
+
+RNG_TOKEN_RE = re.compile(
+    r"\b(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|ranlux\w+|"
+    r"knuth_b|Rng)\b")
+TIME_TOKEN_RE = re.compile(
+    r"\bstd\s*::\s*chrono\b|(?<![\w:])time\s*\(|\bclock\s*\(\)|\brdtsc\b|"
+    r"\bgettimeofday\b")
+
+POINTER_KEY_RE = re.compile(
+    r"\bstd\s*::\s*(?:map|set|multimap|multiset)\s*<\s*(?:const\s+)?[\w:]+"
+    r"(?:\s*<[^<>]*>)?\s*\*")
+
+WALLCLOCK_RE = re.compile(
+    r"\bstd\s*::\s*chrono\b|\bsteady_clock\b|\bsystem_clock\b|"
+    r"\bhigh_resolution_clock\b|\bgettimeofday\b|(?<![\w:.])time\s*\(\s*(?:nullptr|NULL|0)\s*\)")
+
+# Paths (relative, slash-normalized) where wall-clock reads are legitimate:
+# the observability layer exists to measure real time, the logger stamps it,
+# and the thread pool parks workers on real-time waits.
+WALLCLOCK_ALLOWED_PARTS = ("obs/", "common/log", "common/parallel")
+
+# Raw-intrinsic fingerprints: x86 intrinsic headers and <arm_neon.h>, SSE/AVX
+# calls and vector types, NEON vector types and the v...(_lane)_{f,s,u,p}N
+# call family. Matched against the blanked shadow, so discussing an intrinsic
+# in a comment (as dsp docs do) never trips it.
+SIMD_INTRINSICS_RE = re.compile(
+    r"#\s*include\s*<(?:immintrin|x86intrin|arm_neon|[a-z]+mmintrin)\.h>"
+    r"|\b_mm(?:256|512)?_\w+"
+    r"|\b__m(?:64|128|256|512)[dih]?\b"
+    r"|\b(?:float|poly|u?int)(?:8|16|32|64)x(?:1|2|4|8|16)_t\b"
+    r"|\bv[a-z][a-z0-9_]*_[fsup](?:8|16|32|64)\s*\(")
+
+# The one directory where ISA-specific code is legitimate: each arch header
+# plus the per-ISA translation units, all gated by the bit-identity suite.
+SIMD_ALLOWED_PARTS = ("dsp/simd/",)
+
+
+def check_no_time_seeded_rng(src: SourceFile) -> list[Finding]:
+    found = []
+    for i, line in enumerate(src.code_lines, start=1):
+        if RNG_TOKEN_RE.search(line) and TIME_TOKEN_RE.search(line):
+            if not src.is_allowed(i, "no-time-seeded-rng"):
+                found.append(Finding(
+                    src.path, i, "no-time-seeded-rng",
+                    "seeding an RNG from a clock makes every run different; "
+                    "derive seeds from the experiment seed"))
+    return found
+
+
+# --- include hygiene --------------------------------------------------------
+
+def check_pragma_once(src: SourceFile) -> list[Finding]:
+    if not src.is_header():
+        return []
+    for i, line in enumerate(src.code_lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if re.match(r"#\s*pragma\s+once\b", stripped):
+            return []
+        return [Finding(src.path, i, "pragma-once",
+                        "header must start with #pragma once (before any "
+                        "code)")]
+    return [Finding(src.path, 1, "pragma-once", "empty header lacks #pragma once")]
+
+
+def check_own_header_first(src: SourceFile) -> list[Finding]:
+    if src.is_header():
+        return []
+    stem = os.path.splitext(src.path)[0]
+    own = None
+    for ext in HEADER_EXTENSIONS:
+        if os.path.exists(stem + ext):
+            own = os.path.basename(stem + ext)
+            break
+    if own is None:
+        return []
+    # Include paths are string literals, so match the raw text; the blanked
+    # shadow is only consulted to skip includes inside comments.
+    first = None
+    for m in INCLUDE_RE.finditer(src.text):
+        line = src.text.count("\n", 0, m.start()) + 1
+        if "include" in src.code_lines[line - 1]:
+            first = (m, line)
+            break
+    if first is None:
+        return []
+    m, line = first
+    if m.group(1) == '"' and os.path.basename(m.group(2)) == own:
+        return []
+    if src.is_allowed(line, "own-header-first"):
+        return []
+    return [Finding(src.path, line, "own-header-first",
+                    f'first include must be the unit\'s own header "{own}" '
+                    "(proves the header is self-contained)")]
+
+
 # --- check: unit-suffix-double-param ----------------------------------------
 
 DOUBLE_PARAM_RE = re.compile(r"\bdouble\s+(\w+)")
 
 
-def check_unit_suffix_params(src: SourceFile,
-                             grandfathered: bool) -> list[Finding]:
+def check_unit_suffix_params(src: SourceFile) -> list[Finding]:
     """Flags `double name_db/_hz/_m/_s` in *parameter* position in headers.
 
     A declaration terminated by `;` or `}` before any `,`/`)` at its own
@@ -228,7 +401,7 @@ def check_unit_suffix_params(src: SourceFile,
     plain numbers are the serialization/config layer); one terminated by
     `,` or `)` sits in a parameter list and must take a strong unit type.
     """
-    if not src.is_header() or grandfathered:
+    if not src.is_header():
         return []
     found = []
     for m in DOUBLE_PARAM_RE.finditer(src.code):
@@ -279,8 +452,8 @@ CHILD_LOCAL_RE = re.compile(
 def check_rng_parallel_capture(src: SourceFile) -> list[Finding]:
     """Flags draws from a captured Rng inside parallel_for/parallel_reduce
     lambda bodies. Legal uses: `rng.child(i)` itself (deriving the per-index
-    stream), draws from a lambda parameter, and draws from an Rng declared
-    inside the body via `.child(...)`."""
+    stream, never a draw method), draws from a lambda parameter, and draws
+    from an Rng declared inside the body via `.child(...)`."""
     found = []
     for call in PARALLEL_CALL_RE.finditer(src.code):
         open_paren = src.code.index("(", call.end() - 1)
@@ -299,9 +472,6 @@ def check_rng_parallel_capture(src: SourceFile) -> list[Finding]:
             if body_close < 0:
                 continue
             body = args[body_open:body_close + 1]
-            by_ref_default = captures.strip() in ("&", "=") or \
-                captures.strip().startswith(("&,", "&,")) or \
-                captures.strip() == "&"
             explicit = {c.strip().lstrip("&*")
                         for c in captures.split(",") if c.strip()}
             local = set(CHILD_LOCAL_RE.findall(body)) | params
@@ -309,12 +479,9 @@ def check_rng_parallel_capture(src: SourceFile) -> list[Finding]:
                 name, method = draw.group(1), draw.group(2)
                 if name in local:
                     continue
-                captured = by_ref_default or "&" in captures or \
-                    name in explicit or "=" in captures
+                captured = "&" in captures or "=" in captures or \
+                    name in explicit
                 if not captured:
-                    continue
-                # The sanctioned derivation is itself a method call.
-                if body[draw.end() - 1] == "(" and method == "child":
                     continue
                 line = src.line_of(open_paren + body_open + draw.start())
                 if src.is_allowed(line, "rng-parallel-capture"):
@@ -389,6 +556,44 @@ def check_unordered_iter(src: SourceFile) -> list[Finding]:
     return found
 
 
+#: Checks that look at one file at a time, in report order.
+FILE_CHECKS = {
+    "no-libc-rand": pattern_check(
+        "no-libc-rand", LIBC_RAND_RE,
+        "libc rand()/srand() has process-global state; use common::Rng"),
+    "no-random-device": pattern_check(
+        "no-random-device", RANDOM_DEVICE_RE,
+        "std::random_device is nondeterministic; seed a common::Rng explicitly"),
+    "no-time-seeded-rng": check_no_time_seeded_rng,
+    "no-pointer-key-order": pattern_check(
+        "no-pointer-key-order", POINTER_KEY_RE,
+        "ordered container keyed on a raw pointer orders by allocation "
+        "address (varies per run); key on a stable id instead"),
+    "no-wallclock": pattern_check(
+        "no-wallclock", WALLCLOCK_RE,
+        "wall-clock read outside obs/: route timing through the "
+        "observability layer or simulated time",
+        exempt_parts=WALLCLOCK_ALLOWED_PARTS),
+    "simd-intrinsics-confined": pattern_check(
+        "simd-intrinsics-confined", SIMD_INTRINSICS_RE,
+        "raw SIMD intrinsic outside src/dsp/simd/: call the dispatched "
+        "dsp::simd kernels so every ISA stays behind the bit-identity gate",
+        exempt_parts=SIMD_ALLOWED_PARTS),
+    "pragma-once": check_pragma_once,
+    "own-header-first": check_own_header_first,
+    "no-using-namespace": pattern_check(
+        "no-using-namespace",
+        re.compile(r"^\s*using\s+namespace\s+\w", re.MULTILINE),
+        "`using namespace` in a header leaks into every includer",
+        headers_only=True),
+    "unit-suffix-double-param": check_unit_suffix_params,
+    "rng-parallel-capture": check_rng_parallel_capture,
+    "unordered-iter-accumulate": check_unordered_iter,
+}
+
+CHECKS = list(FILE_CHECKS) + ["layering"]
+
+
 # --- check: layering --------------------------------------------------------
 
 def module_of(rel_path: str) -> str | None:
@@ -417,7 +622,9 @@ def check_layering(files: list[SourceFile], repo_root: str) -> list[Finding]:
         # Includes are scanned in the raw text: comment/string blanking
         # (correct for the token checks) erases the include target.
         for m in INCLUDE_RE.finditer(src.text):
-            target = module_of(m.group(1))
+            if m.group(1) != '"':
+                continue
+            target = module_of(m.group(2))
             if target is None or target == mod:
                 continue
             line = src.text.count("\n", 0, m.start()) + 1
@@ -482,6 +689,39 @@ def check_layering(files: list[SourceFile], repo_root: str) -> list[Finding]:
     return found
 
 
+# --- check: self-contained (compile each header alone) -----------------------
+
+def check_self_contained(headers: list[str], include_dirs: list[str],
+                         cxx: str) -> list[Finding]:
+    """Compiles `#include "<header>"` alone per header: a header that leans
+    on its includers' includes fails here with the real compiler error."""
+
+    def compile_one(header: str) -> Finding | None:
+        with tempfile.NamedTemporaryFile(
+                mode="w", suffix=".cpp", delete=False) as tu:
+            tu.write(f'#include "{os.path.abspath(header)}"\n')
+            tu_path = tu.name
+        try:
+            cmd = [cxx, "-std=c++20", "-fsyntax-only"]
+            for inc in include_dirs:
+                cmd += ["-I", inc]
+            proc = subprocess.run(cmd + [tu_path], capture_output=True,
+                                  text=True, check=False)
+            if proc.returncode != 0:
+                first_error = next(
+                    (ln for ln in proc.stderr.splitlines() if "error:" in ln),
+                    proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else "compile failed")
+                return Finding(header, 1, SELF_CONTAINED,
+                               f"header does not compile in isolation: {first_error}")
+            return None
+        finally:
+            os.unlink(tu_path)
+
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=os.cpu_count() or 2) as pool:
+        return [f for f in pool.map(compile_one, headers) if f is not None]
+
+
 # --- driver -----------------------------------------------------------------
 
 def load_allowlist(path: str, repo_root: str) -> dict[str, str]:
@@ -496,24 +736,9 @@ def load_allowlist(path: str, repo_root: str) -> dict[str, str]:
             if not raw or raw.startswith("#"):
                 continue
             rel, _, reason = raw.partition("::")
-            grandfathered[os.path.normpath(
+            grandfathered[os.path.abspath(
                 os.path.join(repo_root, rel.strip()))] = reason.strip()
     return grandfathered
-
-
-def collect_from_compile_commands(build_dir: str) -> list[str] | None:
-    db = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.exists(db):
-        return None
-    with open(db, encoding="utf-8") as fh:
-        entries = json.load(fh)
-    files = []
-    for entry in entries:
-        path = entry["file"]
-        if not os.path.isabs(path):
-            path = os.path.normpath(os.path.join(entry["directory"], path))
-        files.append(path)
-    return sorted(set(files))
 
 
 def collect_sources(roots: list[str]) -> list[str]:
@@ -529,34 +754,31 @@ def collect_sources(roots: list[str]) -> list[str]:
     return sorted(set(out))
 
 
-def run(paths: list[str], repo_root: str, build_dir: str | None,
-        checks: list[str], allowlist_path: str) -> list[Finding]:
+def run(paths: list[str], repo_root: str, checks: list[str] = CHECKS,
+        allowlist_path: str = DEFAULT_ALLOWLIST,
+        self_contained_cxx: str | None = None) -> list[Finding]:
+    """Runs `checks` over the sources under `paths`. With
+    `self_contained_cxx`, every header is also compiled alone with that
+    compiler, using the directories among `paths` as include roots."""
     grandfathered = load_allowlist(allowlist_path, repo_root)
     files = collect_sources(paths)
-    if build_dir:
-        tus = collect_from_compile_commands(build_dir)
-        if tus:
-            in_roots = {os.path.normpath(f) for f in files}
-            files = sorted(in_roots |
-                           {t for t in tus
-                            if os.path.normpath(t) in in_roots})
-    sources = []
-    for path in files:
-        src = load_source(path)
-        if not src.skip:
-            sources.append(src)
+    sources = [src for src in map(load_source, files) if not src.skip]
     findings: list[Finding] = []
     for src in sources:
-        norm = os.path.normpath(src.path)
-        if "unit-suffix-double-param" in checks:
-            findings.extend(
-                check_unit_suffix_params(src, norm in grandfathered))
-        if "rng-parallel-capture" in checks:
-            findings.extend(check_rng_parallel_capture(src))
-        if "unordered-iter-accumulate" in checks:
-            findings.extend(check_unordered_iter(src))
+        exempt = os.path.abspath(src.path) in grandfathered
+        for check in checks:
+            if check not in FILE_CHECKS:
+                continue
+            if check == "unit-suffix-double-param" and exempt:
+                continue
+            findings.extend(FILE_CHECKS[check](src))
     if "layering" in checks:
         findings.extend(check_layering(sources, repo_root))
+    if self_contained_cxx:
+        headers = [f for f in files if f.endswith(HEADER_EXTENSIONS)]
+        include_dirs = [p for p in paths if os.path.isdir(p)]
+        findings.extend(
+            check_self_contained(headers, include_dirs, self_contained_cxx))
     findings.sort(key=lambda f: (f.path, f.line, f.check))
     return findings
 
@@ -565,34 +787,33 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to analyse (default: src/)")
-    parser.add_argument("--build-dir", default=None,
-                        help="build dir with compile_commands.json")
     parser.add_argument("--repo-root", default=None,
                         help="repository root (default: parent of tools/)")
-    parser.add_argument("--check", action="append", dest="checks",
-                        choices=CHECKS, default=None,
-                        help="run only the named check (repeatable)")
-    parser.add_argument("--allowlist", default=None,
-                        help="override the unit-suffix allowlist file")
+    parser.add_argument("--self-contained", action="store_true",
+                        help="also compile every header in isolation")
+    parser.add_argument("--cxx", default=os.environ.get("CXX", "g++"),
+                        help="compiler for --self-contained (default: $CXX "
+                             "or g++)")
     parser.add_argument("--list-checks", action="store_true")
     args = parser.parse_args()
 
     if args.list_checks:
-        for check in CHECKS:
+        for check in CHECKS + [SELF_CONTAINED]:
             print(check)
         return 0
 
-    here = os.path.dirname(os.path.abspath(__file__))
-    repo_root = args.repo_root or os.path.dirname(os.path.dirname(here))
+    repo_root = args.repo_root or os.path.dirname(os.path.dirname(HERE))
     paths = args.paths or [os.path.join(repo_root, "src")]
-    build_dir = args.build_dir
-    if build_dir is None:
-        default_build = os.path.join(repo_root, "build")
-        build_dir = default_build if os.path.isdir(default_build) else None
-    allowlist = args.allowlist or os.path.join(here, "allowlist.txt")
+    if not collect_sources(paths):
+        print(f"vab-tidy: no C++ sources under {paths}", file=sys.stderr)
+        return 2
+    if args.self_contained and shutil.which(args.cxx) is None:
+        print(f"vab-tidy: --self-contained needs {args.cxx} on PATH",
+              file=sys.stderr)
+        return 2
 
-    findings = run(paths, repo_root, build_dir, args.checks or CHECKS,
-                   allowlist)
+    findings = run(paths, repo_root, self_contained_cxx=(
+        args.cxx if args.self_contained else None))
     for finding in findings:
         print(finding.format())
     if findings:
