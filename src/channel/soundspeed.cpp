@@ -1,7 +1,6 @@
 #include "channel/soundspeed.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace vab::channel {
 
@@ -20,28 +19,6 @@ double freshwater_sound_speed(double T) {
 double sound_speed(const WaterProperties& w) {
   if (w.salinity_ppt < 5.0) return freshwater_sound_speed(w.temperature_c);
   return mackenzie_sound_speed(w.temperature_c, w.salinity_ppt, w.depth_m);
-}
-
-SoundSpeedProfile::SoundSpeedProfile(double c) : depths_{0.0}, speeds_{c} {
-  if (c <= 0.0) throw std::invalid_argument("sound speed must be > 0");
-}
-
-SoundSpeedProfile::SoundSpeedProfile(rvec depths_m, rvec speeds_mps)
-    : depths_(std::move(depths_m)), speeds_(std::move(speeds_mps)) {
-  if (depths_.empty() || depths_.size() != speeds_.size())
-    throw std::invalid_argument("profile needs matching non-empty depth/speed arrays");
-  for (std::size_t i = 1; i < depths_.size(); ++i)
-    if (depths_[i] <= depths_[i - 1])
-      throw std::invalid_argument("profile depths must be strictly ascending");
-}
-
-double SoundSpeedProfile::at(double depth_m) const {
-  if (depth_m <= depths_.front()) return speeds_.front();
-  if (depth_m >= depths_.back()) return speeds_.back();
-  std::size_t i = 1;
-  while (depths_[i] < depth_m) ++i;
-  const double frac = (depth_m - depths_[i - 1]) / (depths_[i] - depths_[i - 1]);
-  return speeds_[i - 1] + frac * (speeds_[i] - speeds_[i - 1]);
 }
 
 }  // namespace vab::channel

@@ -6,7 +6,6 @@
 #pragma once
 
 #include "channel/absorption.hpp"
-#include "common/types.hpp"
 
 namespace vab::channel {
 
@@ -18,21 +17,5 @@ double freshwater_sound_speed(double temperature_c);
 
 /// Sound speed for given water properties, choosing the appropriate model.
 double sound_speed(const WaterProperties& w);
-
-/// Depth-dependent sound-speed profile, piecewise linear between samples.
-class SoundSpeedProfile {
- public:
-  /// Constant profile.
-  explicit SoundSpeedProfile(double c = 1500.0);
-  /// Piecewise-linear profile from (depth, speed) pairs, depths ascending.
-  SoundSpeedProfile(rvec depths_m, rvec speeds_mps);
-
-  double at(double depth_m) const;
-  double surface_speed() const { return at(0.0); }
-
- private:
-  rvec depths_;
-  rvec speeds_;
-};
 
 }  // namespace vab::channel

@@ -7,104 +7,6 @@
 
 namespace vab::dsp {
 
-namespace {
-struct RbjParams {
-  double w0, cw, sw, alpha;
-};
-
-RbjParams rbj(double f0_hz, double fs_hz, double q) {
-  if (fs_hz <= 0.0 || f0_hz <= 0.0 || f0_hz >= fs_hz / 2.0)
-    throw std::invalid_argument("biquad center frequency must be in (0, fs/2)");
-  if (q <= 0.0) throw std::invalid_argument("biquad Q must be > 0");
-  const double w0 = common::kTwoPi * f0_hz / fs_hz;
-  return {w0, std::cos(w0), std::sin(w0), std::sin(w0) / (2.0 * q)};
-}
-}  // namespace
-
-Biquad::Biquad(double b0, double b1, double b2, double a1, double a2)
-    : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}
-
-Biquad Biquad::lowpass(double f0_hz, double fs_hz, double q) {
-  const auto p = rbj(f0_hz, fs_hz, q);
-  const double a0 = 1.0 + p.alpha;
-  return {(1.0 - p.cw) / 2.0 / a0, (1.0 - p.cw) / a0, (1.0 - p.cw) / 2.0 / a0,
-          -2.0 * p.cw / a0, (1.0 - p.alpha) / a0};
-}
-
-Biquad Biquad::highpass(double f0_hz, double fs_hz, double q) {
-  const auto p = rbj(f0_hz, fs_hz, q);
-  const double a0 = 1.0 + p.alpha;
-  return {(1.0 + p.cw) / 2.0 / a0, -(1.0 + p.cw) / a0, (1.0 + p.cw) / 2.0 / a0,
-          -2.0 * p.cw / a0, (1.0 - p.alpha) / a0};
-}
-
-Biquad Biquad::bandpass(double f0_hz, double fs_hz, double q) {
-  const auto p = rbj(f0_hz, fs_hz, q);
-  const double a0 = 1.0 + p.alpha;
-  // Constant-peak-gain band-pass.
-  return {p.alpha / a0, 0.0, -p.alpha / a0, -2.0 * p.cw / a0, (1.0 - p.alpha) / a0};
-}
-
-Biquad Biquad::notch(double f0_hz, double fs_hz, double q) {
-  const auto p = rbj(f0_hz, fs_hz, q);
-  const double a0 = 1.0 + p.alpha;
-  return {1.0 / a0, -2.0 * p.cw / a0, 1.0 / a0, -2.0 * p.cw / a0, (1.0 - p.alpha) / a0};
-}
-
-double Biquad::process(double x) { return process(cplx{x, 0.0}).real(); }
-
-cplx Biquad::process(cplx x) {
-  const cplx y = b0_ * x + z1_;
-  z1_ = b1_ * x - a1_ * y + z2_;
-  z2_ = b2_ * x - a2_ * y;
-  return y;
-}
-
-void Biquad::reset() {
-  z1_ = cplx{};
-  z2_ = cplx{};
-}
-
-double Biquad::response_at(double f_hz, double fs_hz) const {
-  const double w = common::kTwoPi * f_hz / fs_hz;
-  const cplx z1 = std::exp(cplx{0.0, -w});
-  const cplx z2 = z1 * z1;
-  return std::abs((b0_ + b1_ * z1 + b2_ * z2) / (1.0 + a1_ * z1 + a2_ * z2));
-}
-
-double BiquadCascade::process(double x) {
-  for (auto& s : sections_) x = s.process(x);
-  return x;
-}
-
-cplx BiquadCascade::process(cplx x) {
-  for (auto& s : sections_) x = s.process(x);
-  return x;
-}
-
-rvec BiquadCascade::process(const rvec& x) {
-  rvec y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = process(x[i]);
-  return y;
-}
-
-cvec BiquadCascade::process(const cvec& x) {
-  cvec y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = process(x[i]);
-  return y;
-}
-
-void BiquadCascade::reset() {
-  for (auto& s : sections_) s.reset();
-}
-
-double DcBlocker::process(double x) {
-  const double y = x - x1_ + r_ * y1_;
-  x1_ = x;
-  y1_ = y;
-  return y;
-}
-
 OnePole::OnePole(double cutoff_hz, double fs_hz) {
   if (cutoff_hz <= 0.0 || fs_hz <= 0.0 || cutoff_hz >= fs_hz / 2.0)
     throw std::invalid_argument("one-pole cutoff must be in (0, fs/2)");

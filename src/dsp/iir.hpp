@@ -1,69 +1,8 @@
-// Biquad (second-order IIR) sections from the RBJ Audio-EQ cookbook and a
-// cascade container. Used for cheap band-pass/notch stages in the reader
-// front end and for the node's passive-envelope-detector model.
+// One-pole IIR smoother: the envelope low-pass of the node's passive
+// envelope-detector model.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "common/types.hpp"
-
 namespace vab::dsp {
-
-/// One direct-form-II-transposed biquad.
-class Biquad {
- public:
-  /// Raw coefficients (a0 normalized to 1).
-  Biquad(double b0, double b1, double b2, double a1, double a2);
-
-  static Biquad lowpass(double f0_hz, double fs_hz, double q = 0.7071);
-  static Biquad highpass(double f0_hz, double fs_hz, double q = 0.7071);
-  static Biquad bandpass(double f0_hz, double fs_hz, double q);
-  static Biquad notch(double f0_hz, double fs_hz, double q);
-
-  double process(double x);
-  cplx process(cplx x);
-  void reset();
-
-  /// Magnitude response at `f_hz`.
-  double response_at(double f_hz, double fs_hz) const;
-
- private:
-  double b0_, b1_, b2_, a1_, a2_;
-  cplx z1_{}, z2_{};
-};
-
-/// A cascade of biquads applied in sequence.
-class BiquadCascade {
- public:
-  BiquadCascade() = default;
-  explicit BiquadCascade(std::vector<Biquad> sections) : sections_(std::move(sections)) {}
-
-  void push(Biquad b) { sections_.push_back(b); }
-
-  double process(double x);
-  cplx process(cplx x);
-  rvec process(const rvec& x);
-  cvec process(const cvec& x);
-  void reset();
-
-  std::size_t size() const { return sections_.size(); }
-
- private:
-  std::vector<Biquad> sections_;
-};
-
-/// Single-pole DC blocker, y[n] = x[n] - x[n-1] + r*y[n-1].
-class DcBlocker {
- public:
-  explicit DcBlocker(double r = 0.995) : r_(r) {}
-  double process(double x);
-  void reset() { x1_ = 0.0; y1_ = 0.0; }
-
- private:
-  double r_;
-  double x1_ = 0.0, y1_ = 0.0;
-};
 
 /// One-pole smoother (exponential moving average), used as envelope LPF.
 class OnePole {

@@ -24,50 +24,6 @@ void validate_token(const std::string& s, const char* what) {
   }
 }
 
-// Shared family bookkeeping: the canonical-suffix -> handle cache, the cap,
-// and the drop counter. Templated on the handle type (Counter/Histogram);
-// the make callback interns a new series in the registry.
-template <typename Handle>
-struct FamilyState {
-  std::mutex mu;
-  std::map<std::string, Handle> series;  // canonical suffix -> handle
-  std::size_t max_series;
-  Handle overflow;
-  Counter dropped_ctr;
-  std::uint64_t dropped = 0;
-
-  FamilyState(std::size_t cap, Handle overflow_handle, Counter drop_counter)
-      : max_series(cap),
-        overflow(overflow_handle),
-        dropped_ctr(drop_counter) {}
-
-  template <typename Make>
-  Handle with(const LabelSet& labels, const Make& make) {
-    const std::string suffix = encode_labels(labels);
-    std::lock_guard<std::mutex> lk(mu);
-    auto it = series.find(suffix);
-    if (it != series.end()) return it->second;
-    if (series.size() >= max_series) {
-      ++dropped;
-      dropped_ctr.inc();
-      return overflow;
-    }
-    Handle h = make(suffix);
-    series.emplace(suffix, h);
-    return h;
-  }
-
-  std::size_t count() {
-    std::lock_guard<std::mutex> lk(mu);
-    return series.size();
-  }
-
-  std::uint64_t dropped_count() {
-    std::lock_guard<std::mutex> lk(mu);
-    return dropped;
-  }
-};
-
 }  // namespace
 
 std::string encode_labels(const LabelSet& labels) {
@@ -92,17 +48,24 @@ std::string encode_labels(const LabelSet& labels) {
   return out;
 }
 
-// --- CounterFamily ----------------------------------------------------------
-
-struct CounterFamily::Impl : FamilyState<Counter> {
+// Family bookkeeping: the canonical-suffix -> counter cache, the cap, and
+// the drop counter.
+struct CounterFamily::Impl {
   Registry* reg;
   std::string name;
+  std::mutex mu;
+  std::map<std::string, Counter> series;  // canonical suffix -> handle
+  std::size_t max_series;
+  Counter overflow;
+  Counter dropped_ctr;
+  std::uint64_t dropped = 0;
 
   Impl(Registry& r, std::string n, std::size_t cap)
-      : FamilyState<Counter>(cap, r.counter(n + "{overflow}"),
-                             r.counter(n + ".labels_dropped")),
-        reg(&r),
-        name(std::move(n)) {}
+      : reg(&r),
+        name(std::move(n)),
+        max_series(cap),
+        overflow(r.counter(name + "{overflow}")),
+        dropped_ctr(r.counter(name + ".labels_dropped")) {}
 };
 
 CounterFamily::CounterFamily(Registry& reg, std::string name,
@@ -110,44 +73,30 @@ CounterFamily::CounterFamily(Registry& reg, std::string name,
     : impl_(std::make_shared<Impl>(reg, std::move(name), max_series)) {}
 
 Counter CounterFamily::with(const LabelSet& labels) const {
-  return impl_->with(labels, [this](const std::string& suffix) {
-    return impl_->reg->counter(impl_->name + suffix);
-  });
+  const std::string suffix = encode_labels(labels);
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  auto it = impl_->series.find(suffix);
+  if (it != impl_->series.end()) return it->second;
+  if (impl_->series.size() >= impl_->max_series) {
+    ++impl_->dropped;
+    impl_->dropped_ctr.inc();
+    return impl_->overflow;
+  }
+  Counter c = impl_->reg->counter(impl_->name + suffix);
+  impl_->series.emplace(suffix, c);
+  return c;
 }
 
 Counter CounterFamily::overflow() const { return impl_->overflow; }
-std::size_t CounterFamily::series_count() const { return impl_->count(); }
-std::uint64_t CounterFamily::dropped() const { return impl_->dropped_count(); }
 
-// --- HistogramFamily --------------------------------------------------------
-
-struct HistogramFamily::Impl : FamilyState<Histogram> {
-  Registry* reg;
-  std::string name;
-  std::vector<std::uint64_t> bounds;
-
-  Impl(Registry& r, std::string n, std::vector<std::uint64_t> b, std::size_t cap)
-      : FamilyState<Histogram>(cap, r.histogram(n + "{overflow}", b),
-                               r.counter(n + ".labels_dropped")),
-        reg(&r),
-        name(std::move(n)),
-        bounds(std::move(b)) {}
-};
-
-HistogramFamily::HistogramFamily(Registry& reg, std::string name,
-                                 std::vector<std::uint64_t> bounds,
-                                 std::size_t max_series)
-    : impl_(std::make_shared<Impl>(reg, std::move(name), std::move(bounds),
-                                   max_series)) {}
-
-Histogram HistogramFamily::with(const LabelSet& labels) const {
-  return impl_->with(labels, [this](const std::string& suffix) {
-    return impl_->reg->histogram(impl_->name + suffix, impl_->bounds);
-  });
+std::size_t CounterFamily::series_count() const {
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  return impl_->series.size();
 }
 
-Histogram HistogramFamily::overflow() const { return impl_->overflow; }
-std::size_t HistogramFamily::series_count() const { return impl_->count(); }
-std::uint64_t HistogramFamily::dropped() const { return impl_->dropped_count(); }
+std::uint64_t CounterFamily::dropped() const {
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  return impl_->dropped;
+}
 
 }  // namespace vab::obs

@@ -1,5 +1,5 @@
-// Bounded-cardinality labeled metrics: counter/histogram *families* that
-// fan one logical name out into per-label-set series, e.g.
+// Bounded-cardinality labeled metrics: counter *families* that fan one
+// logical name out into per-label-set series, e.g.
 //   fleet.delivered{node_class=sensor,reader=3}
 //
 // Each distinct label set becomes an ordinary registry metric whose name is
@@ -62,23 +62,6 @@ class CounterFamily {
   std::size_t series_count() const;
 
   /// `with()` resolutions routed to the overflow series so far.
-  std::uint64_t dropped() const;
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Histogram family: every series shares the family's bucket bounds.
-class HistogramFamily {
- public:
-  HistogramFamily(Registry& reg, std::string name,
-                  std::vector<std::uint64_t> bounds,
-                  std::size_t max_series = kDefaultMaxSeries);
-
-  Histogram with(const LabelSet& labels) const;
-  Histogram overflow() const;
-  std::size_t series_count() const;
   std::uint64_t dropped() const;
 
  private:

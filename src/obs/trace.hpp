@@ -13,9 +13,7 @@
 // Span names/categories must be string literals (or otherwise outlive the
 // process): rings store the pointers, not copies.
 //
-// The trace clock (`now_ns`) is monotonic nanoseconds since process start;
-// common::Log stamps its lines with the same clock and thread ids, so log
-// lines correlate with spans.
+// The trace clock (`now_ns`) is monotonic nanoseconds since process start.
 #pragma once
 
 #include <cstdint>

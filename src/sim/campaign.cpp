@@ -1,9 +1,12 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -115,7 +118,45 @@ std::optional<std::vector<std::string>> read_checkpoint(const std::string& path,
   return records;
 }
 
-// Per-outcome text codecs. Doubles use %a / %la: hex floats round-trip every
+// Strict field parsers for checkpoint records and shard specs. Each accepts
+// one whole token and nothing else (no leading whitespace, no trailing
+// characters, no sign on a count), so a malformed record makes its shard
+// recompute instead of being trusted.
+
+/// Splits a record at single spaces; empty fields survive (and fail to parse).
+std::vector<std::string_view> split_fields(std::string_view text) {
+  std::vector<std::string_view> fields;
+  for (std::size_t start = 0;;) {
+    const std::size_t sp = text.find(' ', start);
+    fields.push_back(text.substr(start, sp - start));
+    if (sp == std::string_view::npos) return fields;
+    start = sp + 1;
+  }
+}
+
+/// Non-negative decimal count: digits only, in range of std::size_t.
+bool parse_count(std::string_view s, std::size_t& v) {
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, v);
+  return ec == std::errc{} && p == end;
+}
+
+/// Flag: exactly "0" or "1".
+bool parse_flag(std::string_view s, bool& v) {
+  v = s == "1";
+  return v || s == "0";
+}
+
+/// One whole double token; the encoder writes %a (hex float or inf/nan).
+bool parse_real(std::string_view s, double& v) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s.front()))) return false;
+  const std::string z(s);
+  char* end = nullptr;
+  v = std::strtod(z.c_str(), &end);
+  return end == z.c_str() + z.size();
+}
+
+// Per-outcome text codecs. Doubles use %a: hex floats round-trip every
 // finite value (and inf/nan spellings) exactly, so a resumed merge is
 // bit-identical to the uninterrupted run.
 
@@ -127,15 +168,14 @@ std::string encode_outcome(const WaveformTrialOutcome& s) {
   return buf;
 }
 
+/// A frame can only decode after sync, so frame_ok without sync_found is
+/// rejected along with malformed fields.
 bool decode_outcome(const std::string& text, WaveformTrialOutcome& s) {
-  int sync = 0;
-  int ok = 0;
-  if (std::sscanf(text.c_str(), "%zu %d %d %la %la %la", &s.bit_errors, &sync,
-                  &ok, &s.snr_db, &s.corr_peak, &s.sic_suppression_db) != 6)
-    return false;
-  s.sync_found = sync != 0;
-  s.frame_ok = ok != 0;
-  return true;
+  const auto f = split_fields(text);
+  return f.size() == 6 && parse_count(f[0], s.bit_errors) &&
+         parse_flag(f[1], s.sync_found) && parse_flag(f[2], s.frame_ok) &&
+         parse_real(f[3], s.snr_db) && parse_real(f[4], s.corr_peak) &&
+         parse_real(f[5], s.sic_suppression_db) && (s.sync_found || !s.frame_ok);
 }
 
 std::string encode_outcome(const LinkBudget::BerTrialOutcome& s) {
@@ -145,7 +185,8 @@ std::string encode_outcome(const LinkBudget::BerTrialOutcome& s) {
 }
 
 bool decode_outcome(const std::string& text, LinkBudget::BerTrialOutcome& s) {
-  return std::sscanf(text.c_str(), "%zu %la", &s.errors, &s.snr_db) == 2;
+  const auto f = split_fields(text);
+  return f.size() == 2 && parse_count(f[0], s.errors) && parse_real(f[1], s.snr_db);
 }
 
 std::string encode_outcome(double loss) {
@@ -155,7 +196,7 @@ std::string encode_outcome(double loss) {
 }
 
 bool decode_outcome(const std::string& text, double& loss) {
-  return std::sscanf(text.c_str(), "%la", &loss) == 1;
+  return parse_real(text, loss);
 }
 
 /// Shared shard driver: resume this shard from its checkpoint when a valid
@@ -237,17 +278,15 @@ std::vector<Outcome> assemble(const std::vector<ShardResult<Outcome>>& shards,
 
 ShardSpec ShardSpec::parse(const std::string& text) {
   ShardSpec spec;
-  char extra = 0;
-  unsigned long long idx = 0;
-  unsigned long long cnt = 0;
-  if (std::sscanf(text.c_str(), "%llu/%llu%c", &idx, &cnt, &extra) != 2)
+  const std::size_t slash = text.find('/');
+  if (slash == std::string::npos ||
+      !parse_count(std::string_view(text).substr(0, slash), spec.index) ||
+      !parse_count(std::string_view(text).substr(slash + 1), spec.count))
     throw std::invalid_argument("shard spec must be \"i/n\", got \"" + text +
                                 "\"");
-  if (cnt == 0 || idx >= cnt)
+  if (spec.count == 0 || spec.index >= spec.count)
     throw std::invalid_argument("shard spec needs i < n, n >= 1, got \"" +
                                 text + "\"");
-  spec.index = static_cast<std::size_t>(idx);
-  spec.count = static_cast<std::size_t>(cnt);
   return spec;
 }
 

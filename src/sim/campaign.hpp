@@ -42,8 +42,9 @@ struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
 
-  /// Parses "i/n" (e.g. "2/8", the bench `shard=` config key). Requires
-  /// n >= 1 and i < n; throws std::invalid_argument otherwise.
+  /// Parses "i/n" (e.g. "2/8", the bench `shard=` config key): two decimal
+  /// digit strings (no sign, no spaces) with n >= 1 and i < n; throws
+  /// std::invalid_argument otherwise.
   static ShardSpec parse(const std::string& text);
 
   /// Global [begin, end) of this shard over `n_trials` trials.

@@ -4,6 +4,7 @@
 // of stale/corrupt/mismatched checkpoint files.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -72,6 +73,8 @@ TEST(ShardSpec, ParsesAndValidates) {
   EXPECT_THROW(sim::ShardSpec::parse("0/0"), std::invalid_argument);
   EXPECT_THROW(sim::ShardSpec::parse("nope"), std::invalid_argument);
   EXPECT_THROW(sim::ShardSpec::parse("1/2x"), std::invalid_argument);
+  for (const char* bad : {"0/-1", "-1/2", " 1/2", "1/ 2", "+1/2"})
+    EXPECT_THROW(sim::ShardSpec::parse(bad), std::invalid_argument) << bad;
 }
 
 TEST(ShardSpec, RangesPartitionTheTrialSpaceExactly) {
@@ -184,6 +187,85 @@ TEST_F(CampaignTest, CheckpointRejectedOnCorruptionTruncationOrWrongKey) {
   std::ofstream(path, std::ios::trunc) << content;
   EXPECT_TRUE(
       sim::run_waveform_shard(scenario, trials, bits, rng, cfg).from_checkpoint);
+}
+
+// Rewrites the checkpoint at `path` with its first record replaced and the
+// digest line recomputed over the new records, so the file is intact in
+// every respect except the record's content.
+void replace_first_record(const std::string& path, const std::string& record) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  in.close();
+  std::uint64_t h = 14695981039346656037ULL;
+  bool replaced = false;
+  for (std::string& line : lines) {
+    if (line.rfind("r ", 0) == 0) {
+      if (!replaced) line = "r " + record;
+      replaced = true;
+      for (const char c : line + "\n") {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+      }
+    } else if (line.rfind("digest ", 0) == 0) {
+      char buf[17];
+      std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+      line = std::string("digest ") + buf;
+    }
+  }
+  ASSERT_TRUE(replaced);
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) out << line << "\n";
+}
+
+TEST_F(CampaignTest, CheckpointWithMalformedRecordRecomputes) {
+  const sim::Scenario scenario = fast_scenario();
+  const std::size_t trials = 6;
+  const std::size_t bits = 32;
+  common::Rng rng(13);
+  common::set_thread_count(1);
+  const sim::WaveformStats direct = sim::run_waveform_trials(scenario, trials, bits, rng);
+
+  const auto cfg = campaign(dir(), "key", 0, 2);
+  const std::string path = sim::checkpoint_path(cfg, "waveform");
+  const auto first = sim::run_waveform_shard(scenario, trials, bits, rng, cfg);
+  ASSERT_FALSE(first.from_checkpoint);
+
+  // Control: a rewritten file holding the shard's own first record (as the
+  // encoder writes it) resumes, so only the record content is under test.
+  std::ifstream in(path);
+  std::string own;
+  while (std::getline(in, own) && own.rfind("r ", 0) != 0) {
+  }
+  in.close();
+  ASSERT_EQ(own.rfind("r ", 0), 0u);
+  replace_first_record(path, own.substr(2));
+  EXPECT_TRUE(sim::run_waveform_shard(scenario, trials, bits, rng, cfg).from_checkpoint);
+
+  const std::string reals = " 0x1p+0 0x1p+0 0x1p+0";
+  const std::vector<std::string> bad_records = {
+      "-1 7 1" + reals + " junk",  // negative count, flag 7, trailing junk
+      "-1 1 1" + reals,            // negative count
+      "+3 1 0" + reals,            // signed count
+      "3 7 0" + reals,             // flag other than 0/1
+      "3 1 -0" + reals,            // signed flag
+      "0 0 1" + reals,             // frame_ok without sync_found
+      "3 1 0" + reals + " junk",   // trailing field
+      "3 1 0" + reals + "x",       // trailing characters
+      "3 1 0" + reals + " ",       // trailing space
+      "3  1 0" + reals,            // doubled space
+      "3 1 0 0x1p+0 0x1p+0",       // missing field
+  };
+  for (const std::string& bad : bad_records) {
+    replace_first_record(path, bad);
+    const auto resumed = sim::run_waveform_shard(scenario, trials, bits, rng, cfg);
+    EXPECT_FALSE(resumed.from_checkpoint) << bad;
+    const auto second = sim::run_waveform_shard(scenario, trials, bits, rng,
+                                                campaign(dir(), "key", 1, 2));
+    EXPECT_TRUE(same_stats(
+        direct, sim::merge_waveform_campaign({resumed, second}, trials, bits)))
+        << bad;
+  }
 }
 
 TEST_F(CampaignTest, MergeRejectsMissingAndOverlappingShards) {

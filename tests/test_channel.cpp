@@ -88,14 +88,6 @@ TEST(SoundSpeed, FreshwaterReference) {
   EXPECT_NEAR(freshwater_sound_speed(0.0), 1402.4, 1.0);
 }
 
-TEST(SoundSpeed, ProfileInterpolation) {
-  SoundSpeedProfile prof({0.0, 10.0, 50.0}, {1500.0, 1490.0, 1485.0});
-  EXPECT_DOUBLE_EQ(prof.at(0.0), 1500.0);
-  EXPECT_DOUBLE_EQ(prof.at(5.0), 1495.0);
-  EXPECT_DOUBLE_EQ(prof.at(100.0), 1485.0);
-  EXPECT_THROW(SoundSpeedProfile({0.0, 0.0}, {1500.0, 1500.0}), std::invalid_argument);
-}
-
 TEST(Noise, WindDominatesAtCarrier) {
   NoiseConditions calm{0.2, 1.0, -1000.0};
   NoiseConditions windy{0.2, 15.0, -1000.0};

@@ -1,4 +1,4 @@
-// Correlation, Goertzel, LMS and spectral estimation.
+// Correlation, LMS and spectral estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/correlate.hpp"
-#include "dsp/goertzel.hpp"
 #include "dsp/lms.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/spectrum.hpp"
@@ -144,28 +143,6 @@ TEST(Correlate, EnergyAndRms) {
   EXPECT_DOUBLE_EQ(energy(x), 25.0);
   EXPECT_NEAR(rms(x), std::sqrt(12.5), 1e-12);
   EXPECT_DOUBLE_EQ(rms(rvec{}), 0.0);
-}
-
-TEST(Goertzel, MatchesToneAmplitude) {
-  const double fs = 8000.0;
-  const rvec x = make_tone(440.0, fs, 4000, 2.0);
-  // Real tone of amplitude A has a single-bin complex coefficient ~A/2.
-  EXPECT_NEAR(std::abs(goertzel(x, 440.0, fs)), 1.0, 0.01);
-  EXPECT_LT(std::abs(goertzel(x, 1000.0, fs)), 0.02);
-}
-
-TEST(Goertzel, StreamingBlocksDetectTone) {
-  const double fs = 8000.0;
-  GoertzelDetector det(440.0, fs, 400);
-  const rvec x = make_tone(440.0, fs, 1200, 1.0);
-  int blocks = 0;
-  double power = 0.0;
-  for (double v : x)
-    if (det.push(v, power)) {
-      ++blocks;
-      EXPECT_NEAR(power, 0.25, 0.02);  // (A/2)^2
-    }
-  EXPECT_EQ(blocks, 3);
 }
 
 TEST(Lms, CancelsCorrelatedInterference) {

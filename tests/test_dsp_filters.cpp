@@ -97,55 +97,6 @@ TEST(Fir, InvalidDesignThrows) {
   EXPECT_THROW(FirFilter(rvec{}), std::invalid_argument);
 }
 
-TEST(Biquad, LowpassResponse) {
-  const double fs = 48000.0;
-  Biquad lp = Biquad::lowpass(1000.0, fs);
-  EXPECT_NEAR(lp.response_at(10.0, fs), 1.0, 0.01);
-  EXPECT_NEAR(lp.response_at(1000.0, fs), 0.7071, 0.02);
-  EXPECT_LT(lp.response_at(20000.0, fs), 0.01);
-}
-
-TEST(Biquad, NotchKillsCenterOnly) {
-  const double fs = 96000.0;
-  Biquad n = Biquad::notch(18500.0, fs, 30.0);
-  EXPECT_LT(n.response_at(18500.0, fs), 1e-6);
-  EXPECT_NEAR(n.response_at(17000.0, fs), 1.0, 0.05);
-  EXPECT_NEAR(n.response_at(20000.0, fs), 1.0, 0.05);
-}
-
-TEST(Biquad, BandpassPeaksAtCenter) {
-  const double fs = 96000.0;
-  Biquad bp = Biquad::bandpass(18500.0, fs, 10.0);
-  EXPECT_NEAR(bp.response_at(18500.0, fs), 1.0, 0.02);
-  EXPECT_LT(bp.response_at(10000.0, fs), 0.25);
-}
-
-TEST(Biquad, CascadeAndReset) {
-  const double fs = 48000.0;
-  BiquadCascade cas;
-  cas.push(Biquad::lowpass(2000.0, fs));
-  cas.push(Biquad::lowpass(2000.0, fs));
-  EXPECT_EQ(cas.size(), 2u);
-  // Two cascaded LPFs attenuate twice as much in dB.
-  const double single = Biquad::lowpass(2000.0, fs).response_at(8000.0, fs);
-  rvec impulse(512, 0.0);
-  impulse[0] = 1.0;
-  const rvec h = cas.process(impulse);
-  // Frequency response of cascade at 8 kHz from the impulse response.
-  cplx acc{};
-  for (std::size_t n = 0; n < h.size(); ++n)
-    acc += h[n] *
-           std::exp(cplx{0.0, -common::kTwoPi * 8000.0 * static_cast<double>(n) / fs});
-  EXPECT_NEAR(std::abs(acc), single * single, 0.01);
-}
-
-TEST(DcBlocker, RemovesDcKeepsSignal) {
-  DcBlocker dc(0.995);
-  double out = 0.0;
-  for (int i = 0; i < 5000; ++i) out = dc.process(1.0);
-  EXPECT_NEAR(out, 0.0, 1e-3);
-}
-
 TEST(OnePole, StepResponseTimeConstant) {
   const double fs = 1000.0;
   OnePole lp(10.0, fs);

@@ -1,0 +1,66 @@
+// Storage-capacitor dynamics.
+#include <gtest/gtest.h>
+
+#include <cmath>
+
+#include "core/energy.hpp"
+
+namespace vab {
+namespace {
+
+TEST(Capacitor, VoltageEnergyRelation) {
+  core::CapacitorConfig cfg;
+  cfg.capacitance_f = 0.1;
+  cfg.initial_voltage_v = 2.5;
+  core::StorageCapacitor cap(cfg);
+  EXPECT_NEAR(cap.voltage(), 2.5, 1e-9);
+  EXPECT_NEAR(cap.energy_j(), 0.5 * 0.1 * 2.5 * 2.5, 1e-9);
+}
+
+TEST(Capacitor, ChargeClampsAtMax) {
+  core::CapacitorConfig cfg;
+  core::StorageCapacitor cap(cfg);
+  cap.charge(common::PowerW{1000.0}, common::Seconds{1000.0});  // absurd input
+  EXPECT_NEAR(cap.voltage(), cfg.max_voltage_v, 1e-9);
+}
+
+TEST(Capacitor, DrawUntilBrownout) {
+  core::CapacitorConfig cfg;
+  cfg.capacitance_f = 0.01;
+  cfg.initial_voltage_v = 2.5;
+  cfg.brownout_voltage_v = 1.8;
+  core::StorageCapacitor cap(cfg);
+  const double usable = cap.usable_energy_j();
+  // Draw slightly less than usable: survives.
+  EXPECT_TRUE(cap.draw(common::PowerW{usable * 0.9}, common::Seconds{1.0}));
+  EXPECT_FALSE(cap.browned_out());
+  // Draw past the floor: brownout, voltage pinned at threshold.
+  EXPECT_FALSE(cap.draw(common::PowerW{usable}, common::Seconds{1.0}));
+  EXPECT_TRUE(cap.browned_out());
+  EXPECT_NEAR(cap.voltage(), 1.8, 1e-9);
+  // Recharging above threshold clears the brownout.
+  cap.charge(common::PowerW{1.0}, common::Seconds{1.0});
+  EXPECT_FALSE(cap.browned_out());
+}
+
+TEST(Capacitor, EnduranceFormula) {
+  core::CapacitorConfig cfg;
+  cfg.capacitance_f = 0.1;
+  cfg.max_voltage_v = 2.7;
+  cfg.brownout_voltage_v = 1.8;
+  // Usable energy = 0.5*0.1*(2.7^2-1.8^2) = 0.2025 J; at net 10 uW drain:
+  const double t =
+      core::endurance(cfg, common::PowerW{15e-6}, common::PowerW{5e-6}).raw();
+  EXPECT_NEAR(t, 0.5 * 0.1 * (2.7 * 2.7 - 1.8 * 1.8) / 10e-6, 1.0);
+  EXPECT_TRUE(std::isinf(
+      core::endurance(cfg, common::PowerW{5e-6}, common::PowerW{10e-6}).raw()));
+}
+
+TEST(Capacitor, ValidatesConfig) {
+  core::CapacitorConfig bad;
+  bad.brownout_voltage_v = 3.0;
+  EXPECT_THROW(core::StorageCapacitor{bad}, std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace vab

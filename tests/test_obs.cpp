@@ -1,7 +1,7 @@
 // Observability layer tests: JSON emitter escaping, metrics registry
 // (concurrent updates, snapshot determinism across thread counts), scoped
-// tracing (nesting, ring wrap, open-span flush), manifest embedding, the
-// VAB_LOG parser, and the on/off bit-identity invariant on a real workload.
+// tracing (nesting, ring wrap, open-span flush), manifest embedding, and
+// the on/off bit-identity invariant on a real workload.
 //
 // Suite names deliberately contain "Parallel"/"Determinism" so the TSan CI
 // job (ctest -R 'Parallel|Determinism') exercises the concurrent paths.
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
@@ -393,7 +392,7 @@ TEST(ObsDeterminismWorkload, TracingDoesNotPerturbSeededResults) {
   EXPECT_EQ(off.mean_snr_db, on.mean_snr_db);  // bit-identical doubles
 }
 
-// --- manifest / log ---------------------------------------------------------
+// --- manifest ---------------------------------------------------------------
 
 TEST(ObsManifest, DefaultsAndOverrides) {
   const auto m = vab::obs::manifest();
@@ -402,18 +401,6 @@ TEST(ObsManifest, DefaultsAndOverrides) {
   EXPECT_FALSE(m.at("build_type").empty());
   vab::obs::set_manifest("custom", "v");
   EXPECT_EQ(vab::obs::manifest().at("custom"), "v");
-}
-
-TEST(ObsLog, ParseLogLevel) {
-  using vab::common::LogLevel;
-  using vab::common::parse_log_level;
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("Warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("warning"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("bogus"), std::nullopt);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 namespace {
 
 using vab::obs::CounterFamily;
-using vab::obs::HistogramFamily;
 using vab::obs::LabelSet;
 using vab::obs::Registry;
 using vab::obs::SeriesPoint;
@@ -86,23 +85,6 @@ TEST(ObsLabels, CardinalityCapRoutesToOverflow) {
   EXPECT_EQ(reg.counter_value("capped{id=1}"), 1u);
   EXPECT_EQ(reg.counter_value("capped{overflow}"), 30u);
   EXPECT_EQ(reg.counter_value("capped.labels_dropped"), 2u);
-}
-
-TEST(ObsLabels, HistogramFamilySharesBounds) {
-  Registry reg;
-  HistogramFamily fam(reg, "fam.hist", {10, 100}, 4);
-  fam.with({{"mcs", "fsk"}}).record(5);
-  fam.with({{"mcs", "fsk"}}).record(50);
-  fam.with({{"mcs", "ofdm"}}).record(500);
-  const std::string snap = reg.snapshot_json(false);
-  EXPECT_NE(snap.find("\"fam.hist{mcs=fsk}\":{\"bounds\":[10,100],"
-                      "\"counts\":[1,1,0],\"count\":2,\"sum\":55}"),
-            std::string::npos)
-      << snap;
-  EXPECT_NE(snap.find("\"fam.hist{mcs=ofdm}\":{\"bounds\":[10,100],"
-                      "\"counts\":[0,0,1],\"count\":1,\"sum\":500}"),
-            std::string::npos)
-      << snap;
 }
 
 TEST(ObsParallelLabels, ConcurrentResolutionAndRecording) {

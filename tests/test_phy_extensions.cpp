@@ -1,4 +1,4 @@
-// Miller subcarrier coding, frame FEC, and the node wake-up detector.
+// Miller subcarrier coding and frame FEC.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,11 +6,9 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/mixer.hpp"
 #include "phy/fec.hpp"
 #include "phy/fm0.hpp"
 #include "phy/miller.hpp"
-#include "phy/wakeup.hpp"
 
 namespace vab::phy {
 namespace {
@@ -135,62 +133,6 @@ TEST(Fec, SizeMismatchThrows) {
   FrameCodec codec;
   std::size_t corrected;
   EXPECT_THROW(codec.decode(bitvec(10, 0), 64, corrected), std::invalid_argument);
-}
-
-TEST(Wakeup, FiresOnCarrierOnset) {
-  WakeupConfig cfg;
-  cfg.on_threshold = 0.01;
-  cfg.off_threshold = 0.002;
-  WakeupDetector det(cfg);
-  common::Rng rng(4);
-
-  // Quiet noise first: no wake.
-  bool woke = false;
-  for (int i = 0; i < 20000; ++i) woke |= det.push(0.001 * rng.gaussian());
-  EXPECT_FALSE(woke);
-  EXPECT_FALSE(det.awake());
-
-  // Carrier arrives.
-  dsp::Nco nco(cfg.carrier_hz, cfg.fs_hz);
-  int wake_sample = -1;
-  for (int i = 0; i < 20000; ++i) {
-    if (det.push(0.5 * nco.next_cos() + 0.001 * rng.gaussian()) && wake_sample < 0)
-      wake_sample = i;
-  }
-  ASSERT_GE(wake_sample, 0);
-  EXPECT_TRUE(det.awake());
-  // Wake latency ~= confirm_blocks * block (plus one partial block).
-  EXPECT_LE(wake_sample, static_cast<int>((cfg.confirm_blocks + 1) * cfg.block));
-}
-
-TEST(Wakeup, IgnoresOffFrequencyTone) {
-  WakeupConfig cfg;
-  cfg.on_threshold = 0.01;
-  cfg.off_threshold = 0.002;
-  WakeupDetector det(cfg);
-  dsp::Nco nco(12000.0, cfg.fs_hz);  // strong but off-carrier
-  bool woke = false;
-  for (int i = 0; i < 40000; ++i) woke |= det.push(0.5 * nco.next_cos());
-  EXPECT_FALSE(woke);
-}
-
-TEST(Wakeup, HysteresisReturnsToSleep) {
-  WakeupConfig cfg;
-  cfg.on_threshold = 0.01;
-  cfg.off_threshold = 0.002;
-  WakeupDetector det(cfg);
-  dsp::Nco nco(cfg.carrier_hz, cfg.fs_hz);
-  for (int i = 0; i < 10000; ++i) det.push(0.5 * nco.next_cos());
-  EXPECT_TRUE(det.awake());
-  for (int i = 0; i < 10000; ++i) det.push(0.0);
-  EXPECT_FALSE(det.awake());
-}
-
-TEST(Wakeup, ConfigValidation) {
-  WakeupConfig bad;
-  bad.on_threshold = 1e-9;
-  bad.off_threshold = 1e-6;
-  EXPECT_THROW(WakeupDetector{bad}, std::invalid_argument);
 }
 
 }  // namespace

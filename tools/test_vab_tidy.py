@@ -255,13 +255,41 @@ class Allowlist(unittest.TestCase):
             self.assertEqual([f.check for f in findings],
                              ["unit-suffix-double-param"])
 
+    def test_stale_entries_are_findings(self):
+        """Entries under the analysed path that name a missing file or a file
+        with nothing to exempt are reported at their allowlist line; a live
+        entry and one outside the analysed path are not."""
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "src")
+            os.makedirs(src)
+            with open(os.path.join(src, "legacy.hpp"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("#pragma once\nvoid f(double gain_db);\n")
+            with open(os.path.join(src, "migrated.hpp"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("#pragma once\nvoid f(double gain);\n")
+            allow = os.path.join(tmp, "allow.txt")
+            with open(allow, "w", encoding="utf-8") as fh:
+                fh.write("# ledger\n"
+                         "src/legacy.hpp :: live\n"
+                         "src/migrated.hpp :: nothing left to exempt\n"
+                         "src/deleted.hpp :: file is gone\n"
+                         "elsewhere/deleted.hpp :: not under the analysed path\n")
+            findings = vab_tidy.run([src], repo_root=tmp, allowlist_path=allow)
+            self.assertEqual(
+                [(f.path, f.line, f.check) for f in findings],
+                [(allow, 3, "unit-suffix-double-param"),
+                 (allow, 4, "unit-suffix-double-param")])
+            self.assertIn("'src/migrated.hpp'", findings[0].message)
+            self.assertIn("does not exist", findings[1].message)
+
     def test_repo_allowlist_entries_still_exist(self):
         """Every grandfathered path must still be a real header: stale
         entries hide nothing but rot the debt ledger."""
         repo = os.path.dirname(HERE)
         allowlist = vab_tidy.load_allowlist(vab_tidy.DEFAULT_ALLOWLIST, repo)
         self.assertTrue(allowlist)
-        for path, reason in allowlist.items():
+        for path, (_, reason) in allowlist.items():
             self.assertTrue(os.path.exists(path), f"stale allowlist: {path}")
             self.assertTrue(reason, f"allowlist entry needs a reason: {path}")
 

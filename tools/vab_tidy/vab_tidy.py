@@ -19,8 +19,8 @@ Determinism bans (token scans over the comment/string-blanked source):
                              ordering follows allocation addresses, which vary
                              run to run (ASLR) and thread to thread.
   no-wallclock               std::chrono clocks / time() / gettimeofday
-                             outside obs/, common/log and common/parallel:
-                             wall-clock reads feeding logic make outcomes
+                             outside obs/ and common/parallel: wall-clock
+                             reads feeding logic make outcomes
                              timing-dependent. Timeouts run on simulated time.
   simd-intrinsics-confined   raw SIMD intrinsics (immintrin/arm_neon
                              includes, _mm*/__m* tokens, NEON v*_f64 calls)
@@ -44,7 +44,10 @@ Structural checks (body- and graph-aware):
                              suffix (*_db, *_hz, *_m, *_s); those boundaries
                              take the strong types from common/units.hpp.
                              Grandfathered files live in allowlist.txt with a
-                             rationale and tombstone date.
+                             rationale and tombstone date; an entry for an
+                             analysed path that names a missing file, or a
+                             file with nothing left to exempt, is itself a
+                             finding at allowlist.txt:<line>.
   rng-parallel-capture       An Rng captured into a parallel_for /
                              parallel_reduce body must only be used through
                              .child(...); direct draws make the draw order
@@ -308,9 +311,9 @@ WALLCLOCK_RE = re.compile(
     r"\bhigh_resolution_clock\b|\bgettimeofday\b|(?<![\w:.])time\s*\(\s*(?:nullptr|NULL|0)\s*\)")
 
 # Paths (relative, slash-normalized) where wall-clock reads are legitimate:
-# the observability layer exists to measure real time, the logger stamps it,
-# and the thread pool parks workers on real-time waits.
-WALLCLOCK_ALLOWED_PARTS = ("obs/", "common/log", "common/parallel")
+# the observability layer exists to measure real time, and the thread pool
+# parks workers on real-time waits.
+WALLCLOCK_ALLOWED_PARTS = ("obs/", "common/parallel")
 
 # Raw-intrinsic fingerprints: x86 intrinsic headers and <arm_neon.h>, SSE/AVX
 # calls and vector types, NEON vector types and the v...(_lane)_{f,s,u,p}N
@@ -724,21 +727,48 @@ def check_self_contained(headers: list[str], include_dirs: list[str],
 
 # --- driver -----------------------------------------------------------------
 
-def load_allowlist(path: str, repo_root: str) -> dict[str, str]:
+def load_allowlist(path: str, repo_root: str) -> dict[str, tuple[int, str]]:
     """allowlist.txt: `<relative-header-path> :: <reason>` per line. The
-    listed headers are exempt from unit-suffix-double-param only."""
-    grandfathered: dict[str, str] = {}
+    listed headers are exempt from unit-suffix-double-param only. Maps each
+    absolute header path to its (line number, reason)."""
+    grandfathered: dict[str, tuple[int, str]] = {}
     if not os.path.exists(path):
         return grandfathered
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw or raw.startswith("#"):
                 continue
             rel, _, reason = raw.partition("::")
             grandfathered[os.path.abspath(
-                os.path.join(repo_root, rel.strip()))] = reason.strip()
+                os.path.join(repo_root, rel.strip()))] = (lineno, reason.strip())
     return grandfathered
+
+
+def check_stale_allowlist(grandfathered: dict[str, tuple[int, str]],
+                          paths: list[str], allowlist_path: str,
+                          repo_root: str) -> list[Finding]:
+    """An entry for a file under an analysed path must still exempt
+    something: the file exists and, without the entry, has at least one
+    unit-suffix-double-param finding. Entries outside the analysed paths are
+    not judged, so a run over fixtures leaves the tree's ledger alone."""
+    roots = [os.path.abspath(p) for p in paths]
+    found = []
+    for path, (line, _) in grandfathered.items():
+        if not any(path == root or path.startswith(root + os.sep)
+                   for root in roots):
+            continue
+        if not os.path.isfile(path):
+            why = "the file does not exist"
+        elif not check_unit_suffix_params(load_source(path)):
+            why = "the file has no unit-suffix-double-param finding to exempt"
+        else:
+            continue
+        found.append(Finding(
+            allowlist_path, line, "unit-suffix-double-param",
+            f"stale allowlist entry '{os.path.relpath(path, repo_root)}': "
+            f"{why}; delete the entry"))
+    return found
 
 
 def collect_sources(roots: list[str]) -> list[str]:
@@ -772,6 +802,9 @@ def run(paths: list[str], repo_root: str, checks: list[str] = CHECKS,
             if check == "unit-suffix-double-param" and exempt:
                 continue
             findings.extend(FILE_CHECKS[check](src))
+    if "unit-suffix-double-param" in checks:
+        findings.extend(check_stale_allowlist(grandfathered, paths,
+                                              allowlist_path, repo_root))
     if "layering" in checks:
         findings.extend(check_layering(sources, repo_root))
     if self_contained_cxx:
