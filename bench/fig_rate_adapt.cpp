@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
            (static_cast<double>(n_nodes) * static_cast<double>(cycles));
   };
 
-  const double low_snr = ladder.snr_for_delivery(0, 0.9, 96).raw();
+  const double low_snr = ladder.rung(0).snr_for_delivery(0.9, 96).raw();
   const std::vector<double> snr_sweep = {low_snr, 4.0, 8.0, 12.0,
                                          16.0,    20.0, 25.0};
   common::Table ta({"snr_db", "fixed_bps", "adapt_bps", "gain", "fixed_del",

@@ -17,7 +17,7 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/energy.hpp"
-#include "phy/ber.hpp"
+#include "net/mcs/mcs.hpp"
 #include "piezo/bvd.hpp"
 #include "piezo/harvester.hpp"
 #include "sim/linkbudget.hpp"
@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
             << " m spacing, " << passes << " passes over 24 h\n\n";
 
   const sim::Scenario base = sim::vab_ocean_scenario();
+  const net::mcs::McsEntry uplink = net::mcs::McsEntry::from_config(base.phy, base.fec);
   const piezo::BvdModel bvd =
       piezo::BvdModel::from_resonance(18500.0, 25.0, 0.3, 10e-9, 0.6);
   const piezo::EnergyHarvester harvester({}, bvd);
@@ -71,9 +72,10 @@ int main(int argc, char** argv) {
     s.range_m = cross;
     const sim::LinkBudget lb(s);
 
-    // Communication: PER at the closest approach.
-    const double ber = lb.evaluate(common::Meters{cross}).ber;
-    const double per = phy::packet_error_rate(ber, (4 + 6 + 2) * 8);
+    // Communication: frame delivery at the closest approach.
+    const common::SnrDb snr = net::mcs::to_reference_scale(
+        lb.evaluate(common::Meters{cross}).snr_chip_db, base.phy.chip_rate());
+    const double per = 1.0 - uplink.frame_delivery_prob(snr, (4 + 6 + 2) * 8);
     std::size_t ok = 0;
     for (std::size_t p = 0; p < passes; ++p)
       if (!node_rng.coin(per)) ++ok;

@@ -5,8 +5,7 @@
 #include <stdexcept>
 
 #include "fault/fault.hpp"
-
-#include "phy/ber.hpp"
+#include "net/mcs/mcs.hpp"
 #include "phy/pie.hpp"
 
 namespace vab::core {
@@ -24,6 +23,8 @@ NetworkResult NetworkSimulator::run(std::size_t rounds, std::size_t payload_byte
   res.per_node_delivery.assign(nodes_.size(), 0.0);
 
   const std::size_t frame_bits = (4 + payload_bytes + 2) * 8;
+  const net::mcs::McsEntry uplink =
+      net::mcs::McsEntry::from_config(scenario_.phy, scenario_.fec);
   net::MacTiming timing = timing_;
   timing.slot_payload_bytes = payload_bytes;
   timing.uplink_bitrate_bps = scenario_.phy.bitrate_bps;
@@ -47,11 +48,11 @@ NetworkResult NetworkSimulator::run(std::size_t rounds, std::size_t payload_byte
       s.node.orientation_rad = nodes_[i].orientation_rad;
       const sim::LinkBudget budget(s);
       const double fade = rng.gaussian(0.0, s.env.fading_sigma_db);
-      const double ber = budget
-                             .evaluate(common::Meters{nodes_[i].range_m},
-                                       common::Db{fade})
-                             .ber;
-      const double per = phy::packet_error_rate(ber, frame_bits);
+      const common::SnrDb snr = net::mcs::to_reference_scale(
+          budget.evaluate(common::Meters{nodes_[i].range_m}, common::Db{fade})
+              .snr_chip_db,
+          s.phy.chip_rate());
+      const double per = 1.0 - uplink.frame_delivery_prob(snr, frame_bits);
       ++res.packets_attempted;
       const bool impaired =
           injector && (injector->reply_lost() || injector->dropped_out());

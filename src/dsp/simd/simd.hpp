@@ -7,9 +7,8 @@
 // reduction axis, so each SIMD lane executes exactly the scalar sequence of
 // IEEE-754 operations for its output. Remainder tails reuse the same kernel
 // templates instantiated at width 1 (arch_scalar.hpp). Seeded results are
-// therefore bit-identical with AVX2 and with dispatch forced to scalar —
-// unlike the VAB_NATIVE escape hatch, this path is on by default and gated
-// by tests/test_simd_kernels.cpp.
+// therefore bit-identical with AVX2 and with dispatch forced to scalar; the
+// path is on by default and gated by tests/test_simd_kernels.cpp.
 #pragma once
 
 #include <cstddef>

@@ -27,7 +27,9 @@ PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
       reader.mcs_enabled() ? reader.uplink_entry(node.address()) : nullptr;
   const double slot_s =
       entry ? entry->slot_duration(t.slot_payload_bytes).raw() : t.slot_duration_s();
-  const double timeout_s = entry ? 1.5 * slot_s : t.reply_timeout_s();
+  // Reply timeout: the slot plus half a slot of tolerance; replies skewed
+  // past this window count as misses.
+  const double timeout_s = 1.5 * slot_s;
   // Feeds the poll outcome into the node's rate controller. Only polls that
   // reached the uplink leg carry channel information: the reader's
   // correlator measured the slot window, so even a failed decode yields an
@@ -40,15 +42,10 @@ PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
   ++res.polls;
   res.duration_s += downlink_duration_s(t, query);
 
-  // Downlink: a duty-cycled node can sleep through the query, a dropped-out
-  // node is dark for the whole exchange, and the transport may eat the
-  // query outright (the default transport never does). A dark node tells
-  // the rate controller nothing, so these paths do not observe.
+  // Downlink: a duty-cycled node can sleep through the query, and a
+  // dropped-out node is dark for the whole exchange. A dark node tells the
+  // rate controller nothing, so these paths do not observe.
   if (fault && (fault->dropped_out() || fault->wake_missed())) {
-    res.duration_s += timeout_s;
-    return PollOutcome::kMiss;
-  }
-  if (!transport.downlink_delivered(node.address(), rng)) {
     res.duration_s += timeout_s;
     return PollOutcome::kMiss;
   }

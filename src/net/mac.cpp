@@ -39,10 +39,9 @@ struct McsMetrics {
 }  // namespace
 
 double MacTiming::slot_duration_s() const {
-  // Frame: 4 header + payload + 2 CRC bytes, FM0 preamble/idle overhead
-  // approximated as 10 ms, plus 20% margin.
-  const double bits = (4.0 + static_cast<double>(slot_payload_bytes) + 2.0) * 8.0;
-  return 1.2 * (bits / uplink_bitrate_bps + 0.010);
+  mcs::McsEntry fm0;
+  fm0.bitrate_bps = uplink_bitrate_bps;
+  return fm0.slot_duration(slot_payload_bytes).raw();
 }
 
 NodeMac::NodeMac(std::uint8_t address, MacTiming timing)

@@ -34,11 +34,9 @@ struct MacTiming {
   double guard_s = 0.7;
   std::size_t slot_payload_bytes = 12;  ///< frame payload budget per slot
 
-  /// Uplink slot duration in seconds (frame wire bits / bitrate + margin).
+  /// Uplink slot duration in seconds: McsEntry::slot_duration of uncoded
+  /// FM0 at uplink_bitrate_bps.
   double slot_duration_s() const;
-  /// Reader-side reply timeout for one poll: the slot plus half a slot of
-  /// tolerance. Replies skewed past this window count as misses.
-  double reply_timeout_s() const { return 1.5 * slot_duration_s(); }
 };
 
 /// Retransmission policy for the reader-driven ARQ.

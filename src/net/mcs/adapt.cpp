@@ -10,7 +10,7 @@ RateController::RateController(const McsLadder& ladder, AdaptConfig cfg)
   sustain_snr_db_.reserve(ladder.size());
   for (std::size_t r = 0; r < ladder.size(); ++r) {
     sustain_snr_db_.push_back(
-        ladder.snr_for_delivery(r, cfg_.target_delivery, cfg_.frame_bits).raw());
+        ladder.rung(r).snr_for_delivery(cfg_.target_delivery, cfg_.frame_bits).raw());
   }
   rung_ = std::min(cfg_.start_rung, ladder.size() - 1);
   delivery_ewma_ = cfg_.target_delivery;

@@ -25,13 +25,9 @@ double hamming74_block_failure(double p) {
 
 }  // namespace
 
-std::size_t McsEntry::chips_per_bit() const {
-  switch (code) {
-    case phy::UplinkCode::kMiller2: return 4;
-    case phy::UplinkCode::kMiller4: return 8;
-    case phy::UplinkCode::kFm0: break;
-  }
-  return 2;
+McsEntry McsEntry::from_config(const phy::PhyConfig& phy,
+                               const phy::FecConfig& fec_cfg) {
+  return McsEntry{"config", phy.bitrate_bps, phy.uplink_code, fec_cfg.enable};
 }
 
 common::Db McsEntry::code_margin() const {
@@ -68,15 +64,31 @@ double McsEntry::frame_delivery_prob(common::SnrDb snr_ref,
   return std::pow(1.0 - hamming74_block_failure(p), blocks);
 }
 
+common::SnrDb McsEntry::snr_for_delivery(double target,
+                                         std::size_t payload_bits) const {
+  if (!(target > 0.0 && target < 1.0))
+    throw std::invalid_argument("delivery target outside (0, 1)");
+  double lo = -40.0, hi = 40.0;
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (frame_delivery_prob(common::SnrDb{mid}, payload_bits) < target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return common::SnrDb{0.5 * (lo + hi)};
+}
+
 std::size_t McsEntry::air_bits(std::size_t payload_bits) const {
   if (!fec) return payload_bits;
   return (payload_bits + 3) / 4 * 7;  // nibble-padded Hamming(7,4)
 }
 
 common::Seconds McsEntry::slot_duration(std::size_t slot_payload_bytes) const {
-  // Mirrors MacTiming::slot_duration_s: frame bytes on the air at this
-  // rung's bitrate (FEC expansion included), 10 ms preamble/idle overhead,
-  // 20% margin.
+  // Frame = 4 header + payload + 2 CRC bytes on the air at this rung's
+  // bitrate (FEC expansion included), 10 ms preamble/idle overhead, 20%
+  // margin.
   const std::size_t frame_bits = (4 + slot_payload_bytes + 2) * 8;
   const double bits = static_cast<double>(air_bits(frame_bits));
   return common::Seconds{1.2 * (bits / bitrate_bps + 0.010)};
@@ -100,8 +112,8 @@ McsLadder::McsLadder(std::vector<McsEntry> rungs) : rungs_(std::move(rungs)) {
   // Robustness order: a faster rung must also need strictly more SNR for
   // the same frame delivery, or "step down" would not buy robustness.
   for (std::size_t i = 1; i < rungs_.size(); ++i) {
-    const common::SnrDb lo = snr_for_delivery(i - 1, 0.5, kValidationFrameBits);
-    const common::SnrDb hi = snr_for_delivery(i, 0.5, kValidationFrameBits);
+    const common::SnrDb lo = rungs_[i - 1].snr_for_delivery(0.5, kValidationFrameBits);
+    const common::SnrDb hi = rungs_[i].snr_for_delivery(0.5, kValidationFrameBits);
     if (!(hi > lo))
       throw std::invalid_argument(
           "MCS ladder not ordered by waterfall SNR at rung " + std::to_string(i));
@@ -123,23 +135,6 @@ McsLadder McsLadder::default_ladder() {
 const McsEntry& McsLadder::rung(std::size_t i) const {
   if (i >= rungs_.size()) throw std::out_of_range("MCS rung index");
   return rungs_[i];
-}
-
-common::SnrDb McsLadder::snr_for_delivery(std::size_t rung_index, double target,
-                                          std::size_t payload_bits) const {
-  const McsEntry& e = rung(rung_index);
-  if (!(target > 0.0 && target < 1.0))
-    throw std::invalid_argument("delivery target outside (0, 1)");
-  double lo = -40.0, hi = 40.0;
-  for (int it = 0; it < 80; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (e.frame_delivery_prob(common::SnrDb{mid}, payload_bits) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return common::SnrDb{0.5 * (lo + hi)};
 }
 
 }  // namespace vab::net::mcs

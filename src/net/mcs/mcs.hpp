@@ -10,7 +10,8 @@
 //
 // SNR convention: every curve takes the link's chip SNR *as measured at the
 // reference rung* (FM0 at 500 bps, chip rate 1000 Hz) — exactly the value
-// the link budget produces for the paper's scenario. A rung converts to its
+// the link budget produces for the paper's scenario; a budget evaluated at
+// another chip rate converts with to_reference_scale. A rung converts to its
 // own chip SNR by energy conservation (halving the chip rate doubles the
 // energy per chip) plus a small clutter-rejection margin for Miller codes
 // (data pushed away from the carrier residue that SIC must absorb).
@@ -20,6 +21,7 @@
 // rate adaptation can treat "up" and "down" as meaningful directions.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -33,6 +35,14 @@ namespace vab::net::mcs {
 /// Chip rate of the reference rung (FM0 at 500 bps): the scale every
 /// analytic curve in this module takes its SNR argument on.
 inline constexpr double kReferenceChipRateHz = 1000.0;
+
+/// Converts a chip SNR measured at `chip_rate` (what LinkBudget emits for a
+/// scenario) to the reference scale: the same received power spread over
+/// kReferenceChipRateHz chips per second. Exactly +0.0 dB at 1 kHz.
+inline common::SnrDb to_reference_scale(common::SnrDb snr_chip, common::Hz chip_rate) {
+  return common::SnrDb{snr_chip.raw() +
+                       10.0 * std::log10(chip_rate.raw() / kReferenceChipRateHz)};
+}
 
 /// Clutter-rejection margin per doubling of chips-per-bit over FM0: Miller
 /// subcarriers move the data lobe away from the carrier residue, so the
@@ -55,8 +65,12 @@ struct McsEntry {
   phy::UplinkCode code = phy::UplinkCode::kFm0;
   bool fec = false;                                ///< Hamming(7,4)+interleave
 
+  /// The operating point a node's PHY/FEC configuration runs: the inverse
+  /// of apply().
+  static McsEntry from_config(const phy::PhyConfig& phy, const phy::FecConfig& fec_cfg);
+
   /// Chips per channel bit for the line code (2 / 4 / 8).
-  std::size_t chips_per_bit() const;
+  std::size_t chips_per_bit() const { return phy::chips_per_bit(code); }
   common::Hz chip_rate() const {
     return common::Hz{static_cast<double>(chips_per_bit()) * bitrate_bps};
   }
@@ -76,12 +90,16 @@ struct McsEntry {
   /// legacy uncoded FM0 expression bit-for-bit.
   double frame_delivery_prob(common::SnrDb snr_ref, std::size_t payload_bits) const;
 
+  /// Reference-scale SNR where frame delivery crosses `target` (in (0, 1))
+  /// for a `payload_bits` frame (bisection; delivery is monotone in SNR).
+  common::SnrDb snr_for_delivery(double target, std::size_t payload_bits) const;
+
   /// Bits on the air for `payload_bits` of frame data (FEC expansion).
   std::size_t air_bits(std::size_t payload_bits) const;
 
-  /// Uplink slot duration for a `slot_payload_bytes` MAC payload; the MCS
-  /// analogue of MacTiming::slot_duration_s (identical at the reference
-  /// rung so legacy airtime accounting is unchanged).
+  /// Uplink slot duration for a `slot_payload_bytes` MAC payload: frame
+  /// bytes on the air (FEC expansion included) plus preamble/idle overhead
+  /// and margin. MacTiming::slot_duration_s delegates here.
   common::Seconds slot_duration(std::size_t slot_payload_bytes) const;
 
   /// Reconfigure-on-change hook (the dragonradio MCS.hh pattern): writes
@@ -110,11 +128,6 @@ class McsLadder {
   std::size_t size() const { return rungs_.size(); }
   const McsEntry& rung(std::size_t i) const;
   const std::vector<McsEntry>& rungs() const { return rungs_; }
-
-  /// Reference-scale SNR where `rung`'s frame delivery crosses `target`
-  /// for a `payload_bits` frame (bisection; delivery is monotone in SNR).
-  common::SnrDb snr_for_delivery(std::size_t rung, double target,
-                                 std::size_t payload_bits) const;
 
  private:
   std::vector<McsEntry> rungs_;

@@ -9,13 +9,6 @@ AnalyticMcsTransport::AnalyticMcsTransport(const McsLadder& ladder,
     cfg_.default_rung = ladder.size() - 1;
 }
 
-bool AnalyticMcsTransport::downlink_delivered(std::uint8_t /*addr*/,
-                                              common::Rng& /*rng*/) {
-  // The PIE downlink rides the reader's full-power carrier; as in the
-  // legacy models it is assumed reliable.
-  return true;
-}
-
 bool AnalyticMcsTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
                                             common::Rng& rng) {
   const McsEntry& e = entry_for(addr);

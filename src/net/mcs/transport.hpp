@@ -37,7 +37,6 @@ class AnalyticMcsTransport final : public LinkTransport {
  public:
   AnalyticMcsTransport(const McsLadder& ladder, AnalyticMcsConfig cfg);
 
-  bool downlink_delivered(std::uint8_t addr, common::Rng& rng) override;
   bool uplink_delivered(std::uint8_t addr, bytes& wire, common::Rng& rng) override;
   bool ack_delivered(std::uint8_t addr, common::Rng& rng) override;
 

@@ -2,12 +2,6 @@
 
 namespace vab::net {
 
-bool IidLossTransport::downlink_delivered(std::uint8_t /*addr*/, common::Rng& /*rng*/) {
-  // The pre-seam inventory never drew for the query downlink; keeping this
-  // draw-free preserves bit-identity of every seeded inventory.
-  return true;
-}
-
 bool IidLossTransport::uplink_delivered(std::uint8_t /*addr*/, bytes& /*wire*/,
                                         common::Rng& rng) {
   // Always draw (even at probability zero): the historical code called

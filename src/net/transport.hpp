@@ -4,7 +4,8 @@
 // medium's business. LinkTransport abstracts that decision so the same MAC
 // state machines run over any channel model — the historical i.i.d. loss
 // coins (IidLossTransport, the clean-channel floor of `run_inventory`), a
-// link-budget SNR -> BER -> frame-loss draw, or the full waveform pipeline.
+// link-budget SNR -> McsEntry delivery curve -> one coin, or the full
+// waveform pipeline.
 // The fleet simulator (src/sim/fleet) plugs both abstracted and waveform
 // fidelities in through this interface and switches between them per link.
 //
@@ -26,15 +27,12 @@ namespace mcs {
 struct McsEntry;
 }  // namespace mcs
 
-/// Decides the fate of each leg of one reader<->node exchange.
+/// Decides the fate of the uplink and ACK legs of one reader<->node
+/// exchange. The query downlink rides the reader's full-power carrier and
+/// is always delivered.
 class LinkTransport {
  public:
   virtual ~LinkTransport() = default;
-
-  /// True when the query downlink reaches node `addr`. The reader-side PIE
-  /// downlink rides the full-power carrier, so most models return true
-  /// without drawing.
-  virtual bool downlink_delivered(std::uint8_t addr, common::Rng& rng) = 0;
 
   /// True when the node's report survives the uplink. A transport may
   /// corrupt `wire` in place instead of dropping it (bit errors from a
@@ -72,7 +70,6 @@ class IidLossTransport final : public LinkTransport {
   IidLossTransport(double reply_loss_prob, double ack_loss_prob)
       : reply_loss_prob_(reply_loss_prob), ack_loss_prob_(ack_loss_prob) {}
 
-  bool downlink_delivered(std::uint8_t addr, common::Rng& rng) override;
   bool uplink_delivered(std::uint8_t addr, bytes& wire, common::Rng& rng) override;
   bool ack_delivered(std::uint8_t addr, common::Rng& rng) override;
 

@@ -11,10 +11,6 @@
 // `profile=<path>` config keys (bench::init_threads wires them to
 // enable_trace / enable_metrics / enable_profile).
 //
-// Compile-time gating: configure with -DVAB_DISABLE_OBS=ON (defines
-// VAB_OBS_DISABLED) and the macros below expand to nothing, removing even
-// the disabled-path atomic load from instrumented code.
-//
 // Invariant: instrumentation never touches an Rng or any computed value —
 // seeded outputs are bit-identical whether observability is on or off.
 #pragma once
@@ -96,14 +92,6 @@ class StageScope {
 #define VAB_OBS_CONCAT2(a, b) a##b
 #define VAB_OBS_CONCAT(a, b) VAB_OBS_CONCAT2(a, b)
 
-#if defined(VAB_OBS_DISABLED)
-#define VAB_SPAN(name) \
-  do {                 \
-  } while (0)
-#define VAB_STAGE(name) \
-  do {                  \
-  } while (0)
-#else
 /// Trace-only span (no metrics): VAB_SPAN("sim.sweep_point");
 #define VAB_SPAN(name) \
   ::vab::obs::TraceSpan VAB_OBS_CONCAT(vab_span_, __LINE__)(name)
@@ -113,4 +101,3 @@ class StageScope {
       name};                                                                  \
   ::vab::obs::StageScope VAB_OBS_CONCAT(vab_stage_, __LINE__)(                \
       VAB_OBS_CONCAT(vab_stage_def_, __LINE__))
-#endif

@@ -22,8 +22,4 @@ double ber_fm0(double snr_chip) {
   return ber_bpsk(std::max(snr_chip, 0.0));
 }
 
-double packet_error_rate(double ber, std::size_t n_bits) {
-  return 1.0 - std::pow(1.0 - ber, static_cast<double>(n_bits));
-}
-
 }  // namespace vab::phy

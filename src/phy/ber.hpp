@@ -2,8 +2,6 @@
 // (calibrated against the waveform simulator in tests).
 #pragma once
 
-#include <cstddef>
-
 namespace vab::phy {
 
 /// Gaussian tail probability Q(x).
@@ -22,8 +20,5 @@ double ber_ook_noncoherent(double ebn0_linear);
 /// FM0 bit error rate from the underlying chip-pair decision at chip SNR
 /// `snr_chip_linear` (each bit combines two coherent chips).
 double ber_fm0(double snr_chip_linear);
-
-/// Packet error rate for `n_bits` i.i.d. bit errors at rate `ber`.
-double packet_error_rate(double ber, std::size_t n_bits);
 
 }  // namespace vab::phy

@@ -21,6 +21,16 @@ namespace vab::phy {
 /// M x bandwidth for data energy pushed further from the carrier residue.
 enum class UplinkCode { kFm0, kMiller2, kMiller4 };
 
+/// Chips per channel bit for a line code (2 / 4 / 8).
+inline std::size_t chips_per_bit(UplinkCode code) {
+  switch (code) {
+    case UplinkCode::kMiller2: return 4;
+    case UplinkCode::kMiller4: return 8;
+    case UplinkCode::kFm0: break;
+  }
+  return 2;
+}
+
 struct PhyConfig {
   double fs_hz = 192000.0;       ///< passband simulation rate
   double carrier_hz = 18500.0;   ///< piezo resonance
@@ -37,14 +47,7 @@ struct PhyConfig {
   std::size_t channel_taps = 3;    ///< chip-spaced channel estimate length
   std::size_t equalizer_taps = 7;  ///< zero-forcing equalizer length
 
-  std::size_t chips_per_bit() const {
-    switch (uplink_code) {
-      case UplinkCode::kMiller2: return 4;
-      case UplinkCode::kMiller4: return 8;
-      case UplinkCode::kFm0: break;
-    }
-    return 2;
-  }
+  std::size_t chips_per_bit() const { return phy::chips_per_bit(uplink_code); }
   double chip_rate_hz() const {
     return static_cast<double>(chips_per_bit()) * bitrate_bps;
   }

@@ -133,8 +133,6 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
   static const obs::CounterFamily polls_by_reader(
       obs::Registry::global(), "fleet.polls", 256);
 
-  const bool record = cfg.record_series || static_cast<bool>(cfg.on_window);
-
   while (const auto ev = queue.pop()) {
     ++res.events;
     const std::size_t r = ev->entity;
@@ -187,7 +185,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
         c.id = static_cast<std::uint16_t>(k);
         c.rx_power_rel = wl[k].snr_db.to_linear().raw();
         c.delivery_prob =
-            FleetLinkTransport::frame_delivery_prob(wl[k].snr_db, wire_bits);
+            transports[r]->uplink_entry().frame_delivery_prob(wl[k].snr_db, wire_bits);
         contenders_in.push_back(c);
       }
       common::Rng slot_rng = window_rng.child(kStreamSlotted);
@@ -243,7 +241,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     busy_until[r] = t + wres.duration_s + cfg.inventory.timing.guard_s;
     res.makespan_s = std::max(res.makespan_s, busy_until[r]);
 
-    if (record) {
+    if (cfg.record_series) {
       const PollTally& ta = transports[r]->tally();
       WindowPoint wp;
       wp.seq = static_cast<std::uint64_t>(res.windows - 1);
@@ -261,8 +259,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
           (ta.escalations_contention - tally_before.escalations_contention);
       wp.waveform_polls = ta.waveform_polls - tally_before.waveform_polls;
       wp.airtime_s = wres.duration_s;
-      if (cfg.record_series) res.series.push_back(wp);
-      if (cfg.on_window) cfg.on_window(wp);
+      res.series.push_back(wp);
     }
     if (hi < ids.size()) {
       queue.push(Event{busy_until[r], static_cast<std::uint32_t>(r),

@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -105,10 +104,6 @@ struct FleetConfig {
   /// Purely observational: the digest and every protocol outcome are
   /// bit-identical with this on or off.
   bool record_series = false;
-  /// Live per-window hook, invoked synchronously inside the (serial) event
-  /// loop as each window closes. Same observational guarantee. Callers
-  /// fanning replicates over threads must make the callback thread-safe.
-  std::function<void(const WindowPoint&)> on_window;
 };
 
 /// Aggregate outcome of one fleet run. All counters are integers so the

@@ -5,29 +5,10 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "phy/ber.hpp"
+#include "phy/coding.hpp"
 #include "phy/fec.hpp"
 
 namespace vab::sim::fleet {
-namespace {
-
-// Wire bytes <-> air bits, MSB first (matches net::serialize_bits).
-void bytes_to_bits(const bytes& in, bitvec& out) {
-  out.clear();
-  out.reserve(in.size() * 8);
-  for (const std::uint8_t byte : in)
-    for (int b = 7; b >= 0; --b)
-      out.push_back(static_cast<std::uint8_t>((byte >> b) & 1U));
-}
-
-void bits_to_bytes(const bitvec& in, bytes& out) {
-  out.assign(in.size() / 8, 0);
-  for (std::size_t i = 0; i < out.size() * 8; ++i)
-    out[i / 8] = static_cast<std::uint8_t>(
-        (out[i / 8] << 1U) | (in[i] & 1U));
-}
-
-}  // namespace
 
 FleetLinkTransport::FleetLinkTransport(const Scenario& base,
                                        const FidelityPolicy& policy,
@@ -36,31 +17,19 @@ FleetLinkTransport::FleetLinkTransport(const Scenario& base,
     : base_(base),
       policy_(policy),
       contention_penalty_db_(contention_penalty.raw()),
-      budget_(base) {
-  // Waterfall SNR: where frame delivery crosses 50% for the representative
-  // wire length. frame_delivery_prob is monotone in SNR, so bisect.
-  double lo = -30.0, hi = 30.0;
-  for (int it = 0; it < 60; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (frame_delivery_prob(common::SnrDb{mid}, report_bits) < 0.5) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  waterfall_snr_db_ = 0.5 * (lo + hi);
-}
-
-double FleetLinkTransport::frame_delivery_prob(common::SnrDb snr, std::size_t bits) {
-  const double ber = phy::ber_fm0(std::pow(10.0, snr.raw() / 10.0));
-  return std::pow(1.0 - ber, static_cast<double>(bits));
-}
+      entry_(net::mcs::McsEntry::from_config(base.phy, base.fec)),
+      waterfall_snr_db_(entry_.snr_for_delivery(0.5, report_bits).raw()),
+      budget_(base) {}
 
 void FleetLinkTransport::begin_window(std::vector<LinkInfo> links,
                                       common::Rng wave_stream) {
   links_ = std::move(links);
+  // The budget emits chip SNR at the scenario's chip rate; the delivery
+  // curves and the waterfall take the reference scale.
   for (LinkInfo& l : links_)
-    l.snr_db = budget_.evaluate(common::Meters{l.range_m}).snr_chip_db;
+    l.snr_db = net::mcs::to_reference_scale(
+        budget_.evaluate(common::Meters{l.range_m}).snr_chip_db,
+        base_.phy.chip_rate());
   wave_ = std::vector<std::unique_ptr<WaveLink>>(links_.size());
   mcs_.assign(links_.size(), nullptr);
   wave_stream_ = wave_stream;
@@ -96,7 +65,7 @@ Fidelity FleetLinkTransport::choose_fidelity(double snr_eff_db) {
     case FidelityMode::kAdaptive: {
       const bool marginal =
           std::abs(snr_eff_db - waterfall_snr_db_) <= policy_.escalate_margin_db;
-      const bool contended = policy_.escalate_on_contention && contention_ > 0;
+      const bool contended = contention_ > 0;
       if (marginal || contended) {
         want_waveform = true;
         if (marginal) ++tally_.escalations_marginal;
@@ -112,15 +81,9 @@ Fidelity FleetLinkTransport::choose_fidelity(double snr_eff_db) {
   return want_waveform ? Fidelity::kWaveform : Fidelity::kBudget;
 }
 
-bool FleetLinkTransport::downlink_delivered(std::uint8_t addr, common::Rng& rng) {
-  // The query/ACK legs ride the projector carrier, ~90 dB louder than the
-  // backscatter return; fleet-scale loss is concentrated on the uplink.
-  (void)addr;
-  (void)rng;
-  return true;
-}
-
 bool FleetLinkTransport::ack_delivered(std::uint8_t addr, common::Rng& rng) {
+  // The ACK rides the projector carrier, ~90 dB louder than the backscatter
+  // return; fleet-scale loss is concentrated on the uplink.
   (void)addr;
   (void)rng;
   return true;
@@ -153,14 +116,10 @@ bool FleetLinkTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
     ++tally_.budget_polls;
     static const obs::Counter polls = obs::counter("fleet.polls_budget");
     polls.add(1);
-    const double fade = rng.gaussian(0.0, base_.env.fading_sigma_db);
-    last_snr_db_ = common::SnrDb{snr_eff + fade};
-    const double p =
-        entry != nullptr
-            ? entry->frame_delivery_prob(common::SnrDb{snr_eff + fade},
-                                         wire.size() * 8)
-            : frame_delivery_prob(common::SnrDb{snr_eff + fade}, wire.size() * 8);
-    return rng.coin(p);
+    const common::SnrDb snr{snr_eff + rng.gaussian(0.0, base_.env.fading_sigma_db)};
+    last_snr_db_ = snr;
+    return rng.coin((entry != nullptr ? *entry : entry_)
+                        .frame_delivery_prob(snr, wire.size() * 8));
   }
 
   ++tally_.waveform_polls;
@@ -168,8 +127,7 @@ bool FleetLinkTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
   polls.add(1);
   last_snr_db_ = common::SnrDb{snr_eff};  // budget estimate; waveform draw implicit
   WaveLink& wl = wave_link(addr);
-  bitvec tx_bits;
-  bytes_to_bits(wire, tx_bits);
+  const bitvec tx_bits = phy::bits_from_bytes(wire);
   const WaveformTrialResult trial = wl.sim.run_trial(tx_bits);
   if (trial.frame_ok) return true;
   if (!trial.demod.sync_found) return false;  // no reply detected at all
@@ -178,8 +136,7 @@ bool FleetLinkTransport::uplink_delivered(std::uint8_t addr, bytes& wire,
   const phy::FrameCodec codec(base_.fec);
   if (trial.demod.bits.size() != codec.coded_size(tx_bits.size())) return false;
   std::size_t corrected = 0;
-  const bitvec decoded = codec.decode(trial.demod.bits, tx_bits.size(), corrected);
-  bits_to_bytes(decoded, wire);
+  wire = phy::bytes_from_bits(codec.decode(trial.demod.bits, tx_bits.size(), corrected));
   return true;
 }
 

@@ -1,10 +1,11 @@
 // Fleet-side link transports: both PHY fidelities behind the
 // net::LinkTransport seam, plus the policy that switches between them.
 //
-// - Budget fidelity (the fleet default): per poll, draw lognormal shadowing,
-//   evaluate the calibrated link budget at the link's range, map chip SNR ->
-//   FM0 BER -> frame-loss probability for the actual wire length, and flip
-//   one coin. Cost: nanoseconds per poll, so 100k-node fleets are feasible.
+// - Budget fidelity (the fleet default): per poll, draw lognormal shadowing
+//   around the calibrated link budget's SNR at the link's range, evaluate
+//   the scenario's McsEntry frame-delivery curve for the actual wire length,
+//   and flip one coin. Cost: nanoseconds per poll, so 100k-node fleets are
+//   feasible.
 // - Waveform fidelity: the report's wire bits ride the full pipeline
 //   (projector carrier, multipath, array reflection, blast, Wenz noise,
 //   SIC, demod); decode errors corrupt the wire in place and the reader's
@@ -19,9 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "net/mcs/mcs.hpp"
 #include "net/transport.hpp"
@@ -41,12 +41,12 @@ enum class FidelityMode : std::uint8_t {
 };
 
 struct FidelityPolicy {
+  /// Adaptive mode also escalates every link polled while another in-range
+  /// reader is mid-exchange.
   FidelityMode mode = FidelityMode::kAdaptive;
   /// A link is "marginal" when its effective SNR sits within this margin of
   /// the waterfall SNR (the SNR where frame delivery crosses 50%).
   double escalate_margin_db = 2.0;
-  /// Escalate links polled while another in-range reader is mid-exchange.
-  bool escalate_on_contention = true;
   /// Shared per-run budget of waveform polls; past it, escalation falls
   /// back to budget fidelity (counted, never silent).
   std::size_t max_waveform_polls = 128;
@@ -71,12 +71,14 @@ class FleetLinkTransport final : public net::LinkTransport {
   struct LinkInfo {
     std::uint32_t node_id = 0;  ///< global id (seeds the wave stream)
     double range_m = 1.0;
-    /// Filled by begin_window: budget SNR at range.
+    /// Filled by begin_window: budget chip SNR at range, reference scale.
     common::SnrDb snr_db{0.0};
   };
 
-  /// `report_bits` is the representative report wire length used to place
-  /// the waterfall SNR (delivery = 50%) for the escalation margin.
+  /// The budget path evaluates the scenario's own operating point
+  /// (McsEntry::from_config of its PHY/FEC). `report_bits` is the
+  /// representative report wire length used to place the waterfall SNR
+  /// (delivery = 50%) for the escalation margin.
   FleetLinkTransport(const Scenario& base, const FidelityPolicy& policy,
                      common::Db contention_penalty, std::size_t report_bits);
 
@@ -97,7 +99,6 @@ class FleetLinkTransport final : public net::LinkTransport {
   void set_slotted_mode(bool on) { slotted_mode_ = on; }
   bool slotted_mode() const { return slotted_mode_; }
 
-  bool downlink_delivered(std::uint8_t addr, common::Rng& rng) override;
   bool uplink_delivered(std::uint8_t addr, bytes& wire, common::Rng& rng) override;
   bool ack_delivered(std::uint8_t addr, common::Rng& rng) override;
 
@@ -109,14 +110,14 @@ class FleetLinkTransport final : public net::LinkTransport {
     return last_snr_db_;
   }
 
+  /// The scenario's operating point: the budget path's curve whenever no
+  /// rung is commanded.
+  const net::mcs::McsEntry& uplink_entry() const { return entry_; }
   const PollTally& tally() const { return tally_; }
   Fidelity last_fidelity() const { return last_fidelity_; }
   common::SnrDb waterfall_snr_db() const { return common::SnrDb{waterfall_snr_db_}; }
   /// Active window's links with their budget SNRs (filled by begin_window).
   const std::vector<LinkInfo>& links() const { return links_; }
-
-  /// Budget chip SNR -> frame delivery probability for `bits` wire bits.
-  static double frame_delivery_prob(common::SnrDb snr, std::size_t bits);
 
  private:
   struct WaveLink {
@@ -134,7 +135,8 @@ class FleetLinkTransport final : public net::LinkTransport {
   Scenario base_;
   FidelityPolicy policy_;
   double contention_penalty_db_;
-  double waterfall_snr_db_ = 0.0;
+  net::mcs::McsEntry entry_;
+  double waterfall_snr_db_;
   LinkBudget budget_;
   std::vector<LinkInfo> links_;
   std::vector<std::unique_ptr<WaveLink>> wave_;  ///< lazy, per window addr

@@ -16,6 +16,8 @@
 #include "common/rng.hpp"
 #include "net/app.hpp"
 #include "net/frame.hpp"
+#include "net/mcs/mcs.hpp"
+#include "phy/ber.hpp"
 #include "sim/fleet/event_queue.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/fleet/medium.hpp"
@@ -116,30 +118,67 @@ bytes report_wire(std::uint8_t addr, std::uint8_t seq) {
 }
 
 TEST(FleetTransport, DeliveryProbMonotoneInSnrAndBits) {
-  using sim::fleet::FleetLinkTransport;
+  const sim::fleet::FleetLinkTransport tp(sim::vab_river_scenario(), {},
+                                          common::Db{3.0}, 96);
+  const net::mcs::McsEntry& curve = tp.uplink_entry();
   double prev = 0.0;
   for (double snr = -10.0; snr <= 20.0; snr += 1.0) {
-    const double p = FleetLinkTransport::frame_delivery_prob(common::SnrDb{snr}, 96);
+    const double p = curve.frame_delivery_prob(common::SnrDb{snr}, 96);
     EXPECT_GE(p, prev);
     prev = p;
   }
-  EXPECT_GT(FleetLinkTransport::frame_delivery_prob(common::SnrDb{5.0}, 64),
-            FleetLinkTransport::frame_delivery_prob(common::SnrDb{5.0}, 1024));
+  EXPECT_GT(curve.frame_delivery_prob(common::SnrDb{5.0}, 64),
+            curve.frame_delivery_prob(common::SnrDb{5.0}, 1024));
 }
 
 TEST(FleetTransport, WaterfallSitsAtHalfDelivery) {
   const sim::Scenario base = sim::vab_river_scenario();
   const sim::fleet::FleetLinkTransport tp(base, {}, common::Db{3.0}, 96);
+  const net::mcs::McsEntry& curve = tp.uplink_entry();
   const double w = tp.waterfall_snr_db().raw();
-  EXPECT_NEAR(sim::fleet::FleetLinkTransport::frame_delivery_prob(common::SnrDb{w}, 96),
-              0.5,
-              1e-6);
-  EXPECT_GT(
-      sim::fleet::FleetLinkTransport::frame_delivery_prob(common::SnrDb{w + 6.0}, 96),
-      0.99);
-  EXPECT_LT(
-      sim::fleet::FleetLinkTransport::frame_delivery_prob(common::SnrDb{w - 6.0}, 96),
-      0.01);
+  EXPECT_NEAR(curve.frame_delivery_prob(common::SnrDb{w}, 96), 0.5, 1e-6);
+  EXPECT_GT(curve.frame_delivery_prob(common::SnrDb{w + 6.0}, 96), 0.99);
+  EXPECT_LT(curve.frame_delivery_prob(common::SnrDb{w - 6.0}, 96), 0.01);
+}
+
+TEST(FleetTransport, CodedScenarioWaterfallFollowsItsFecCurve) {
+  // A scenario that decodes with FEC must also escalate around the coded
+  // waterfall, not the uncoded FM0 one.
+  sim::Scenario coded = sim::vab_river_scenario();
+  coded.fec.enable = true;
+  const sim::fleet::FleetLinkTransport tp(coded, {}, common::Db{3.0}, 96);
+  const sim::fleet::FleetLinkTransport uncoded(sim::vab_river_scenario(), {},
+                                               common::Db{3.0}, 96);
+  const net::mcs::McsEntry fec_fm0{"fm0-500-fec", 500.0, phy::UplinkCode::kFm0, true};
+  EXPECT_EQ(tp.waterfall_snr_db().raw(), fec_fm0.snr_for_delivery(0.5, 96).raw());
+  EXPECT_LE(tp.waterfall_snr_db().raw(), uncoded.waterfall_snr_db().raw() - 2.0);
+}
+
+TEST(FleetTransport, BudgetDeliveryUsesTheScenariosOwnChipSnr) {
+  // At FM0/1000 the budget's chip SNR is 3 dB below the reference scale;
+  // converting it and evaluating the FM0/1000 curve must land back on the
+  // FM0 curve at the scenario's own chip SNR.
+  sim::Scenario s = sim::vab_river_scenario();
+  s.phy.bitrate_bps = 1000.0;
+  sim::fleet::FleetLinkTransport tp(s, {}, common::Db{3.0}, 96);
+  std::vector<sim::fleet::FleetLinkTransport::LinkInfo> links;
+  for (std::uint32_t k = 0; k < 32; ++k)
+    links.push_back({k, 25.0 + 25.0 * static_cast<double>(k), common::SnrDb{0.0}});
+  tp.begin_window(links, common::Rng(5));
+  const sim::LinkBudget lb(s);
+  std::size_t waterfall_links = 0;
+  for (const auto& l : tp.links()) {
+    const double chip_snr = lb.evaluate(common::Meters{l.range_m}).snr_chip_db.raw();
+    for (const std::size_t bits : {48u, 96u, 176u}) {
+      const double want =
+          std::pow(1.0 - phy::ber_fm0(std::pow(10.0, chip_snr / 10.0)),
+                   static_cast<double>(bits));
+      const double got = tp.uplink_entry().frame_delivery_prob(l.snr_db, bits);
+      EXPECT_NEAR(got, want, 1e-12) << "range " << l.range_m << " bits " << bits;
+      if (bits == 96 && want > 0.05 && want < 0.95) ++waterfall_links;
+    }
+  }
+  EXPECT_GT(waterfall_links, 0u);  // the sweep crosses the waterfall
 }
 
 TEST(FleetTransport, AdaptivePolicyEscalatesMarginalLinksUpToCap) {
@@ -353,19 +392,6 @@ TEST(FleetSeries, PointsSumToTheRunTotals) {
   EXPECT_EQ(timeouts, r.timeouts);
   EXPECT_EQ(links, r.assigned);  // every assigned node is polled exactly once
   EXPECT_NEAR(airtime, r.airtime_s, 1e-9);
-}
-
-TEST(FleetSeries, OnWindowHookSeesEveryWindowLive) {
-  sim::fleet::FleetConfig fc = budget_fleet(300, 2, 400.0);
-  std::vector<sim::fleet::WindowPoint> seen;
-  fc.on_window = [&](const sim::fleet::WindowPoint& wp) { seen.push_back(wp); };
-  const common::Rng rng(29);
-  const auto r = sim::fleet::run_fleet(fc, rng);
-  EXPECT_EQ(seen.size(), r.windows);
-  EXPECT_TRUE(r.series.empty());  // hook alone does not buffer
-  std::size_t delivered = 0;
-  for (const auto& wp : seen) delivered += wp.delivered;
-  EXPECT_EQ(delivered, r.delivered);
 }
 
 TEST(FleetSeriesDeterminism, SeriesIdenticalAcrossRerunsAndThreadCounts) {

@@ -1,6 +1,7 @@
-// Cross-fidelity equivalence: the abstracted PHY (link-budget SNR -> BER ->
-// frame-loss draw) must agree with the full waveform pipeline on the overlap
-// scenarios where both models are trustworthy.
+// Cross-fidelity equivalence: the abstracted PHY (link-budget SNR -> the
+// scenario's McsEntry delivery curve -> one coin) must agree with the full
+// waveform pipeline on the overlap scenarios where both models are
+// trustworthy.
 //
 // Calibrated tolerance bands (see DESIGN.md):
 //  - solidly good links (mid range, SNR well above the waterfall): both
@@ -21,6 +22,7 @@
 #include "common/rng.hpp"
 #include "net/app.hpp"
 #include "net/frame.hpp"
+#include "net/mcs/mcs.hpp"
 #include "sim/fleet/transport.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
@@ -96,13 +98,17 @@ TEST(FleetFidelity, BudgetPathMatchesItsOwnAnalyticMean) {
   sim::Scenario s = sim::vab_river_scenario();
   s.env.fading_sigma_db = 3.0;
   const sim::LinkBudget lb(s);
+  const FleetLinkTransport tp(s, {}, common::Db{3.0}, kReportBits);
   const double range = 290.0;
-  const double snr = lb.evaluate(common::Meters{range}).snr_chip_db.raw();
+  const double snr = net::mcs::to_reference_scale(
+                         lb.evaluate(common::Meters{range}).snr_chip_db,
+                         s.phy.chip_rate())
+                         .raw();
 
   double expected = 0.0, weight = 0.0;
   for (double z = -4.0; z <= 4.0; z += 0.05) {
     const double w = std::exp(-0.5 * z * z);
-    expected += w * FleetLinkTransport::frame_delivery_prob(
+    expected += w * tp.uplink_entry().frame_delivery_prob(
                         common::SnrDb{snr + 3.0 * z}, kReportBits);
     weight += w;
   }
@@ -134,9 +140,9 @@ TEST(FleetFidelity, EscalationRegionCoversTheModelDisagreementBand) {
   const FidelityPolicy policy;  // defaults: adaptive, 2 dB margin
   const FleetLinkTransport tp(s, policy, common::Db{3.0}, kReportBits);
   const double w = tp.waterfall_snr_db().raw();
-  const double p_hi = FleetLinkTransport::frame_delivery_prob(
+  const double p_hi = tp.uplink_entry().frame_delivery_prob(
       common::SnrDb{w + policy.escalate_margin_db}, kReportBits);
-  const double p_lo = FleetLinkTransport::frame_delivery_prob(
+  const double p_lo = tp.uplink_entry().frame_delivery_prob(
       common::SnrDb{w - policy.escalate_margin_db}, kReportBits);
   EXPECT_GT(p_hi, 0.75);  // above the margin: budget is trustworthy-good
   EXPECT_LT(p_lo, 0.25);  // below the margin: budget is trustworthy-dead

@@ -23,7 +23,7 @@
 #include "net/mcs/adapt.hpp"
 #include "net/mcs/mcs.hpp"
 #include "net/mcs/transport.hpp"
-#include "sim/fleet/transport.hpp"
+#include "phy/ber.hpp"
 
 namespace vab {
 namespace {
@@ -61,18 +61,42 @@ TEST(McsEntryProperties, DataRateAppliesFecPenalty) {
 
 TEST(McsEntryProperties, ReferenceRungMatchesLegacyFleetCurveBitForBit) {
   // The paper rung (FM0, 500 bps, uncoded) must evaluate to *exactly* the
-  // expression FleetLinkTransport::frame_delivery_prob has always used —
-  // the analytic ladder may not move any legacy seeded outcome.
+  // uncoded FM0 expression the fleet's budget path was pinned to before it
+  // moved onto McsEntry — the analytic ladder may not move any legacy
+  // seeded outcome.
   const McsEntry& ref = ladder().rung(McsLadder::kPaperRung);
   ASSERT_EQ(ref.bitrate_bps, 500.0);
   ASSERT_FALSE(ref.fec);
   for (double snr = -20.0; snr <= 30.0; snr += 0.25) {
     for (const std::size_t bits : {48u, 96u, 176u}) {
-      EXPECT_EQ(ref.frame_delivery_prob(common::SnrDb{snr}, bits),
-                sim::fleet::FleetLinkTransport::frame_delivery_prob(
-                    common::SnrDb{snr}, bits))
+      const double legacy = std::pow(1.0 - phy::ber_fm0(std::pow(10.0, snr / 10.0)),
+                                     static_cast<double>(bits));
+      EXPECT_EQ(ref.frame_delivery_prob(common::SnrDb{snr}, bits), legacy)
           << "snr=" << snr << " bits=" << bits;
     }
+  }
+}
+
+TEST(McsEntryProperties, FromConfigInvertsApply) {
+  for (const McsEntry& e : ladder().rungs()) {
+    phy::PhyConfig phy_cfg;
+    phy::FecConfig fec_cfg;
+    e.apply(phy_cfg, fec_cfg);
+    const McsEntry back = McsEntry::from_config(phy_cfg, fec_cfg);
+    EXPECT_EQ(back.bitrate_bps, e.bitrate_bps) << e.name;
+    EXPECT_EQ(back.code, e.code) << e.name;
+    EXPECT_EQ(back.fec, e.fec) << e.name;
+    EXPECT_EQ(back.chips_per_bit(), phy_cfg.chips_per_bit()) << e.name;
+  }
+}
+
+TEST(McsEntryProperties, ReferenceScaleConversionIsExactAtReferenceChipRate) {
+  const common::Hz ref{net::mcs::kReferenceChipRateHz};
+  const common::Hz twice{2.0 * net::mcs::kReferenceChipRateHz};
+  for (const double snr : {-7.25, 0.0, 3.5, 12.0}) {
+    EXPECT_EQ(net::mcs::to_reference_scale(common::SnrDb{snr}, ref).raw(), snr);
+    EXPECT_NEAR(net::mcs::to_reference_scale(common::SnrDb{snr}, twice).raw(),
+                snr + 10.0 * std::log10(2.0), 1e-12);
   }
 }
 
@@ -125,14 +149,14 @@ TEST(McsLadderProperties, ThroughputOrderHoldsAtHighSnr) {
 TEST(McsLadderProperties, WaterfallSnrStrictlyIncreasing) {
   double prev = -1e9;
   for (std::size_t r = 0; r < ladder().size(); ++r) {
-    const double wf = ladder().snr_for_delivery(r, 0.5, 96).raw();
+    const double wf = ladder().rung(r).snr_for_delivery(0.5, 96).raw();
     EXPECT_GT(wf, prev) << "rung " << r;
     prev = wf;
   }
 }
 
 TEST(McsLadderProperties, BottomRungMostRobustAtLowSnr) {
-  const double lo = ladder().snr_for_delivery(0, 0.5, 96).raw() + 1.0;
+  const double lo = ladder().rung(0).snr_for_delivery(0.5, 96).raw() + 1.0;
   const double p_bottom = ladder().rung(0).frame_delivery_prob(common::SnrDb{lo}, 96);
   const double p_top =
       ladder().rung(ladder().size() - 1).frame_delivery_prob(common::SnrDb{lo}, 96);
@@ -146,7 +170,7 @@ TEST(McsLadderProperties, FecHelpsInTheWaterfallRegion) {
   const McsEntry coded{"c", 500.0, phy::UplinkCode::kFm0, true};
   const McsEntry uncoded{"u", 500.0, phy::UplinkCode::kFm0, false};
   const double wf =
-      ladder().snr_for_delivery(McsLadder::kPaperRung, 0.5, 96).raw();
+      ladder().rung(McsLadder::kPaperRung).snr_for_delivery(0.5, 96).raw();
   EXPECT_GT(coded.frame_delivery_prob(common::SnrDb{wf}, 96),
             uncoded.frame_delivery_prob(common::SnrDb{wf}, 96));
 }
@@ -185,14 +209,14 @@ TEST(McsLadderValidation, RungIndexOutOfRangeThrows) {
 }
 
 TEST(McsLadderValidation, SnrForDeliveryRejectsDegenerateTargets) {
-  EXPECT_THROW(ladder().snr_for_delivery(0, 0.0, 96), std::invalid_argument);
-  EXPECT_THROW(ladder().snr_for_delivery(0, 1.0, 96), std::invalid_argument);
+  EXPECT_THROW(ladder().rung(0).snr_for_delivery(0.0, 96), std::invalid_argument);
+  EXPECT_THROW(ladder().rung(0).snr_for_delivery(1.0, 96), std::invalid_argument);
 }
 
 TEST(McsLadderProperties, SnrForDeliveryInvertsTheCurve) {
   for (std::size_t r = 0; r < ladder().size(); ++r) {
     for (const double target : {0.5, 0.9}) {
-      const double snr = ladder().snr_for_delivery(r, target, 96).raw();
+      const double snr = ladder().rung(r).snr_for_delivery(target, 96).raw();
       EXPECT_NEAR(ladder().rung(r).frame_delivery_prob(common::SnrDb{snr}, 96), target,
                   1e-6)
           << "rung " << r << " target " << target;
@@ -446,7 +470,7 @@ TEST(TelemetryWorkload, AdaptiveBeatsFixedGoodputAtHighSnr) {
 TEST(TelemetryWorkload, AdaptiveMatchesFixedDeliveryAtLowSnr) {
   // Just above the bottom rung's waterfall: fixed-rate FM0-500 is deep in
   // its loss region; the adaptive ladder steps down and holds delivery.
-  const double snr = ladder().snr_for_delivery(0, 0.9, 96).raw();
+  const double snr = ladder().rung(0).snr_for_delivery(0.9, 96).raw();
   const auto fixed = telemetry_at(snr, false, 0xF10D);
   const auto adaptive = telemetry_at(snr, true, 0xF10D);
   EXPECT_GE(adaptive.totals.delivery_ratio(), fixed.totals.delivery_ratio());

@@ -359,7 +359,6 @@ TEST(ObsParallelTrace, WorkersRecordSpansConcurrently) {
 
 // --- stage macros ----------------------------------------------------------
 
-#if !defined(VAB_OBS_DISABLED)
 TEST(ObsStage, StageScopeFeedsCountersAndSpans) {
   // Stage counters land in the global registry under stage.<name>.*.
   {
@@ -369,7 +368,6 @@ TEST(ObsStage, StageScopeFeedsCountersAndSpans) {
   EXPECT_NE(snap.find("\"stage.test.stage_macro.calls\":1"), std::string::npos);
   EXPECT_NE(snap.find("\"stage.test.stage_macro.ns\":"), std::string::npos);
 }
-#endif
 
 // --- on/off bit-identity on a real workload ---------------------------------
 

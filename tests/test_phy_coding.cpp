@@ -128,12 +128,6 @@ TEST(Ber, Fm0RequiresAbout5dBForMinus3) {
   EXPECT_NEAR(ber_fm0(g), 1e-3, 3e-4);
 }
 
-TEST(Ber, PacketErrorRate) {
-  EXPECT_NEAR(packet_error_rate(0.0, 100), 0.0, 1e-12);
-  EXPECT_NEAR(packet_error_rate(1e-3, 100), 1.0 - std::pow(0.999, 100), 1e-12);
-  EXPECT_NEAR(packet_error_rate(1.0, 10), 1.0, 1e-12);
-}
-
 TEST(Bits, HammingDistance) {
   EXPECT_EQ(hamming_distance({1, 0, 1}, {1, 1, 1}), 1u);
   EXPECT_THROW(hamming_distance({1}, {1, 0}), std::invalid_argument);
