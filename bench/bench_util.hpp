@@ -4,8 +4,10 @@
 // (e.g. `trials=2000 threads=8 csv=out.csv`).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/config.hpp"
@@ -38,8 +40,11 @@ inline void emit(const common::Table& table, const common::Config& cfg) {
 /// keys enable the tracer / metrics dump / span profiler exactly like
 /// VAB_TRACE / VAB_METRICS / VAB_PROFILE.
 inline unsigned init_threads(const common::Config& cfg) {
-  const long n = cfg.get_int("threads", 0);
-  common::set_thread_count(n > 0 ? static_cast<unsigned>(n) : 0);
+  // Saturate before narrowing: the engine caps the count itself, but a
+  // wrapped threads=4294967297 would otherwise read as 1.
+  constexpr std::size_t kWidest = std::numeric_limits<unsigned>::max();
+  common::set_thread_count(
+      static_cast<unsigned>(std::min(cfg.get_count("threads", 0), kWidest)));
   // Resolve SIMD dispatch eagerly so "simd_isa" is in the manifest (and in
   // every BENCH line) even for benches that never touch a DSP kernel.
   dsp::simd::active_isa();

@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
   bench::banner("E3", "Array-size scaling",
                 "retro gain ~ N^2; range grows with element count");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 200));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 3)));
+  const auto trials = cfg.get_count("trials", 200);
+  common::Rng rng(cfg.get_count("seed", 3));
   const double ref_range = cfg.get_double("range_m", 200.0);
   bench::init_threads(cfg);
   bench::Stopwatch sw;

@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
   bench::banner("E1", "BER vs range (river)",
                 ">300 m round trip at BER 1e-3; PAB baseline fails past tens of meters");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 400));
-  const auto bits = static_cast<std::size_t>(cfg.get_int("bits_per_trial", 1024));
-  const auto wf_trials = static_cast<std::size_t>(cfg.get_int("waveform_trials", 3));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  const auto trials = cfg.get_count("trials", 400);
+  const auto bits = cfg.get_count("bits_per_trial", 1024);
+  const auto wf_trials = cfg.get_count("waveform_trials", 3);
+  const std::uint64_t seed = cfg.get_count("seed", 1);
   const unsigned threads = bench::init_threads(cfg);
   obs::set_manifest("seed", std::to_string(seed));
 

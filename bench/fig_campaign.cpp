@@ -70,10 +70,10 @@ int main(int argc, char** argv) {
                 "sharded trials merge bit-identical to a single-process run");
 
   const std::string kind = cfg.get_string("kind", "waveform");
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 64));
-  const auto bits = static_cast<std::size_t>(cfg.get_int("bits", 64));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
-  const bool merge = cfg.get_int("merge", 0) != 0;
+  const auto trials = cfg.get_count("trials", 64);
+  const auto bits = cfg.get_count("bits", 64);
+  const std::uint64_t seed = cfg.get_count("seed", 1);
+  const bool merge = cfg.get_bool("merge", false);
   bench::init_threads(cfg);
 
   sim::CampaignConfig base;
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     }
   } else if (kind == "mismatch") {
     vanatta::VanAttaConfig ac;
-    ac.n_elements = static_cast<std::size_t>(cfg.get_int("elements", 8));
+    ac.n_elements = cfg.get_count("elements", 8);
     const double sigma_phase = cfg.get_double("sigma_phase_rad", 0.2);
     const double sigma_gain = cfg.get_double("sigma_gain_db", 1.0);
     std::vector<sim::MismatchShardResult> shards;

@@ -1,12 +1,13 @@
 // Extension bench — node discovery cost: slots (and airtime) to inventory an
-// unknown population with adaptive framed slotted Aloha, vs population size
-// and reply-loss rate.
+// unknown population with the Gen2 floating-Q slotted MAC
+// (net/anticollision/slotted.hpp), vs population size and reply-loss rate.
+// Every node replies at equal power, so a shared slot is always a collision.
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "net/discovery.hpp"
+#include "net/anticollision/slotted.hpp"
 #include "net/mac.hpp"
 
 int main(int argc, char** argv) {
@@ -15,12 +16,17 @@ int main(int argc, char** argv) {
   bench::banner("EXT-4", "Node discovery (slotted Aloha, adaptive Q)",
                 "a freshly deployed field is inventoried without knowing any address");
 
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 24)));
-  const auto seeds = static_cast<std::size_t>(cfg.get_int("seeds", 20));
+  common::Rng rng(cfg.get_count("seed", 24));
+  const std::size_t seeds = cfg.get_count("seeds", 20);
   bench::init_threads(cfg);
   bench::Stopwatch sw;
   const net::MacTiming timing{};
   const double slot_s = timing.slot_duration_s();
+
+  net::anticollision::QConfig qc;
+  qc.q_init = 2.0;
+  qc.q_max = 8.0;
+  qc.max_rounds = 256;
 
   common::Table t({"nodes", "loss", "avg_slots", "slots_per_node", "airtime_s",
                    "complete"});
@@ -29,25 +35,23 @@ int main(int argc, char** argv) {
     for (double loss : {0.0, 0.2}) {
       // Seeds are independent runs: fan them out, fold in seed order.
       struct SeedResult {
-        std::size_t total_slots = 0;
+        std::size_t slots = 0;
         bool complete = false;
       };
       std::vector<SeedResult> per_seed(seeds);
       common::parallel_for(0, seeds, [&](std::size_t s) {
-        std::vector<std::uint8_t> pop(n);
-        for (std::size_t i = 0; i < n; ++i) pop[i] = static_cast<std::uint8_t>(i + 1);
-        net::DiscoveryConfig dc;
-        dc.reply_loss_prob = loss;
-        dc.max_rounds = 256;
+        std::vector<net::anticollision::Contender> pop(n);
+        for (std::size_t i = 0; i < n; ++i)
+          pop[i] = {static_cast<std::uint16_t>(i + 1), 1.0, 1.0 - loss};
         common::Rng local =
             rng.child(n * 1000 + s + static_cast<std::uint64_t>(loss * 10));
-        const auto res = net::run_discovery(pop, dc, local);
-        per_seed[s] = {res.total_slots, res.complete};
+        const auto res = net::anticollision::run_slotted_inventory(pop, qc, local);
+        per_seed[s] = {res.slots, res.complete};
       });
       double slots_acc = 0.0;
       std::size_t complete = 0;
       for (const auto& r : per_seed) {
-        slots_acc += static_cast<double>(r.total_slots);
+        slots_acc += static_cast<double>(r.slots);
         if (r.complete) ++complete;
       }
       runs += seeds;

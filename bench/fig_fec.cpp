@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   bench::banner("EXT-3", "FEC at the range edge",
                 "Hamming(7,4)+interleaving extends the usable range past the waterfall");
 
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 23)));
-  const auto packets = static_cast<std::size_t>(cfg.get_int("packets", 200));
+  common::Rng rng(cfg.get_count("seed", 23));
+  const auto packets = cfg.get_count("packets", 200);
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
   bench::banner("FLEET", "Fleet-scale inventory scaling",
                 "van atta backscatter scales to dense sensor deployments");
 
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 23));
-  const auto max_nodes = static_cast<std::size_t>(cfg.get_int("max_nodes", 10000));
-  const auto replicates = static_cast<std::size_t>(cfg.get_int("replicates", 4));
-  const auto wave_cap = static_cast<std::size_t>(cfg.get_int("wave_cap", 8));
+  const std::uint64_t seed = cfg.get_count("seed", 23);
+  const auto max_nodes = cfg.get_count("max_nodes", 10000);
+  const auto replicates = cfg.get_count("replicates", 4);
+  const auto wave_cap = cfg.get_count("wave_cap", 8);
   const double budget_s = cfg.get_double("budget_s", 0.0);
   const std::string series_path = cfg.get_string("series", "");
   const unsigned threads = bench::init_threads(cfg);
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   // Determinism gate: the largest sweep point, re-run with the engine pinned
   // to 1, 2, and 8 threads. Every replicate digest must match bit-for-bit.
   bool identical = true;
-  if (have_largest && cfg.get_int("check_identity", 1) != 0) {
+  if (have_largest && cfg.get_bool("check_identity", true)) {
     largest.record_series = false;  // the gate compares digests, not series
     std::vector<std::vector<std::uint64_t>> digests;
     for (const unsigned n : {1U, 2U, 8U}) {

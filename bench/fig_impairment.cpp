@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   bench::banner("EXT-5", "Burst-loss impairment sweep",
                 "ARQ delivery ratio vs Gilbert-Elliott mean loss rate");
 
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 16));
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 50));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 5)));
+  const auto n_nodes = cfg.get_count("nodes", 16);
+  const auto trials = cfg.get_count("trials", 50);
+  common::Rng rng(cfg.get_count("seed", 5));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                 "FM0 pushes data off the carrier; "
                 "Miller goes further at a bandwidth cost");
 
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 21)));
+  common::Rng rng(cfg.get_count("seed", 21));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
   const bitvec bits = rng.random_bits(2048);

@@ -14,13 +14,13 @@ int main(int argc, char** argv) {
   bench::banner("E11", "Mismatch tolerance Monte-Carlo",
                 "equal-length pair lines keep the coherent retro gain");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 500));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 11)));
+  const auto trials = cfg.get_count("trials", 500);
+  common::Rng rng(cfg.get_count("seed", 11));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 
   vanatta::VanAttaConfig ac;
-  ac.n_elements = static_cast<std::size_t>(cfg.get_int("elements", 8));
+  ac.n_elements = cfg.get_count("elements", 8);
 
   common::Table t({"phase_sigma_deg", "line_len_sigma_mm", "mean_loss_db", "p95_loss_db",
                    "worst_loss_db"});

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   bench::banner("E12", "Multi-node TDMA network",
                 "coastal monitoring: tens of nodes served by one reader");
 
-  const auto rounds = static_cast<std::size_t>(cfg.get_int("rounds", 100));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 12)));
+  const auto rounds = cfg.get_count("rounds", 100);
+  common::Rng rng(cfg.get_count("seed", 12));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

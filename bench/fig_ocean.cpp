@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   bench::banner("E4", "Ocean deployment BER vs range",
                 "first experimental validation of underwater backscatter in the ocean");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 400));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 4)));
+  const auto trials = cfg.get_count("trials", 400);
+  common::Rng rng(cfg.get_count("seed", 4));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

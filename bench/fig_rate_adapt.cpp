@@ -62,10 +62,10 @@ int main(int argc, char** argv) {
                 "rate adaptation recovers throughput headroom; slotted "
                 "acquisition outperforms flat SINR contention when dense");
 
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 61));
-  const auto cycles = static_cast<std::size_t>(cfg.get_int("cycles", 80));
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 8));
-  const auto replicates = static_cast<std::size_t>(cfg.get_int("replicates", 3));
+  const std::uint64_t seed = cfg.get_count("seed", 61);
+  const auto cycles = cfg.get_count("cycles", 80);
+  const auto n_nodes = cfg.get_count("nodes", 8);
+  const auto replicates = cfg.get_count("replicates", 3);
   const double budget_s = cfg.get_double("budget_s", 0.0);
   const unsigned threads = bench::init_threads(cfg);
   common::Rng rng(seed);
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
 
   // ---- Gates -------------------------------------------------------------
   bool identical = true;
-  if (cfg.get_int("check_identity", 1) != 0) {
+  if (cfg.get_bool("check_identity", true)) {
     std::vector<std::vector<std::uint64_t>> digests;
     for (const unsigned n : {1U, 2U, 8U}) {
       common::set_thread_count(n);

@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   bench::banner("EXT-2", "Sea-state robustness",
                 "field trials span sea states; the link must ride surface motion");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 3));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 22)));
+  const auto trials = cfg.get_count("trials", 3);
+  common::Rng rng(cfg.get_count("seed", 22));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                 "the direct blast sits tens of dB above the backscatter; "
                 "SIC recovers it");
 
-  common::Rng rng(static_cast<std::uint64_t>(cfg_args.get_int("seed", 8)));
+  common::Rng rng(cfg_args.get_count("seed", 8));
   bench::init_threads(cfg_args);
   bench::Stopwatch sw;
 

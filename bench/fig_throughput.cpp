@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   bench::banner("E6", "Throughput vs range",
                 "hundreds of bps sustained to hundreds of meters");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 200));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 6)));
+  const auto trials = cfg.get_count("trials", 200);
+  common::Rng rng(cfg.get_count("seed", 6));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   bench::banner("E5", "Head-to-head vs prior state of the art",
                 "15x range at the same throughput and power");
 
-  const auto trials = static_cast<std::size_t>(cfg.get_int("trials", 300));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 5)));
+  const auto trials = cfg.get_count("trials", 300);
+  common::Rng rng(cfg.get_count("seed", 5));
   bench::init_threads(cfg);
   bench::Stopwatch sw;
 

@@ -19,11 +19,11 @@
 int main(int argc, char** argv) {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 4)));
+  common::Rng rng(cfg.get_count("seed", 4));
 
   const double lambda = 1500.0 / 18500.0;
   vanatta::VanAttaConfig base = sim::vab_river_scenario().node.array;
-  base.n_elements = static_cast<std::size_t>(cfg.get_int("elements", 8));
+  base.n_elements = cfg.get_count("elements", 8);
   base.spacing_m = cfg.get_double("spacing_lambda", 0.5) * lambda;
   base.line_loss_db = cfg.get_double("line_loss_db", 0.5);
 

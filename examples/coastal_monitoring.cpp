@@ -19,10 +19,10 @@
 int main(int argc, char** argv) {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 12));
+  const auto n_nodes = cfg.get_count("nodes", 12);
   const double radius = cfg.get_double("radius_m", 300.0);
   const double hours = cfg.get_double("hours", 24.0);
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 7)));
+  common::Rng rng(cfg.get_count("seed", 7));
 
   std::cout << "Coastal monitoring: " << n_nodes << " battery-free nodes within "
             << radius << " m of the reader buoy, " << hours << " h deployment\n\n";

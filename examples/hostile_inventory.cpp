@@ -14,9 +14,9 @@
 int main(int argc, char** argv) {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 12));
+  const auto n_nodes = cfg.get_count("nodes", 12);
   const double mean_loss = cfg.get_double("mean_loss", 0.25);
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 7)));
+  common::Rng rng(cfg.get_count("seed", 7));
 
   std::vector<std::uint8_t> population(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i)

@@ -6,6 +6,8 @@
 //   ./inventory_roundtrip [node_addr=3] [temp_c=18.25] [seed=2]
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -13,6 +15,7 @@
 #include "core/node.hpp"
 #include "core/reader.hpp"
 #include "dsp/iir.hpp"
+#include "net/frame.hpp"
 
 namespace {
 
@@ -32,8 +35,13 @@ rvec envelope_detect(const rvec& passband, double fs) {
 int main(int argc, char** argv) {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto addr = static_cast<std::uint8_t>(cfg.get_int("node_addr", 3));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 2)));
+  // The top address is broadcast; a node answers to 0..254 only.
+  const std::size_t node_addr = cfg.get_count("node_addr", 3);
+  if (node_addr >= net::kBroadcastAddr)
+    throw std::invalid_argument("config key 'node_addr' must be at most 254, got " +
+                                std::to_string(node_addr));
+  const auto addr = static_cast<std::uint8_t>(node_addr);
+  common::Rng rng(cfg.get_count("seed", 2));
 
   // --- Set up reader and node ---------------------------------------------
   core::ReaderConfig rc;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,12 +27,15 @@
 int main(int argc, char** argv) {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
-  const auto n_nodes = static_cast<std::size_t>(cfg.get_int("nodes", 5));
+  const auto n_nodes = cfg.get_count("nodes", 5);
   const double spacing = cfg.get_double("spacing_m", 150.0);
-  const auto passes = static_cast<std::size_t>(cfg.get_int("passes", 4));
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 9)));
+  const auto passes = cfg.get_count("passes", 4);
+  common::Rng rng(cfg.get_count("seed", 9));
   // threads=N overrides VAB_THREADS / hardware autodetection (0 = auto).
-  common::set_thread_count(static_cast<unsigned>(cfg.get_int("threads", 0)));
+  // Saturate before narrowing so a huge count reads as "many", not wrapped.
+  constexpr std::size_t kWidest = std::numeric_limits<unsigned>::max();
+  common::set_thread_count(
+      static_cast<unsigned>(std::min(cfg.get_count("threads", 0), kWidest)));
 
   std::cout << "Ocean survey: boat transects past " << n_nodes << " nodes at " << spacing
             << " m spacing, " << passes << " passes over 24 h\n\n";

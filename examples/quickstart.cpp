@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
                         : sim::vab_river_scenario();
   s.range_m = cfg.get_double("range_m", 100.0);
   s.phy.bitrate_bps = cfg.get_double("bitrate", 500.0);
-  common::Rng rng(static_cast<std::uint64_t>(cfg.get_int("seed", 1)));
+  common::Rng rng(cfg.get_count("seed", 1));
 
   std::cout << "VAB quickstart: " << s.env.name << " @ " << s.range_m << " m, "
             << s.phy.bitrate_bps << " bps, " << s.node.array.n_elements
@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
 
   // One real trial through the full DSP chain.
   sim::WaveformSimulator wsim(s, rng);
-  const bitvec payload = rng.random_bits(
-      static_cast<std::size_t>(cfg.get_int("payload_bits", 64)));
+  const bitvec payload = rng.random_bits(cfg.get_count("payload_bits", 64));
   const auto res = wsim.run_trial(payload);
 
   std::cout << "waveform trial:\n";

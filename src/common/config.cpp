@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -63,30 +65,36 @@ double Config::get_double(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   // Strict parse: the whole value must be consumed. std::stod alone accepts
   // "1.5abc" as 1.5, which silently turns a typo'd override (range_m=100m)
-  // into a plausible number instead of an error.
+  // into a plausible number instead of an error; it also skips leading
+  // whitespace and reads "nan"/"inf", none of which is a usable setting.
+  const std::string& text = it->second;
   try {
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())))
+      throw std::invalid_argument("leading whitespace");
     std::size_t consumed = 0;
-    const double v = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing characters");
+    const double v = std::stod(text, &consumed);
+    if (consumed != text.size()) throw std::invalid_argument("trailing characters");
+    if (!std::isfinite(v)) throw std::invalid_argument("not finite");
     return v;
   } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not a number: " + it->second);
+    throw std::invalid_argument("config key '" + key + "' is not a finite number: " +
+                                text);
   }
 }
 
-long Config::get_int(const std::string& key, long fallback) const {
+std::size_t Config::get_count(const std::string& key, std::size_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const long v = std::stol(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not an integer: " + it->second);
-  }
+  // from_chars on an unsigned type takes digits only: "-1", "+5" and " 5"
+  // stop at the first character, and overflow reports out of range instead
+  // of wrapping (stoul would turn "-1" into 2^64 - 1).
+  const std::string& text = it->second;
+  std::size_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end)
+    throw std::invalid_argument("config key '" + key + "' is not a count: " + text);
+  return v;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -4,6 +4,7 @@
 // bitrate=500`) so scenarios can be explored without recompiling.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,8 +27,11 @@ class Config {
   bool has(const std::string& key) const;
 
   std::string get_string(const std::string& key, const std::string& fallback) const;
+  /// Finite decimal number; `nan`, `inf` and surrounding whitespace throw.
   double get_double(const std::string& key, double fallback) const;
-  long get_int(const std::string& key, long fallback) const;
+  /// Unsigned decimal count (digits only: no sign, no whitespace); a value
+  /// that does not fit a std::size_t throws.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   std::vector<std::string> keys() const;

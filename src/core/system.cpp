@@ -3,6 +3,8 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "net/mcs/mcs.hpp"
@@ -40,18 +42,27 @@ NetworkResult NetworkSimulator::run(std::size_t rounds, std::size_t payload_byte
   res.round_duration_s = downlink_s + timing.guard_s +
                          static_cast<double>(nodes_.size()) * timing.slot_duration_s();
 
+  // One link budget per node: geometry is fixed across rounds, only the
+  // fade changes.
+  std::vector<sim::LinkBudget> budgets;
+  budgets.reserve(nodes_.size());
+  for (const NetworkNode& node : nodes_) {
+    sim::Scenario s = scenario_;
+    s.range_m = node.range_m;
+    s.node.orientation_rad = node.orientation_rad;
+    budgets.emplace_back(std::move(s));
+  }
+  const common::Hz chip_rate = scenario_.phy.chip_rate();
+
   std::vector<std::size_t> delivered(nodes_.size(), 0);
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      sim::Scenario s = scenario_;
-      s.range_m = nodes_[i].range_m;
-      s.node.orientation_rad = nodes_[i].orientation_rad;
-      const sim::LinkBudget budget(s);
-      const double fade = rng.gaussian(0.0, s.env.fading_sigma_db);
+      const double fade = rng.gaussian(0.0, scenario_.env.fading_sigma_db);
       const common::SnrDb snr = net::mcs::to_reference_scale(
-          budget.evaluate(common::Meters{nodes_[i].range_m}, common::Db{fade})
+          budgets[i]
+              .evaluate(common::Meters{nodes_[i].range_m}, common::Db{fade})
               .snr_chip_db,
-          s.phy.chip_rate());
+          chip_rate);
       const double per = 1.0 - uplink.frame_delivery_prob(snr, frame_bits);
       ++res.packets_attempted;
       const bool impaired =

@@ -1,13 +1,13 @@
 // Slotted Q-style inventory MAC with capture effect.
 //
-// The discovery module (net/discovery.hpp) resolves *addresses* with framed
-// slotted Aloha; this module generalises that shape into an inventory-round
-// MAC the fleet core can run per window: a frame-synced slot counter, four
-// slot outcomes (idle / success / collision / capture), Gen2 floating-Q
-// frame-size adaptation, and physical-layer capture arbitration
-// (anticollision/capture.hpp) when several nodes reflect in one slot. It
-// replaces the fleet transport's window-granular "3 dB per contender" SINR
-// penalty with per-slot contention that actually resolves.
+// The simulator's one framed-slotted-Aloha engine: a frame-synced slot
+// counter, four slot outcomes (idle / success / collision / capture), Gen2
+// floating-Q frame-size adaptation, and physical-layer capture arbitration
+// (anticollision/capture.hpp) when several nodes reflect in one slot. The
+// fleet core runs it per window as its kSlotted MAC, in place of the
+// window-granular "3 dB per contender" SINR penalty; node discovery (EXT-4,
+// bench/fig_discovery) runs it over equal-power contenders, where a shared
+// slot can only collide.
 //
 // Backscatter nodes cannot carrier-sense, so everything — slot boundaries,
 // outcome classification, Q updates — lives at the reader; nodes only count

@@ -182,14 +182,14 @@ TEST(Config, ParsesArgsAndTypes) {
   EXPECT_DOUBLE_EQ(cfg.get_double("range_m", 0.0), 150.0);
   EXPECT_TRUE(cfg.get_bool("verbose", false));
   EXPECT_EQ(cfg.get_string("name", ""), "test");
-  EXPECT_EQ(cfg.get_int("missing", 42), 42);
+  EXPECT_EQ(cfg.get_count("missing", 42), 42u);
 }
 
 TEST(Config, RejectsMalformed) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(Config::from_args(2, argv), std::invalid_argument);
   Config c = Config::from_string("a=notanumber\n# comment\nb = 2\n");
-  EXPECT_EQ(c.get_int("b", 0), 2);
+  EXPECT_EQ(c.get_count("b", 0), 2u);
   EXPECT_THROW(c.get_double("a", 0.0), std::invalid_argument);
 }
 

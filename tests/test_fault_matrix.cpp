@@ -24,7 +24,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
-#include "net/discovery.hpp"
 #include "net/inventory.hpp"
 #include "net/mcs/transport.hpp"
 #include "sim/scenario.hpp"
@@ -460,21 +459,6 @@ TEST(ZeroFaultIdentity, WaveformChannelMatchesNullInjector) {
   ASSERT_EQ(out_plain.size(), out_hooked.size());
   for (std::size_t i = 0; i < out_plain.size(); ++i)
     ASSERT_EQ(out_plain[i], out_hooked[i]) << "sample " << i;
-}
-
-TEST(ZeroFaultIdentity, DiscoveryMatchesNullInjector) {
-  net::DiscoveryConfig cfg;
-  cfg.reply_loss_prob = 0.2;
-  common::Rng rng_a(9);
-  const auto without = net::run_discovery(make_population(20), cfg, rng_a);
-  FaultInjector empty{FaultPlan{}};
-  net::DiscoveryConfig cfg_hooked = cfg;
-  cfg_hooked.fault = &empty;
-  common::Rng rng_b(9);
-  const auto with = net::run_discovery(make_population(20), cfg_hooked, rng_b);
-  EXPECT_EQ(without.total_slots, with.total_slots);
-  EXPECT_EQ(without.discovered, with.discovered);
-  EXPECT_EQ(without.rounds.size(), with.rounds.size());
 }
 
 TEST(ZeroFaultIdentity, WaveformTrialMatchesEmptyPlanScenario) {

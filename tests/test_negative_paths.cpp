@@ -39,7 +39,7 @@ TEST(ConfigNegative, EmptyKeyInStringThrows) {
 
 TEST(ConfigNegative, CommentsAndBlankLinesAreSkipped) {
   const Config cfg = Config::from_string("# header\n\n  trials = 7 # inline\n");
-  EXPECT_EQ(cfg.get_int("trials", 0), 7);
+  EXPECT_EQ(cfg.get_count("trials", 0), 7u);
 }
 
 TEST(ConfigNegative, DuplicateKeysLastWins) {
@@ -47,15 +47,19 @@ TEST(ConfigNegative, DuplicateKeysLastWins) {
   // must resolve to the rightmost value, not raise.
   const char* argv[] = {"prog", "threads=1", "threads=8"};
   const Config cfg = Config::from_args(3, argv);
-  EXPECT_EQ(cfg.get_int("threads", 0), 8);
+  EXPECT_EQ(cfg.get_count("threads", 0), 8u);
   const Config cfg2 = Config::from_string("seed=1\nseed=42\n");
-  EXPECT_EQ(cfg2.get_int("seed", 0), 42);
+  EXPECT_EQ(cfg2.get_count("seed", 0), 42u);
 }
 
 TEST(ConfigNegative, NonNumericDoubleThrows) {
   Config cfg;
-  cfg.set("x", "fast");
-  EXPECT_THROW(cfg.get_double("x", 0.0), std::invalid_argument);
+  // stod reads "nan", "inf" and leading whitespace; none is a usable
+  // setting, so each must throw.
+  for (const char* bad : {"fast", "nan", "inf", "-inf", "infinity", " 1.5", ""}) {
+    cfg.set("x", bad);
+    EXPECT_THROW(cfg.get_double("x", 0.0), std::invalid_argument) << "'" << bad << "'";
+  }
 }
 
 TEST(ConfigNegative, TrailingGarbageDoubleThrows) {
@@ -69,23 +73,37 @@ TEST(ConfigNegative, TrailingGarbageDoubleThrows) {
 TEST(ConfigNegative, TrailingGarbageIntThrows) {
   Config cfg;
   cfg.set("trials", "200x");
-  EXPECT_THROW(cfg.get_int("trials", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_count("trials", 0), std::invalid_argument);
   cfg.set("trials", "1e3");  // scientific notation is not an integer
-  EXPECT_THROW(cfg.get_int("trials", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_count("trials", 0), std::invalid_argument);
+  // A count is digits only: a signed getter read "-1" as 2^64 - 1 trials
+  // once cast to std::size_t.
+  for (const char* bad : {"-1", "+5", " 5", "5 ", "", "0x10", "nan", "inf"}) {
+    cfg.set("trials", bad);
+    EXPECT_THROW(cfg.get_count("trials", 0), std::invalid_argument) << "'" << bad << "'";
+  }
+  try {
+    cfg.get_count("trials", 0);
+    ADD_FAILURE() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'trials'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ConfigNegative, WellFormedNumericsStillParse) {
   Config cfg;
   cfg.set("a", "-1.5e-3");
-  cfg.set("b", "-42");
+  cfg.set("b", "18446744073709551615");
   EXPECT_DOUBLE_EQ(cfg.get_double("a", 0.0), -1.5e-3);
-  EXPECT_EQ(cfg.get_int("b", 0), -42);
+  EXPECT_EQ(cfg.get_count("b", 0), std::numeric_limits<std::size_t>::max());
 }
 
 TEST(ConfigNegative, IntOverflowThrows) {
   Config cfg;
   cfg.set("big", "999999999999999999999999999");
-  EXPECT_THROW(cfg.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_count("big", 0), std::invalid_argument);
+  cfg.set("big", "18446744073709551616");  // SIZE_MAX + 1
+  EXPECT_THROW(cfg.get_count("big", 0), std::invalid_argument);
 }
 
 TEST(ConfigNegative, BadBoolThrows) {
@@ -98,7 +116,7 @@ TEST(ConfigNegative, FallbacksUntouchedByMissingKeys) {
   const Config cfg;
   EXPECT_EQ(cfg.get_string("k", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(cfg.get_double("k", 2.5), 2.5);
-  EXPECT_EQ(cfg.get_int("k", -3), -3);
+  EXPECT_EQ(cfg.get_count("k", 3), 3u);
   EXPECT_TRUE(cfg.get_bool("k", true));
 }
 
