@@ -10,10 +10,12 @@
 #include "dsp/mixer.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/workspace.hpp"
+#include "net/frame.hpp"
 #include "phy/modem.hpp"
 #include "sim/fleet/event_queue.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/fleet/medium.hpp"
+#include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
 
@@ -292,6 +294,37 @@ void BM_FleetBudgetRun(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_FleetBudgetRun)->Arg(1000);
+
+// The two per-poll costs of a budget-fidelity poll outside the MAC: one link
+// budget evaluation per link and window, and one report frame serialized and
+// parsed back (CRC appended, then checked and stripped).
+void BM_LinkBudgetEvaluate(benchmark::State& state) {
+  const sim::LinkBudget lb(sim::vab_river_scenario());
+  common::Rng rng(16);
+  std::vector<double> ranges(1024);
+  for (auto& r : ranges) r = rng.uniform(10.0, 3000.0);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto r = lb.evaluate(common::Meters{ranges[i++ & 1023]});
+    benchmark::DoNotOptimize(r.ber);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LinkBudgetEvaluate);
+
+void BM_FrameRoundTrip(benchmark::State& state) {
+  net::Frame f;
+  f.addr = 7;
+  f.type = net::FrameType::kSensorReport;
+  f.seq = 3;
+  f.payload = {0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC};  // a 6-byte sensor reading
+  for (auto _ : state) {
+    const auto res = net::parse_checked(net::serialize(f));
+    benchmark::DoNotOptimize(&res);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FrameRoundTrip);
 
 }  // namespace
 

@@ -64,9 +64,11 @@ common::Db absorption_loss(common::Hz f, common::Meters range) {
   return common::Db{thorp_db_per_km(f.raw() / 1000.0) * range.raw() / 1000.0};
 }
 
+Absorption::Absorption(common::Hz f, const WaterProperties& w)
+    : db_per_km_(francois_garrison_db_per_km(f.raw() / 1000.0, w)) {}
+
 common::Db absorption_loss(common::Hz f, common::Meters range, const WaterProperties& w) {
-  return common::Db{francois_garrison_db_per_km(f.raw() / 1000.0, w) * range.raw() /
-                    1000.0};
+  return Absorption(f, w).loss(range);
 }
 
 }  // namespace vab::channel

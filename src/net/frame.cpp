@@ -1,6 +1,7 @@
 #include "net/frame.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "phy/coding.hpp"
 
@@ -15,7 +16,7 @@ bytes serialize(const Frame& f) {
   out.push_back(f.seq);
   out.push_back(static_cast<std::uint8_t>(f.payload.size()));
   out.insert(out.end(), f.payload.begin(), f.payload.end());
-  return phy::append_crc(out);
+  return phy::append_crc(std::move(out));
 }
 
 bitvec serialize_bits(const Frame& f) { return phy::bits_from_bytes(serialize(f)); }

@@ -1,5 +1,7 @@
 #include "phy/coding.hpp"
 
+#include <array>
+#include <cstddef>
 #include <stdexcept>
 
 namespace vab::phy {
@@ -20,32 +22,49 @@ bytes bytes_from_bits(const bitvec& bits) {
   return out;
 }
 
-std::uint16_t crc16(const bytes& data) {
-  std::uint16_t crc = 0xFFFF;
-  for (auto b : data) {
-    crc = static_cast<std::uint16_t>(crc ^ (static_cast<unsigned>(b) << 8));
+namespace {
+// CRC-16/CCITT-FALSE, MSB first: entry b is the register after the bitwise
+// loop shifts byte b (XORed into the high byte) through its 8 steps.
+constexpr std::array<std::uint16_t, 256> make_crc16_table() {
+  std::array<std::uint16_t, 256> table{};
+  for (unsigned b = 0; b < 256; ++b) {
+    auto crc = static_cast<std::uint16_t>(b << 8);
     for (int i = 0; i < 8; ++i)
       crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
                            : static_cast<std::uint16_t>(crc << 1);
+    table[b] = crc;
   }
-  return crc;
+  return table;
 }
 
-bytes append_crc(const bytes& data) {
-  bytes out = data;
+constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
+
+std::uint16_t crc16(const std::uint8_t* data, std::size_t n) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::size_t i = 0; i < n; ++i)
+    crc = static_cast<std::uint16_t>((crc << 8) ^ kCrc16Table[(crc >> 8) ^ data[i]]);
+  return crc;
+}
+}  // namespace
+
+std::uint16_t crc16(const bytes& data) { return crc16(data.data(), data.size()); }
+
+bytes append_crc(bytes data) {
   const std::uint16_t c = crc16(data);
-  out.push_back(static_cast<std::uint8_t>(c >> 8));
-  out.push_back(static_cast<std::uint8_t>(c & 0xFF));
-  return out;
+  data.push_back(static_cast<std::uint8_t>(c >> 8));
+  data.push_back(static_cast<std::uint8_t>(c & 0xFF));
+  return data;
 }
 
 bool check_and_strip_crc(const bytes& data, bytes& out) {
   if (data.size() < 2) return false;
-  bytes payload(data.begin(), data.end() - 2);
-  const std::uint16_t expect =
-      static_cast<std::uint16_t>((data[data.size() - 2] << 8) | data[data.size() - 1]);
-  if (crc16(payload) != expect) return false;
-  out = std::move(payload);
+  const std::size_t n = data.size() - 2;
+  const auto expect = static_cast<std::uint16_t>((data[n] << 8) | data[n + 1]);
+  if (crc16(data.data(), n) != expect) return false;
+  if (&out == &data)
+    out.resize(n);
+  else
+    out.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
   return true;
 }
 

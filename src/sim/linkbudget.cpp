@@ -4,7 +4,7 @@
 #include <random>
 #include <stdexcept>
 
-#include "channel/spreading.hpp"
+#include "channel/noise.hpp"
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
 #include "phy/ber.hpp"
@@ -12,42 +12,37 @@
 namespace vab::sim {
 
 LinkBudget::LinkBudget(Scenario scenario)
-    : scenario_(std::move(scenario)), array_(scenario_.node.array) {}
+    : scenario_(std::move(scenario)),
+      array_(scenario_.node.array),
+      absorption_(common::Hz{scenario_.phy.carrier_hz}, scenario_.env.water),
+      noise_in_band_(channel::noise_level(common::Hz{scenario_.phy.carrier_hz},
+                                          common::Hz{scenario_.phy.chip_rate_hz()},
+                                          scenario_.env.noise)),
+      ts_mod_(kElementTargetStrengthDb +
+              20.0 * std::log10(std::max(node_modulation_amplitude(), 1e-12))) {}
 
 double LinkBudget::node_modulation_amplitude() const {
   return array_.modulation_amplitude(scenario_.node.orientation_rad,
                                      scenario_.phy.carrier_hz);
 }
 
+common::Db LinkBudget::tl_one_way(common::Meters range) const {
+  return common::Db{scenario_.env.spreading_coeff *
+                        std::log10(std::max(range.raw(), 1.0)) +
+                    absorption_.loss(range).raw()};
+}
+
 common::Db LinkBudget::carrier_spl_at_node(common::Meters range) const {
-  const double range_m = range.raw();
-  const double tl =
-      scenario_.env.spreading_coeff * std::log10(std::max(range_m, 1.0)) +
-      channel::absorption_loss(common::Hz{scenario_.phy.carrier_hz}, range,
-                               scenario_.env.water)
-          .raw();
-  return common::Db{scenario_.reader.source_level_db - tl};
+  return common::Db{scenario_.reader.source_level_db - tl_one_way(range).raw()};
 }
 
 LinkBudgetResult LinkBudget::evaluate(common::Meters range, common::Db fading) const {
-  const double range_m = range.raw();
-  if (range_m <= 0.0) throw std::invalid_argument("range must be > 0");
+  if (range.raw() <= 0.0) throw std::invalid_argument("range must be > 0");
   LinkBudgetResult r;
-  r.tl_one_way_db = common::Db{
-      scenario_.env.spreading_coeff * std::log10(std::max(range_m, 1.0)) +
-      channel::absorption_loss(common::Hz{scenario_.phy.carrier_hz}, range,
-                               scenario_.env.water)
-          .raw()};
+  r.tl_one_way_db = tl_one_way(range);
   r.received_at_node_db = common::Db{scenario_.reader.source_level_db} - r.tl_one_way_db;
-
-  const double mod_amp = node_modulation_amplitude();
-  const common::Db ts_mod{kElementTargetStrengthDb +
-                          20.0 * std::log10(std::max(mod_amp, 1e-12))};
-  r.modulated_return_db = r.received_at_node_db + ts_mod - r.tl_one_way_db + fading;
-
-  const double chip_rate = scenario_.phy.chip_rate_hz();
-  r.noise_in_band_db = channel::noise_level(common::Hz{scenario_.phy.carrier_hz},
-                                            common::Hz{chip_rate}, scenario_.env.noise);
+  r.modulated_return_db = r.received_at_node_db + ts_mod_ - r.tl_one_way_db + fading;
+  r.noise_in_band_db = noise_in_band_;
   r.snr_chip_db = common::SnrDb{r.modulated_return_db.raw() - r.noise_in_band_db.raw()};
   r.ber = phy::ber_fm0(r.snr_chip_db.to_linear().raw());
   return r;

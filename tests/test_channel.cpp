@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "channel/absorption.hpp"
 #include "channel/noise.hpp"
@@ -41,6 +42,43 @@ TEST(Absorption, FrancoisGarrisonSeawaterNearThorpAtMidFreq) {
       francois_garrison_absorption(common::Hz::from_khz(18.5), sea).raw_per_km();
   const double th = thorp_absorption(common::Hz::from_khz(18.5)).raw_per_km();
   EXPECT_NEAR(fg, th, th);  // same order of magnitude
+}
+
+// Losses the per-call Francois-Garrison expression produced at the river and
+// ocean presets' water (18.5 kHz), as exact hex floats. Absorption caches the
+// coefficient and absorption_loss is built on it; both must still land on
+// these bits.
+TEST(Absorption, CachedCoefficientReproducesPinnedLosses) {
+  WaterProperties river;
+  river.temperature_c = 15.0;
+  river.salinity_ppt = 0.5;
+  river.depth_m = 5.0;
+  river.ph = 7.5;
+  WaterProperties ocean;
+  ocean.temperature_c = 12.0;
+  ocean.salinity_ppt = 35.0;
+  ocean.depth_m = 20.0;
+  ocean.ph = 8.0;
+  struct Pin {
+    const WaterProperties* water;
+    double range_m;
+    double loss_db;
+  };
+  const Pin pins[] = {
+      {&river, 0.5, 0x1.0a1edb63a1b4ep-14},  {&river, 37.0, 0x1.33b3adab32f92p-8},
+      {&river, 1000.0, 0x1.03e2223f4beaap-3}, {&river, 4999.5, 0x1.44d259d843c84p-1},
+      {&ocean, 0.5, 0x1.6544264b4bb97p-10},  {&ocean, 37.0, 0x1.9d16cc470f8e6p-4},
+      {&ocean, 1000.0, 0x1.5ce48d6587f31p+1}, {&ocean, 4999.5, 0x1.b412869db7957p+3},
+  };
+  const common::Hz f{18500.0};
+  const Absorption river_abs(f, river), ocean_abs(f, ocean);
+  for (const Pin& p : pins) {
+    const Absorption& a = p.water == &river ? river_abs : ocean_abs;
+    EXPECT_EQ(a.loss(common::Meters{p.range_m}).raw(), p.loss_db) << p.range_m;
+    EXPECT_EQ(absorption_loss(f, common::Meters{p.range_m}, *p.water).raw(), p.loss_db)
+        << p.range_m;
+  }
+  EXPECT_THROW(Absorption(common::Hz{0.0}, river), std::invalid_argument);
 }
 
 TEST(Absorption, FreshwaterMuchLowerThanSeawater) {

@@ -11,6 +11,8 @@
 #include "common/config.hpp"
 #include "net/frame.hpp"
 #include "phy/coding.hpp"
+#include "sim/linkbudget.hpp"
+#include "sim/scenario.hpp"
 
 namespace vab {
 namespace {
@@ -208,6 +210,27 @@ TEST(ParseCheckedBounds, EveryErrorHasAName) {
                        ParseError::kTooLong, ParseError::kBadCrc,
                        ParseError::kLengthMismatch, ParseError::kBadType}) {
     EXPECT_STRNE(net::parse_error_name(e), "unknown");
+  }
+}
+
+// ------------------------------------------------------------ LinkBudget --
+
+// The constructor evaluates the absorption and in-band noise terms, so a
+// scenario without a positive carrier or chip rate is rejected when the
+// budget is built, before any evaluate().
+TEST(LinkBudgetNegative, NonPositiveCarrierThrowsAtConstruction) {
+  for (const double carrier : {0.0, -18500.0}) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.phy.carrier_hz = carrier;
+    EXPECT_THROW(sim::LinkBudget{s}, std::invalid_argument) << carrier;
+  }
+}
+
+TEST(LinkBudgetNegative, NonPositiveChipRateThrowsAtConstruction) {
+  for (const double bitrate : {0.0, -500.0}) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.phy.bitrate_bps = bitrate;
+    EXPECT_THROW(sim::LinkBudget{s}, std::invalid_argument) << bitrate;
   }
 }
 

@@ -50,6 +50,47 @@ TEST(Crc16, ShortInputRejected) {
   EXPECT_FALSE(check_and_strip_crc({0x01}, out));
 }
 
+// The bitwise CRC-16/CCITT-FALSE loop the table is generated from.
+std::uint16_t bitwise_crc16(const bytes& data) {
+  std::uint16_t crc = 0xFFFF;
+  for (auto b : data) {
+    crc = static_cast<std::uint16_t>(crc ^ (static_cast<unsigned>(b) << 8));
+    for (int i = 0; i < 8; ++i)
+      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                           : static_cast<std::uint16_t>(crc << 1);
+  }
+  return crc;
+}
+
+TEST(Crc16, TableMatchesBitwiseReference) {
+  common::Rng rng(19);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    bytes msg(n);
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    EXPECT_EQ(crc16(msg), bitwise_crc16(msg)) << "length " << n;
+  }
+}
+
+TEST(Crc16, FailedCheckLeavesOutUntouched) {
+  const bytes sentinel{0xAA, 0xBB, 0xCC};
+  bytes wire = append_crc({0x01, 0x02, 0x03, 0x04});
+  wire.back() ^= 0x01;
+  bytes out = sentinel;
+  EXPECT_FALSE(check_and_strip_crc(wire, out));
+  EXPECT_EQ(out, sentinel);
+  EXPECT_FALSE(check_and_strip_crc({0x01}, out));
+  EXPECT_EQ(out, sentinel);
+  EXPECT_FALSE(check_and_strip_crc({}, out));
+  EXPECT_EQ(out, sentinel);
+}
+
+TEST(Crc16, StripInPlaceWhenOutAliasesInput) {
+  const bytes msg{0x10, 0x20, 0x30};
+  bytes wire = append_crc(msg);
+  ASSERT_TRUE(check_and_strip_crc(wire, wire));
+  EXPECT_EQ(wire, msg);
+}
+
 TEST(Hamming, RoundTripClean) {
   common::Rng rng(2);
   const bitvec data = rng.random_bits(64);

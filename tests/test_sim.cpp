@@ -1,13 +1,19 @@
 // Scenario presets, analytic link budget and the Monte-Carlo engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "channel/absorption.hpp"
+#include "channel/noise.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/montecarlo.hpp"
+#include "phy/ber.hpp"
 #include "sim/scenario.hpp"
 
 namespace vab::sim {
@@ -165,6 +171,83 @@ TEST(LinkBudget, CarrierSplForHarvesting) {
   EXPECT_GT(lb.carrier_spl_at_node(common::Meters{20.0}).raw(), 140.0);
   EXPECT_LT(lb.carrier_spl_at_node(common::Meters{1000.0}).raw(),
             lb.carrier_spl_at_node(common::Meters{20.0}).raw());
+}
+
+// The sonar equation with every term evaluated per call, in the order
+// LinkBudget used before it cached the range-independent ones. Built only
+// from the public channel API, so the cache cannot hide a moved bit.
+double reference_tl_one_way(const Scenario& s, double range_m) {
+  return s.env.spreading_coeff * std::log10(std::max(range_m, 1.0)) +
+         channel::absorption_loss(common::Hz{s.phy.carrier_hz}, common::Meters{range_m},
+                                  s.env.water)
+             .raw();
+}
+
+LinkBudgetResult reference_evaluate(const Scenario& s, double mod_amp, double range_m,
+                                    common::Db fading) {
+  LinkBudgetResult r;
+  r.tl_one_way_db = common::Db{reference_tl_one_way(s, range_m)};
+  r.received_at_node_db = common::Db{s.reader.source_level_db} - r.tl_one_way_db;
+  const common::Db ts_mod{kElementTargetStrengthDb +
+                          20.0 * std::log10(std::max(mod_amp, 1e-12))};
+  r.modulated_return_db = r.received_at_node_db + ts_mod - r.tl_one_way_db + fading;
+  r.noise_in_band_db = channel::noise_level(
+      common::Hz{s.phy.carrier_hz}, common::Hz{s.phy.chip_rate_hz()}, s.env.noise);
+  r.snr_chip_db = common::SnrDb{r.modulated_return_db.raw() - r.noise_in_band_db.raw()};
+  r.ber = phy::ber_fm0(r.snr_chip_db.to_linear().raw());
+  return r;
+}
+
+std::vector<std::pair<const char*, Scenario>> budget_identity_scenarios() {
+  Scenario off_axis = vab_river_scenario();
+  off_axis.node.orientation_rad = common::deg_to_rad(40.0);
+  return {{"river", vab_river_scenario()},
+          {"ocean", vab_ocean_scenario()},
+          {"hostile", hostile_river_scenario()},
+          {"pab", pab_river_scenario()},
+          {"river_off_axis", off_axis}};
+}
+
+// 50 log-spaced ranges over [0.5 m, 5 km]; the sub-metre ones exercise the
+// 1 m spreading clamp.
+std::vector<double> budget_identity_ranges() {
+  std::vector<double> ranges;
+  for (int i = 0; i < 50; ++i) ranges.push_back(0.5 * std::pow(10000.0, i / 49.0));
+  return ranges;
+}
+
+TEST(LinkBudget, EvaluateBitIdenticalToPerCallReference) {
+  for (const auto& [name, s] : budget_identity_scenarios()) {
+    const LinkBudget lb(s);
+    const double mod_amp = lb.node_modulation_amplitude();
+    for (const double range_m : budget_identity_ranges()) {
+      for (const double fade : {0.0, -7.25, 3.5}) {
+        const LinkBudgetResult got =
+            lb.evaluate(common::Meters{range_m}, common::Db{fade});
+        const LinkBudgetResult want =
+            reference_evaluate(s, mod_amp, range_m, common::Db{fade});
+        SCOPED_TRACE(::testing::Message()
+                     << name << " r=" << range_m << " fade=" << fade);
+        EXPECT_EQ(got.tl_one_way_db.raw(), want.tl_one_way_db.raw());
+        EXPECT_EQ(got.received_at_node_db.raw(), want.received_at_node_db.raw());
+        EXPECT_EQ(got.modulated_return_db.raw(), want.modulated_return_db.raw());
+        EXPECT_EQ(got.noise_in_band_db.raw(), want.noise_in_band_db.raw());
+        EXPECT_EQ(got.snr_chip_db.raw(), want.snr_chip_db.raw());
+        EXPECT_EQ(got.ber, want.ber);
+      }
+    }
+  }
+}
+
+TEST(LinkBudget, CarrierSplBitIdenticalToPerCallReference) {
+  for (const auto& [name, s] : budget_identity_scenarios()) {
+    const LinkBudget lb(s);
+    for (const double range_m : budget_identity_ranges()) {
+      EXPECT_EQ(lb.carrier_spl_at_node(common::Meters{range_m}).raw(),
+                s.reader.source_level_db - reference_tl_one_way(s, range_m))
+          << name << " r=" << range_m;
+    }
+  }
 }
 
 TEST(LinkBudget, InvalidRangeThrows) {

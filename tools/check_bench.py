@@ -25,11 +25,13 @@ from pathlib import Path
 
 # Kernels the perf PRs promised: correlation and FFT paths (plus the decimated
 # FIR that replaced full-rate filtering on the demod chain), the mixer, the
-# end-to-end waveform trial, and the fleet simulator's hot path (event queue,
-# spatial grid, budget-fidelity run). This also covers the *Scalar twins of the
-# vectorized kernels, so the reference path is regression-gated alongside the
-# dispatched one.
-WATCH_PATTERN = re.compile(r"Correlate|Fft|FirDecimate|Downconvert|WaveformTrial|Fleet")
+# end-to-end waveform trial, the fleet simulator's hot path (event queue,
+# spatial grid, budget-fidelity run) and the two per-poll costs of a budget
+# poll (link-budget evaluation, report-frame serialize + CRC-checked parse).
+# This also covers the *Scalar twins of the vectorized kernels, so the
+# reference path is regression-gated alongside the dispatched one.
+WATCH_PATTERN = re.compile(
+    r"Correlate|Fft|FirDecimate|Downconvert|WaveformTrial|Fleet|LinkBudget|Frame")
 
 # Machine-speed proxy: plain streaming FIR, untouched scalar code. Not in the
 # watchlist, so a genuine FFT/correlation regression cannot hide in it.
@@ -117,7 +119,7 @@ def main():
         norm_cur = current[name] / cal_cur
         delta = norm_cur / norm_base - 1.0
         flag = " FAIL" if delta > args.threshold else ""
-        print(f"{name:38s} {norm_base:12.4f} {norm_cur:12.4f} {delta:+7.1%}{flag}")
+        print(f"{name:38s} {norm_base:12.4g} {norm_cur:12.4g} {delta:+7.1%}{flag}")
         if delta > args.threshold:
             failures.append(f"{name}: normalized time grew {delta:+.1%} "
                             f"(threshold {args.threshold:.0%})")
