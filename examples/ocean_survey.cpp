@@ -18,6 +18,8 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/energy.hpp"
+#include "net/app.hpp"
+#include "net/frame.hpp"
 #include "net/mcs/mcs.hpp"
 #include "piezo/bvd.hpp"
 #include "piezo/harvester.hpp"
@@ -79,7 +81,8 @@ int main(int argc, char** argv) {
     // Communication: frame delivery at the closest approach.
     const common::SnrDb snr = net::mcs::to_reference_scale(
         lb.evaluate(common::Meters{cross}).snr_chip_db, base.phy.chip_rate());
-    const double per = 1.0 - uplink.frame_delivery_prob(snr, (4 + 6 + 2) * 8);
+    const double per =
+        1.0 - uplink.frame_delivery_prob(snr, net::wire_size(net::kReadingBytes) * 8);
     std::size_t ok = 0;
     for (std::size_t p = 0; p < passes; ++p)
       if (!node_rng.coin(per)) ++ok;

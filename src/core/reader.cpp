@@ -28,7 +28,7 @@ double VabReader::drive_amplitude_pa() const {
 }
 
 std::size_t VabReader::uplink_bits(std::size_t payload_bytes) {
-  return (4 + payload_bytes + 2) * 8;  // header + payload + CRC
+  return net::wire_size(payload_bytes) * 8;
 }
 
 UplinkDecode VabReader::decode_uplink(const rvec& passband,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "net/frame.hpp"
 #include "net/mcs/mcs.hpp"
 #include "phy/pie.hpp"
 
@@ -24,7 +25,7 @@ NetworkResult NetworkSimulator::run(std::size_t rounds, std::size_t payload_byte
   res.rounds = rounds;
   res.per_node_delivery.assign(nodes_.size(), 0.0);
 
-  const std::size_t frame_bits = (4 + payload_bytes + 2) * 8;
+  const std::size_t frame_bits = net::wire_size(payload_bytes) * 8;
   const net::mcs::McsEntry uplink =
       net::mcs::McsEntry::from_config(scenario_.phy, scenario_.fec);
   net::MacTiming timing = timing_;

@@ -37,10 +37,8 @@ namespace {
 bool known_frame_type(std::uint8_t t) {
   switch (static_cast<FrameType>(t)) {
     case FrameType::kQuery:
-    case FrameType::kQueryAll:
     case FrameType::kSensorReport:
     case FrameType::kAck:
-    case FrameType::kAssignSlot:
       return true;
   }
   return false;

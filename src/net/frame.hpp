@@ -5,6 +5,7 @@
 //   [addr:1][type:1][seq:1][len:1][payload:len][crc16:2]
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -17,11 +18,15 @@ inline constexpr std::uint8_t kBroadcastAddr = 0xFF;
 
 enum class FrameType : std::uint8_t {
   kQuery = 0x01,        ///< reader -> node: report your sensor data
-  kQueryAll = 0x02,     ///< reader -> all: TDMA round announcement
   kSensorReport = 0x10, ///< node -> reader: sensor payload
   kAck = 0x20,          ///< reader -> node: report received
-  kAssignSlot = 0x30,   ///< reader -> node: TDMA slot assignment
 };
+
+/// Serialized frame size in bytes for a `payload_bytes` payload:
+/// 4 header bytes + payload + 2 CRC bytes.
+constexpr std::size_t wire_size(std::size_t payload_bytes) {
+  return 4 + payload_bytes + 2;
+}
 
 struct Frame {
   std::uint8_t addr = 0;     ///< destination (downlink) or source (uplink)
@@ -30,7 +35,7 @@ struct Frame {
   bytes payload;
 
   /// Serialized size in bytes including CRC.
-  std::size_t wire_size() const { return 4 + payload.size() + 2; }
+  std::size_t wire_size() const { return net::wire_size(payload.size()); }
 };
 
 /// Serializes with CRC appended.
@@ -70,7 +75,7 @@ std::optional<Frame> parse_bits(const bitvec& wire_bits);
 /// Maximum payload bytes (len field is one byte).
 inline constexpr std::size_t kMaxPayload = 255;
 /// Smallest/largest possible wire frames: header + [0, kMaxPayload] + CRC.
-inline constexpr std::size_t kMinWireSize = 4 + 2;
-inline constexpr std::size_t kMaxWireSize = 4 + kMaxPayload + 2;
+inline constexpr std::size_t kMinWireSize = wire_size(0);
+inline constexpr std::size_t kMaxWireSize = wire_size(kMaxPayload);
 
 }  // namespace vab::net

@@ -14,6 +14,39 @@ double downlink_duration_s(const MacTiming& t, const Frame& f) {
   return static_cast<double>(f.wire_size() * 8) / t.downlink_bitrate_bps;
 }
 
+// What one run_inventory / run_telemetry call polls with: the reader, one
+// NodeMac per address (both on the MCS ladder when cfg.ladder is set), and
+// the medium every leg crosses — `transport`, or the i.i.d. loss floor
+// built from cfg when it is null.
+struct Session {
+  Session(const std::vector<std::uint8_t>& population, const InventoryConfig& cfg,
+          LinkTransport* transport)
+      : reader(cfg.timing, cfg.arq),
+        default_transport(cfg.reply_loss_prob, cfg.ack_loss_prob),
+        medium(transport ? *transport : default_transport) {
+    if (population.empty()) throw std::invalid_argument("empty population");
+    nodes.reserve(population.size());
+    for (auto addr : population) nodes.emplace_back(addr, cfg.timing);
+    if (cfg.ladder != nullptr) {
+      reader.enable_mcs(*cfg.ladder, cfg.adapt);
+      for (auto& n : nodes) n.enable_mcs(*cfg.ladder);
+    }
+  }
+
+  // Copies the run's MCS accounting into `res`.
+  void finish(InventoryResult& res) const {
+    res.mcs_steps_up = reader.mcs_steps_up();
+    res.mcs_steps_down = reader.mcs_steps_down();
+    res.rung_polls = reader.rung_polls();
+    for (const auto& n : nodes) res.reconfigures += n.reconfigures();
+  }
+
+  ReaderMac reader;
+  std::vector<NodeMac> nodes;
+  IidLossTransport default_transport;
+  LinkTransport& medium;
+};
+
 }  // namespace
 
 PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
@@ -90,6 +123,7 @@ PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
   observe(true);
 
   const ReaderMac::UplinkEvent ev = reader.on_report(*parsed.frame);
+  if (ev == ReaderMac::UplinkEvent::kDuplicate) ++res.duplicates;
 
   // ACK downlink (both for fresh and duplicate reports); a lost ACK leaves
   // the node awaiting and the next poll returns a deduped duplicate.
@@ -111,25 +145,17 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
                               const InventoryConfig& cfg,
                               fault::FaultInjector* fault, common::Rng& rng,
                               LinkTransport* transport) {
-  if (population.empty()) throw std::invalid_argument("empty population");
   VAB_STAGE("net.inventory");
+  Session session(population, cfg, transport);
+  ReaderMac& reader = session.reader;
+  std::vector<NodeMac>& nodes = session.nodes;
+  LinkTransport& medium = session.medium;
 
   InventoryResult res;
   res.nodes = population.size();
-  ReaderMac reader(cfg.timing, cfg.arq);
-  std::vector<NodeMac> nodes;
-  nodes.reserve(population.size());
-  for (auto addr : population) nodes.emplace_back(addr, cfg.timing);
-  if (cfg.ladder != nullptr) {
-    reader.enable_mcs(*cfg.ladder, cfg.adapt);
-    for (auto& n : nodes) n.enable_mcs(*cfg.ladder);
-  }
-
   std::vector<std::size_t> pending(population.size());
   for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
 
-  IidLossTransport default_transport(cfg.reply_loss_prob, cfg.ack_loss_prob);
-  LinkTransport& medium = transport ? *transport : default_transport;
   const double slot_s = cfg.timing.slot_duration_s();
 
   while (!pending.empty() && res.polls < cfg.max_polls) {
@@ -175,7 +201,7 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
       } else if (demoted) {
         // Re-discovery: the node is re-acquired via slotted Aloha at a fixed
         // airtime cost and rejoins the pending set with fresh ARQ state.
-        res.duration_s += static_cast<double>(cfg.rediscovery_penalty_slots) * slot_s;
+        res.duration_s += static_cast<double>(kRediscoveryPenaltySlots) * slot_s;
         ++res.rediscoveries;
         still_pending.push_back(idx);
       } else {
@@ -188,12 +214,7 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
   }
 
   res.complete = res.delivered == res.nodes;
-  res.duplicates = 0;
-  for (const auto& [addr, st] : reader.stats()) res.duplicates += st.duplicates;
-  res.mcs_steps_up = reader.mcs_steps_up();
-  res.mcs_steps_down = reader.mcs_steps_down();
-  res.rung_polls = reader.rung_polls();
-  for (const auto& n : nodes) res.reconfigures += n.reconfigures();
+  session.finish(res);
   return res;
 }
 
@@ -220,26 +241,17 @@ TelemetryResult run_telemetry(const std::vector<std::uint8_t>& population,
                               std::size_t cycles, const InventoryConfig& cfg,
                               fault::FaultInjector* fault, common::Rng& rng,
                               LinkTransport* transport) {
-  if (population.empty()) throw std::invalid_argument("empty population");
   VAB_STAGE("net.telemetry");
+  Session session(population, cfg, transport);
+  ReaderMac& reader = session.reader;
+  std::vector<NodeMac>& nodes = session.nodes;
+  LinkTransport& medium = session.medium;
 
   TelemetryResult tr;
   tr.cycles = cycles;
   tr.delivered_per_node.assign(population.size(), 0);
   InventoryResult& res = tr.totals;
   res.nodes = population.size();
-
-  ReaderMac reader(cfg.timing, cfg.arq);
-  std::vector<NodeMac> nodes;
-  nodes.reserve(population.size());
-  for (auto addr : population) nodes.emplace_back(addr, cfg.timing);
-  if (cfg.ladder != nullptr) {
-    reader.enable_mcs(*cfg.ladder, cfg.adapt);
-    for (auto& n : nodes) n.enable_mcs(*cfg.ladder);
-  }
-
-  IidLossTransport default_transport(cfg.reply_loss_prob, cfg.ack_loss_prob);
-  LinkTransport& medium = transport ? *transport : default_transport;
 
   for (std::size_t c = 0; c < cycles; ++c) {
     VAB_SPAN("net.telemetry.cycle");
@@ -260,12 +272,7 @@ TelemetryResult run_telemetry(const std::vector<std::uint8_t>& population,
 
   res.complete = true;
   for (std::size_t d : tr.delivered_per_node) res.complete = res.complete && d > 0;
-  res.duplicates = 0;
-  for (const auto& [addr, st] : reader.stats()) res.duplicates += st.duplicates;
-  res.mcs_steps_up = reader.mcs_steps_up();
-  res.mcs_steps_down = reader.mcs_steps_down();
-  res.rung_polls = reader.rung_polls();
-  for (const auto& n : nodes) res.reconfigures += n.reconfigures();
+  session.finish(res);
   return tr;
 }
 

@@ -29,6 +29,10 @@
 
 namespace vab::net {
 
+/// Airtime charged, in uplink slots, when a demoted node is re-acquired via
+/// discovery.
+inline constexpr std::size_t kRediscoveryPenaltySlots = 4;
+
 struct InventoryConfig {
   MacTiming timing{};
   ArqConfig arq{};
@@ -36,8 +40,6 @@ struct InventoryConfig {
   /// frame corruption come from the fault injector.
   double reply_loss_prob = 0.0;  ///< uplink report eaten by the channel
   double ack_loss_prob = 0.0;    ///< downlink ACK eaten by the channel
-  /// Airtime charged when a demoted node is re-acquired via discovery.
-  std::size_t rediscovery_penalty_slots = 4;
   /// Hard bound on reader polls; an inventory that cannot complete (e.g.
   /// a permanently dark node) terminates here with complete = false.
   std::size_t max_polls = 4096;
@@ -83,9 +85,10 @@ enum class PollOutcome : std::uint8_t {
 };
 
 /// Runs one poll exchange between `reader` and `node` over `transport`,
-/// accumulating protocol counters (polls, ACK accounting) and airtime into
-/// `res`. This is the unit step both `run_inventory` and the fleet
-/// simulator's event loop drive; `fault` may be null.
+/// accumulating protocol counters (polls, duplicates, ACK accounting) and
+/// airtime into `res`. This is the unit step of `run_inventory` and
+/// `run_telemetry`, and through them of every fleet window; `fault` may be
+/// null.
 PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
                           const SensorReading& reading, const InventoryConfig& cfg,
                           LinkTransport& transport, fault::FaultInjector* fault,

@@ -45,7 +45,7 @@ double MacTiming::slot_duration_s() const {
 }
 
 NodeMac::NodeMac(std::uint8_t address, MacTiming timing)
-    : addr_(address), timing_(timing), slot_(address) {
+    : addr_(address), timing_(timing) {
   if (address == kBroadcastAddr)
     throw std::invalid_argument("broadcast is not a node address");
 }
@@ -53,11 +53,6 @@ NodeMac::NodeMac(std::uint8_t address, MacTiming timing)
 std::optional<NodeMac::Response> NodeMac::on_downlink(const Frame& dl,
                                                       const SensorReading& reading) {
   switch (dl.type) {
-    case FrameType::kAssignSlot: {
-      if (dl.addr != addr_ || dl.payload.size() != 1) return std::nullopt;
-      slot_ = dl.payload[0];
-      return std::nullopt;
-    }
     case FrameType::kAck: {
       // Reader confirmed our outstanding seq: advance the window.
       if (dl.addr != addr_ || dl.payload.size() != 1) return std::nullopt;
@@ -82,20 +77,6 @@ std::optional<NodeMac::Response> NodeMac::on_downlink(const Frame& dl,
       r.frame.seq = seq_;  // unchanged until ACKed: retransmissions dedupe on it
       r.frame.payload = encode_reading(reading);
       r.tx_offset_s = timing_.guard_s;
-      awaiting_ack_ = true;
-      return r;
-    }
-    case FrameType::kQueryAll: {
-      if (dl.payload.size() != 1) return std::nullopt;
-      const std::uint8_t n_slots = dl.payload[0];
-      if (slot_ >= n_slots) return std::nullopt;
-      Response r;
-      r.frame.addr = addr_;
-      r.frame.type = FrameType::kSensorReport;
-      r.frame.seq = seq_;
-      r.frame.payload = encode_reading(reading);
-      r.tx_offset_s = timing_.guard_s +
-                      static_cast<double>(slot_) * timing_.slot_duration_s();
       awaiting_ack_ = true;
       return r;
     }
@@ -134,24 +115,6 @@ Frame ReaderMac::make_query(std::uint8_t addr) {
   return f;
 }
 
-Frame ReaderMac::make_round_announcement(std::uint8_t n_slots) {
-  Frame f;
-  f.addr = kBroadcastAddr;
-  f.type = FrameType::kQueryAll;
-  f.seq = seq_++;
-  f.payload = {n_slots};
-  return f;
-}
-
-Frame ReaderMac::make_slot_assignment(std::uint8_t addr, std::uint8_t slot) {
-  Frame f;
-  f.addr = addr;
-  f.type = FrameType::kAssignSlot;
-  f.seq = seq_++;
-  f.payload = {slot};
-  return f;
-}
-
 Frame ReaderMac::make_ack(std::uint8_t addr, std::uint8_t seq) {
   Frame f;
   f.addr = addr;
@@ -164,10 +127,8 @@ Frame ReaderMac::make_ack(std::uint8_t addr, std::uint8_t seq) {
 
 ReaderMac::UplinkEvent ReaderMac::on_report(const Frame& report) {
   ArqState& st = arq_state_[report.addr];
-  NodeStats& ns = stats_[report.addr];
   if (st.have_seq && st.last_seq == report.seq) {
     // Our ACK was lost and the node retransmitted: re-ACK, don't re-count.
-    ++ns.duplicates;
     ArqMetrics::get().duplicates.inc();
     st.consecutive_misses = 0;
     return UplinkEvent::kDuplicate;
@@ -175,26 +136,14 @@ ReaderMac::UplinkEvent ReaderMac::on_report(const Frame& report) {
   st.have_seq = true;
   st.last_seq = report.seq;
   st.consecutive_misses = 0;
-  ++ns.delivered;
   return UplinkEvent::kDelivered;
-}
-
-void ReaderMac::on_uplink(std::uint8_t addr, bool crc_ok) {
-  auto& s = stats_[addr];
-  if (crc_ok)
-    ++s.delivered;
-  else
-    ++s.corrupted;
 }
 
 ReaderMac::MissAction ReaderMac::on_miss(std::uint8_t addr) {
   ArqState& st = arq_state_[addr];
-  NodeStats& ns = stats_[addr];
   ++st.consecutive_misses;
-  ++ns.timeouts;
   ArqMetrics::get().timeouts.inc();
   if (st.consecutive_misses > arq_.demote_after_misses) return MissAction::kDemote;
-  ++ns.retries;
   ArqMetrics::get().retries.inc();
   return MissAction::kRetry;
 }
@@ -204,15 +153,13 @@ std::size_t ReaderMac::backoff_slots(std::uint8_t addr) const {
   const std::size_t misses = it == arq_state_.end() ? 0 : it->second.consecutive_misses;
   if (misses == 0) return 0;
   // base * 2^(misses-1), saturating at the ceiling without overflow.
-  std::size_t slots = std::max<std::size_t>(arq_.backoff_base_slots, 1);
-  for (std::size_t i = 1; i < misses && slots < arq_.backoff_ceiling_slots; ++i)
-    slots *= 2;
-  return std::min(slots, arq_.backoff_ceiling_slots);
+  std::size_t slots = kBackoffBaseSlots;
+  for (std::size_t i = 1; i < misses && slots < kBackoffCeilingSlots; ++i) slots *= 2;
+  return std::min(slots, kBackoffCeilingSlots);
 }
 
 void ReaderMac::demote(std::uint8_t addr) {
   arq_state_.erase(addr);
-  ++stats_[addr].demotions;
   ArqMetrics::get().demotions.inc();
   // Rate state is link state: a demoted node re-enters at the start rung
   // after rediscovery, with fresh EWMAs.

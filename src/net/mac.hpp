@@ -1,17 +1,20 @@
-// Reader-coordinated MAC.
+// Reader-driven poll-and-ARQ MAC.
 //
 // Backscatter nodes cannot carrier-sense (they have no receiver chain beyond
 // an envelope detector) and cannot initiate transmissions (they need the
 // reader's carrier to reflect). The MAC is therefore reader-driven, like
-// RFID inventory: the reader either polls one address (kQuery) or announces
-// a TDMA round (kQueryAll) in which node i backscatters in slot i.
+// RFID inventory: the reader polls one address at a time (kQuery, PIE
+// downlink), the node backscatters a sensor report (kSensorReport, FM0
+// uplink) one guard time after the query ends, and the reader ACKs it (kAck).
 //
 // Delivery guarantees ride on a stop-and-wait ARQ per node: the reader ACKs
-// every decoded report (kAck), the node advances its sequence number only on
-// ACK and otherwise retransmits the same seq, and the reader dedupes on seq
-// so a lost ACK cannot double-count a reading. Misses are retried with
+// every decoded report, the node advances its sequence number only on ACK
+// and otherwise retransmits the same seq, and the reader dedupes on seq so a
+// lost ACK cannot double-count a reading. Misses are retried with
 // exponential backoff up to a budget; a node missing too many consecutive
 // polls is demoted back to discovery instead of stalling the inventory.
+// Delivery counts live with the caller (net::InventoryResult) and in the
+// net.arq.* counters; the MAC keeps only the state the protocol needs.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +42,14 @@ struct MacTiming {
   double slot_duration_s() const;
 };
 
+/// Backoff after the first miss, in uplink slots; it doubles per further
+/// consecutive miss and saturates at kBackoffCeilingSlots.
+inline constexpr std::size_t kBackoffBaseSlots = 1;
+inline constexpr std::size_t kBackoffCeilingSlots = 8;
+
 /// Retransmission policy for the reader-driven ARQ.
 struct ArqConfig {
   std::size_t max_retries = 6;          ///< extra attempts per report after the first
-  std::size_t backoff_base_slots = 1;   ///< backoff after the first miss, in slots
-  std::size_t backoff_ceiling_slots = 8;  ///< exponential backoff saturates here
   std::size_t demote_after_misses = 12;  ///< consecutive misses before re-discovery
 };
 
@@ -65,7 +71,6 @@ class NodeMac {
                                       const SensorReading& reading);
 
   std::uint8_t address() const { return addr_; }
-  std::uint8_t tdma_slot() const { return slot_; }
   std::uint8_t next_seq() const { return seq_; }
   /// True while a report is outstanding (sent but not yet ACKed).
   bool awaiting_ack() const { return awaiting_ack_; }
@@ -87,7 +92,6 @@ class NodeMac {
 
   std::uint8_t addr_;
   MacTiming timing_;
-  std::uint8_t slot_;  ///< TDMA slot index; defaults to address
   std::uint8_t seq_ = 0;
   bool awaiting_ack_ = false;
   const mcs::McsLadder* ladder_ = nullptr;
@@ -97,19 +101,14 @@ class NodeMac {
   phy::FecConfig fec_cfg_;
 };
 
-/// Reader-side MAC: issues queries, assigns slots, ACKs reports, schedules
-/// retries with exponential backoff, and tracks per-node delivery
-/// statistics across rounds.
+/// Reader-side MAC: issues queries, ACKs reports, dedupes retransmissions
+/// on seq and schedules retries with exponential backoff.
 class ReaderMac {
  public:
   explicit ReaderMac(MacTiming timing, ArqConfig arq = {});
 
   /// Downlink frame polling a single node.
   Frame make_query(std::uint8_t addr);
-  /// Downlink frame starting a TDMA round for `n_slots` nodes.
-  Frame make_round_announcement(std::uint8_t n_slots);
-  /// Downlink frame assigning `slot` to `addr`.
-  Frame make_slot_assignment(std::uint8_t addr, std::uint8_t slot);
   /// Downlink frame acknowledging receipt of `seq` from `addr`.
   Frame make_ack(std::uint8_t addr, std::uint8_t seq);
 
@@ -130,10 +129,6 @@ class ReaderMac {
   /// the event; on kDelivered/kDuplicate the caller sends `make_ack`.
   UplinkEvent on_report(const Frame& report);
 
-  /// Records an uplink result for statistics (corrupt replies feed the
-  /// retry path via `on_miss`).
-  void on_uplink(std::uint8_t addr, bool crc_ok);
-
   /// Registers a miss (reply timeout or CRC failure) for `addr` and
   /// advances retries/backoff. Returns the action the schedule should take.
   MissAction on_miss(std::uint8_t addr);
@@ -145,27 +140,13 @@ class ReaderMac {
   /// Forgets ARQ state for a demoted node (it will be re-discovered).
   void demote(std::uint8_t addr);
 
-  struct NodeStats {
-    std::size_t delivered = 0;
-    std::size_t corrupted = 0;
-    std::size_t duplicates = 0;
-    std::size_t retries = 0;
-    std::size_t timeouts = 0;
-    std::size_t demotions = 0;
-    double delivery_rate() const {
-      const std::size_t total = delivered + corrupted;
-      return total ? static_cast<double>(delivered) / static_cast<double>(total) : 0.0;
-    }
-  };
-
-  const std::map<std::uint8_t, NodeStats>& stats() const { return stats_; }
   const MacTiming& timing() const { return timing_; }
   const ArqConfig& arq() const { return arq_; }
 
   /// Turns on per-node rate adaptation: queries carry the commanded rung,
   /// `observe_link` feeds each node's RateController, and `uplink_entry`
   /// exposes the rung the transport should evaluate. Without this call the
-  /// reader is fixed-rate and wire format / statistics are unchanged.
+  /// reader is fixed-rate and the wire format is unchanged.
   void enable_mcs(const mcs::McsLadder& ladder, mcs::AdaptConfig adapt = {});
   bool mcs_enabled() const { return ladder_ != nullptr; }
   /// Rung currently commanded for `addr` (creates the controller lazily at
@@ -199,7 +180,6 @@ class ReaderMac {
   MacTiming timing_;
   ArqConfig arq_;
   std::uint8_t seq_ = 0;
-  std::map<std::uint8_t, NodeStats> stats_;
   std::map<std::uint8_t, ArqState> arq_state_;
   const mcs::McsLadder* ladder_ = nullptr;
   mcs::AdaptConfig adapt_;

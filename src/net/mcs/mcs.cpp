@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/frame.hpp"
 #include "phy/ber.hpp"
 
 namespace vab::net::mcs {
@@ -86,10 +87,10 @@ std::size_t McsEntry::air_bits(std::size_t payload_bits) const {
 }
 
 common::Seconds McsEntry::slot_duration(std::size_t slot_payload_bytes) const {
-  // Frame = 4 header + payload + 2 CRC bytes on the air at this rung's
+  // The whole frame (header + payload + CRC) on the air at this rung's
   // bitrate (FEC expansion included), 10 ms preamble/idle overhead, 20%
   // margin.
-  const std::size_t frame_bits = (4 + slot_payload_bytes + 2) * 8;
+  const std::size_t frame_bits = wire_size(slot_payload_bytes) * 8;
   const double bits = static_cast<double>(air_bits(frame_bits));
   return common::Seconds{1.2 * (bits / bitrate_bps + 0.010)};
 }

@@ -32,13 +32,6 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Representative report wire length in bits: header + packed reading + CRC.
-std::size_t report_wire_bits() {
-  net::Frame f;
-  f.payload.resize(net::kReadingBytes);
-  return f.wire_size() * 8;
-}
-
 }  // namespace
 
 FleetLayout make_layout(const FleetConfig& cfg, const common::Rng& rng) {
@@ -100,7 +93,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
 
   // One transport (and one waveform-poll budget) per reader. The waterfall
   // SNR depends only on the base scenario, so all readers share its value.
-  const std::size_t wire_bits = report_wire_bits();
+  const std::size_t wire_bits = net::wire_size(net::kReadingBytes) * 8;
   std::vector<std::unique_ptr<FleetLinkTransport>> transports;
   transports.reserve(cfg.n_readers);
   for (std::size_t r = 0; r < cfg.n_readers; ++r) {

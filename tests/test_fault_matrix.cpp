@@ -212,6 +212,49 @@ TEST(ArqEdgeCases, LostAckDeduplicatesOnSeq) {
   EXPECT_EQ(res.duplicates, 0u);  // inventory accepts on first receipt
 }
 
+/// Delivers every uplink report and loses every ACK, without drawing.
+class AckEatingTransport final : public net::LinkTransport {
+ public:
+  bool uplink_delivered(std::uint8_t, bytes&, common::Rng&) override { return true; }
+  bool ack_delivered(std::uint8_t, common::Rng&) override { return false; }
+};
+
+TEST(ArqEdgeCases, PollExchangeCountsDuplicatesOfUnackedReports) {
+  // The node never hears an ACK, so every later poll retransmits the same
+  // seq: the reader dedupes it, and the exchange counts it as a duplicate.
+  const InventoryConfig cfg;
+  net::ReaderMac reader(cfg.timing, cfg.arq);
+  net::NodeMac node(7, cfg.timing);
+  AckEatingTransport medium;
+  common::Rng rng(4);
+  InventoryResult res;
+  std::vector<net::PollOutcome> outcomes;
+  for (int i = 0; i < 3; ++i)
+    outcomes.push_back(net::poll_exchange(reader, node, net::SensorReading{}, cfg,
+                                          medium, nullptr, rng, res));
+  EXPECT_EQ(outcomes,
+            (std::vector<net::PollOutcome>{net::PollOutcome::kDelivered,
+                                           net::PollOutcome::kDuplicate,
+                                           net::PollOutcome::kDuplicate}));
+  EXPECT_EQ(res.duplicates, 2u);
+  EXPECT_EQ(res.acks_sent, 3u);
+  EXPECT_EQ(res.acks_lost, 3u);
+  EXPECT_TRUE(node.awaiting_ack());
+}
+
+TEST(ArqEdgeCases, TelemetryCountsDuplicatesUnderAckLoss) {
+  // Telemetry keeps one reader across cycles, so a lost ACK surfaces as a
+  // deduped retransmission on the node's next cycle.
+  common::Rng rng(5);
+  InventoryConfig cfg;
+  cfg.ack_loss_prob = 0.5;
+  const net::TelemetryResult tr =
+      net::run_telemetry(make_population(8), 6, cfg, nullptr, rng);
+  EXPECT_GT(tr.totals.duplicates, 0u);
+  EXPECT_EQ(tr.totals.delivered + tr.totals.duplicates + tr.totals.timeouts,
+            tr.totals.polls);
+}
+
 TEST(ArqEdgeCases, IntermittentAckLossProducesDedupedDuplicates) {
   common::Rng rng(3);
   InventoryConfig cfg;
