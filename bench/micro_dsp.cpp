@@ -11,10 +11,13 @@
 #include "dsp/simd/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "net/frame.hpp"
+#include "net/inventory.hpp"
+#include "net/mac.hpp"
 #include "phy/modem.hpp"
 #include "sim/fleet/event_queue.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/fleet/medium.hpp"
+#include "sim/fleet/transport.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
@@ -297,7 +300,7 @@ BENCHMARK(BM_FleetBudgetRun)->Arg(1000);
 
 // The two per-poll costs of a budget-fidelity poll outside the MAC: one link
 // budget evaluation per link and window, and one report frame serialized and
-// parsed back (CRC appended, then checked and stripped).
+// parsed back (CRC appended, then checked in place).
 void BM_LinkBudgetEvaluate(benchmark::State& state) {
   const sim::LinkBudget lb(sim::vab_river_scenario());
   common::Rng rng(16);
@@ -325,6 +328,30 @@ void BM_FrameRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FrameRoundTrip);
+
+// One budget-fidelity poll exchange as a fleet window runs it: query ->
+// report over the link budget's fade-and-coin -> CRC-checked parse -> ACK.
+// The link sits well inside range, so nearly every poll delivers.
+void BM_PollExchange(benchmark::State& state) {
+  const net::InventoryConfig cfg;
+  net::ReaderMac reader(cfg.timing, cfg.arq);
+  net::NodeMac node(0, cfg.timing);
+  sim::fleet::FidelityPolicy policy;
+  policy.mode = sim::fleet::FidelityMode::kBudgetOnly;
+  sim::fleet::FleetLinkTransport tp(sim::vab_river_scenario(), policy, common::Db{3.0},
+                                    net::wire_size(net::kReadingBytes) * 8);
+  tp.begin_window({{0, 100.0, common::SnrDb{0.0}}}, common::Rng(17));
+  const net::SensorReading reading{12.0, 101.3, 2900};
+  common::Rng rng(18);
+  net::InventoryResult res;
+  for (auto _ : state) {
+    const auto out =
+        net::poll_exchange(reader, node, reading, cfg, tp, nullptr, rng, res);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PollExchange);
 
 }  // namespace
 

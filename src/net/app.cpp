@@ -11,11 +11,12 @@ std::uint16_t clamp_u16(double v) {
 }
 }  // namespace
 
-bytes encode_reading(const SensorReading& r) {
+Payload encode_reading(const SensorReading& r) {
   const std::uint16_t t =
       clamp_u16(std::round((r.temperature_c + 40.0) / kTempResolutionC));
   const std::uint16_t p = clamp_u16(std::round(r.pressure_kpa / kPressureResolutionKpa));
-  bytes out(kReadingBytes);
+  Payload out;
+  out.resize(kReadingBytes);
   out[0] = static_cast<std::uint8_t>(t >> 8);
   out[1] = static_cast<std::uint8_t>(t & 0xFF);
   out[2] = static_cast<std::uint8_t>(p >> 8);
@@ -25,7 +26,7 @@ bytes encode_reading(const SensorReading& r) {
   return out;
 }
 
-std::optional<SensorReading> decode_reading(const bytes& data) {
+std::optional<SensorReading> decode_reading(std::span<const std::uint8_t> data) {
   if (data.size() != kReadingBytes) return std::nullopt;
   SensorReading r;
   const auto t = static_cast<std::uint16_t>((data[0] << 8) | data[1]);

@@ -6,8 +6,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
-#include "common/types.hpp"
+#include "net/frame.hpp"
 
 namespace vab::net {
 
@@ -21,11 +22,12 @@ struct SensorReading {
 /// budget and the inventory engine size slots from this.
 inline constexpr std::size_t kReadingBytes = 6;
 
-/// Packs a reading into kReadingBytes (2 per field, big-endian fixed point).
-bytes encode_reading(const SensorReading& r);
+/// Packs a reading into kReadingBytes (2 per field, big-endian fixed point),
+/// as an inline frame payload.
+Payload encode_reading(const SensorReading& r);
 
 /// Unpacks; nullopt if the buffer is not exactly kReadingBytes.
-std::optional<SensorReading> decode_reading(const bytes& data);
+std::optional<SensorReading> decode_reading(std::span<const std::uint8_t> data);
 
 /// Round-trip quantization error bounds, used by tests.
 inline constexpr double kTempResolutionC = 1.0 / 500.0;

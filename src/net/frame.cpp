@@ -1,22 +1,29 @@
 #include "net/frame.hpp"
 
-#include <stdexcept>
-#include <utility>
+#include <algorithm>
+#include <span>
 
 #include "phy/coding.hpp"
 
 namespace vab::net {
 
+void serialize(const Frame& f, bytes& wire) {
+  const std::size_t n = f.wire_size() - 2;
+  wire.resize(n + 2);
+  wire[0] = f.addr;
+  wire[1] = static_cast<std::uint8_t>(f.type);
+  wire[2] = f.seq;
+  wire[3] = static_cast<std::uint8_t>(f.payload.size());
+  std::copy(f.payload.begin(), f.payload.end(), wire.begin() + 4);
+  const std::uint16_t crc = phy::crc16(std::span<const std::uint8_t>(wire.data(), n));
+  wire[n] = static_cast<std::uint8_t>(crc >> 8);
+  wire[n + 1] = static_cast<std::uint8_t>(crc & 0xFF);
+}
+
 bytes serialize(const Frame& f) {
-  if (f.payload.size() > kMaxPayload) throw std::invalid_argument("payload too large");
   bytes out;
-  out.reserve(f.wire_size());
-  out.push_back(f.addr);
-  out.push_back(static_cast<std::uint8_t>(f.type));
-  out.push_back(f.seq);
-  out.push_back(static_cast<std::uint8_t>(f.payload.size()));
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
-  return phy::append_crc(std::move(out));
+  serialize(f, out);
+  return out;
 }
 
 bitvec serialize_bits(const Frame& f) { return phy::bits_from_bytes(serialize(f)); }
@@ -49,19 +56,22 @@ ParseResult parse_checked(const bytes& wire) {
   // Structural bounds first: no byte of a mis-sized buffer is interpreted.
   if (wire.size() < kMinWireSize) return {std::nullopt, ParseError::kTooShort};
   if (wire.size() > kMaxWireSize) return {std::nullopt, ParseError::kTooLong};
-  bytes body;
-  if (!phy::check_and_strip_crc(wire, body)) return {std::nullopt, ParseError::kBadCrc};
+  const std::size_t n = wire.size() - 2;  // header + payload, CRC excluded
+  const auto crc = static_cast<std::uint16_t>((wire[n] << 8) | wire[n + 1]);
+  if (phy::crc16(std::span<const std::uint8_t>(wire.data(), n)) != crc)
+    return {std::nullopt, ParseError::kBadCrc};
   // The len field must account for exactly the bytes present — a lying
   // length can therefore never drive a read past the buffer.
-  const std::size_t len = body[3];
-  if (body.size() != 4 + len) return {std::nullopt, ParseError::kLengthMismatch};
-  if (!known_frame_type(body[1])) return {std::nullopt, ParseError::kBadType};
-  Frame f;
-  f.addr = body[0];
-  f.type = static_cast<FrameType>(body[1]);
-  f.seq = body[2];
-  f.payload.assign(body.begin() + 4, body.end());
-  return {f, ParseError::kOk};
+  const std::size_t len = wire[3];
+  if (n != 4 + len) return {std::nullopt, ParseError::kLengthMismatch};
+  if (!known_frame_type(wire[1])) return {std::nullopt, ParseError::kBadType};
+  ParseResult res;
+  Frame& f = res.frame.emplace();
+  f.addr = wire[0];
+  f.type = static_cast<FrameType>(wire[1]);
+  f.seq = wire[2];
+  f.payload.assign(wire.begin() + 4, wire.begin() + static_cast<std::ptrdiff_t>(n));
+  return res;
 }
 
 std::optional<Frame> parse(const bytes& wire) { return parse_checked(wire).frame; }

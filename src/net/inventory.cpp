@@ -14,6 +14,12 @@ double downlink_duration_s(const MacTiming& t, const Frame& f) {
   return static_cast<double>(f.wire_size() * 8) / t.downlink_bitrate_bps;
 }
 
+// Uplink slot of a poll at `entry`, the commanded rung (slower rungs get
+// longer slots), or the fixed-rate FM0 slot when the reader runs no ladder.
+double slot_s_at(const mcs::McsEntry* entry, const MacTiming& t) {
+  return entry ? entry->slot_duration(t.slot_payload_bytes).raw() : t.slot_duration_s();
+}
+
 // What one run_inventory / run_telemetry call polls with: the reader, one
 // NodeMac per address (both on the MCS ladder when cfg.ladder is set), and
 // the medium every leg crosses — `transport`, or the i.i.d. loss floor
@@ -54,12 +60,8 @@ PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
                           LinkTransport& transport, fault::FaultInjector* fault,
                           common::Rng& rng, InventoryResult& res) {
   const MacTiming& t = cfg.timing;
-  // In MCS mode the slot window follows the commanded rung (slower rungs
-  // get longer slots); fixed-rate mode keeps the MacTiming values exactly.
-  const mcs::McsEntry* entry =
-      reader.mcs_enabled() ? reader.uplink_entry(node.address()) : nullptr;
-  const double slot_s =
-      entry ? entry->slot_duration(t.slot_payload_bytes).raw() : t.slot_duration_s();
+  const mcs::McsEntry* entry = reader.uplink_entry(node.address());
+  const double slot_s = slot_s_at(entry, t);
   // Reply timeout: the slot plus half a slot of tolerance; replies skewed
   // past this window count as misses.
   const double timeout_s = 1.5 * slot_s;
@@ -94,7 +96,8 @@ PollOutcome poll_exchange(ReaderMac& reader, NodeMac& node,
   // default, SNR-derived frame loss or a waveform decode in the fleet),
   // then burst loss, frame corruption, and clock skew pushing the reply
   // out of the reader's slot window.
-  bytes wire = serialize(response->frame);
+  bytes& wire = reader.wire_buffer();
+  serialize(response->frame, wire);
   if (entry != nullptr) transport.set_uplink_mcs(node.address(), entry);
   if (!transport.uplink_delivered(node.address(), wire, rng)) {
     observe(false);
@@ -156,8 +159,6 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
   std::vector<std::size_t> pending(population.size());
   for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
 
-  const double slot_s = cfg.timing.slot_duration_s();
-
   while (!pending.empty() && res.polls < cfg.max_polls) {
     VAB_SPAN("net.inventory.round");
     ++res.rounds;
@@ -170,10 +171,14 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
                                   2900};
       bool done = false;
       bool demoted = false;
+      // A miss waits out its backoff, and a demotion its rediscovery, in
+      // slots of the rung the missed poll ran at.
+      double miss_slot_s = 0.0;
       // Stop-and-wait with a per-report retry budget: first attempt plus
       // cfg.arq.max_retries re-polls with exponential backoff.
       for (std::size_t attempt = 0; attempt <= cfg.arq.max_retries; ++attempt) {
         if (res.polls >= cfg.max_polls) break;
+        const mcs::McsEntry* entry = reader.uplink_entry(node.address());
         const PollOutcome out =
             poll_exchange(reader, node, reading, cfg, medium, fault, rng, res);
         if (out == PollOutcome::kDelivered || out == PollOutcome::kDuplicate) {
@@ -182,6 +187,7 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
           done = true;
           break;
         }
+        miss_slot_s = slot_s_at(entry, cfg.timing);
         const ReaderMac::MissAction action = reader.on_miss(node.address());
         ++res.timeouts;
         if (action == ReaderMac::MissAction::kDemote) {
@@ -193,7 +199,7 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
         if (attempt < cfg.arq.max_retries) {
           ++res.retries;
           res.duration_s +=
-              static_cast<double>(reader.backoff_slots(node.address())) * slot_s;
+              static_cast<double>(reader.backoff_slots(node.address())) * miss_slot_s;
         }
       }
       if (done) {
@@ -201,7 +207,7 @@ InventoryResult run_inventory(const std::vector<std::uint8_t>& population,
       } else if (demoted) {
         // Re-discovery: the node is re-acquired via slotted Aloha at a fixed
         // airtime cost and rejoins the pending set with fresh ARQ state.
-        res.duration_s += static_cast<double>(kRediscoveryPenaltySlots) * slot_s;
+        res.duration_s += static_cast<double>(kRediscoveryPenaltySlots) * miss_slot_s;
         ++res.rediscoveries;
         still_pending.push_back(idx);
       } else {

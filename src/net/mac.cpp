@@ -149,8 +149,7 @@ ReaderMac::MissAction ReaderMac::on_miss(std::uint8_t addr) {
 }
 
 std::size_t ReaderMac::backoff_slots(std::uint8_t addr) const {
-  const auto it = arq_state_.find(addr);
-  const std::size_t misses = it == arq_state_.end() ? 0 : it->second.consecutive_misses;
+  const std::size_t misses = arq_state_[addr].consecutive_misses;
   if (misses == 0) return 0;
   // base * 2^(misses-1), saturating at the ceiling without overflow.
   std::size_t slots = kBackoffBaseSlots;
@@ -159,7 +158,7 @@ std::size_t ReaderMac::backoff_slots(std::uint8_t addr) const {
 }
 
 void ReaderMac::demote(std::uint8_t addr) {
-  arq_state_.erase(addr);
+  arq_state_[addr] = ArqState{};
   ArqMetrics::get().demotions.inc();
   // Rate state is link state: a demoted node re-enters at the start rung
   // after rediscovery, with fresh EWMAs.
@@ -169,6 +168,7 @@ void ReaderMac::demote(std::uint8_t addr) {
 void ReaderMac::enable_mcs(const mcs::McsLadder& ladder, mcs::AdaptConfig adapt) {
   ladder_ = &ladder;
   adapt_ = adapt;
+  rung_poll_ctrs_ = {};  // the cached series are named after the old ladder's rungs
 }
 
 mcs::RateController& ReaderMac::controller_for(std::uint8_t addr) {
@@ -194,9 +194,11 @@ void ReaderMac::observe_link(std::uint8_t addr, std::optional<common::SnrDb> snr
   mcs::RateController& ctl = controller_for(addr);
   const std::size_t used = ctl.rung();  // the rung this poll actually ran at
   ++rung_polls_[used];
-  McsMetrics::get()
-      .rung_polls.with({{"rung", ladder_->rung(used).name}})
-      .inc();
+  std::optional<obs::Counter>& rung_ctr = rung_poll_ctrs_[used];
+  if (!rung_ctr)
+    rung_ctr.emplace(
+        McsMetrics::get().rung_polls.with({{"rung", ladder_->rung(used).name}}));
+  rung_ctr->inc();
   const int step = ctl.observe(snr_ref, delivered);
   if (step > 0) {
     ++mcs_steps_up_;

@@ -17,15 +17,17 @@
 // net.arq.* counters; the MAC keeps only the state the protocol needs.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
+#include "common/types.hpp"
 #include "net/app.hpp"
 #include "net/frame.hpp"
 #include "net/mcs/adapt.hpp"
+#include "obs/metrics.hpp"
 
 namespace vab::net {
 
@@ -143,6 +145,12 @@ class ReaderMac {
   const MacTiming& timing() const { return timing_; }
   const ArqConfig& arq() const { return arq_; }
 
+  /// The reader's receive buffer: each poll serializes the node's report
+  /// into it, the transport and fault hooks act on it, and the reader
+  /// validates it in place. Reused across polls, so a steady-state poll
+  /// does not allocate.
+  bytes& wire_buffer() { return wire_; }
+
   /// Turns on per-node rate adaptation: queries carry the commanded rung,
   /// `observe_link` feeds each node's RateController, and `uplink_entry`
   /// exposes the rung the transport should evaluate. Without this call the
@@ -180,11 +188,15 @@ class ReaderMac {
   MacTiming timing_;
   ArqConfig arq_;
   std::uint8_t seq_ = 0;
-  std::map<std::uint8_t, ArqState> arq_state_;
+  std::array<ArqState, 256> arq_state_{};  ///< indexed by node address
+  bytes wire_;
   const mcs::McsLadder* ladder_ = nullptr;
   mcs::AdaptConfig adapt_;
   std::map<std::uint8_t, mcs::RateController> controllers_;
   std::map<std::size_t, std::size_t> rung_polls_;
+  /// net.mcs.rung_polls{rung=<name>} per rung index, resolved on the rung's
+  /// first poll so unused rungs never appear as zero-valued series.
+  std::array<std::optional<obs::Counter>, mcs::kMaxRungs> rung_poll_ctrs_;
   std::size_t mcs_steps_up_ = 0;
   std::size_t mcs_steps_down_ = 0;
 };

@@ -38,16 +38,14 @@ constexpr std::array<std::uint16_t, 256> make_crc16_table() {
 }
 
 constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
-
-std::uint16_t crc16(const std::uint8_t* data, std::size_t n) {
-  std::uint16_t crc = 0xFFFF;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = static_cast<std::uint16_t>((crc << 8) ^ kCrc16Table[(crc >> 8) ^ data[i]]);
-  return crc;
-}
 }  // namespace
 
-std::uint16_t crc16(const bytes& data) { return crc16(data.data(), data.size()); }
+std::uint16_t crc16(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0xFFFF;
+  for (const std::uint8_t b : data)
+    crc = static_cast<std::uint16_t>((crc << 8) ^ kCrc16Table[(crc >> 8) ^ b]);
+  return crc;
+}
 
 bytes append_crc(bytes data) {
   const std::uint16_t c = crc16(data);
@@ -60,7 +58,7 @@ bool check_and_strip_crc(const bytes& data, bytes& out) {
   if (data.size() < 2) return false;
   const std::size_t n = data.size() - 2;
   const auto expect = static_cast<std::uint16_t>((data[n] << 8) | data[n + 1]);
-  if (crc16(data.data(), n) != expect) return false;
+  if (crc16(std::span<const std::uint8_t>(data.data(), n)) != expect) return false;
   if (&out == &data)
     out.resize(n);
   else

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -18,7 +19,7 @@ bitvec bits_from_bytes(const bytes& data);
 bytes bytes_from_bits(const bitvec& bits);
 
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over bytes.
-std::uint16_t crc16(const bytes& data);
+std::uint16_t crc16(std::span<const std::uint8_t> data);
 
 /// Appends the CRC (big-endian) to `data`; pass an rvalue to skip the copy.
 bytes append_crc(bytes data);

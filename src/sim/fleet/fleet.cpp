@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/parallel.hpp"
 #include "net/frame.hpp"
@@ -125,6 +126,11 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
       obs::Registry::global(), "fleet.delivered", 256);
   static const obs::CounterFamily polls_by_reader(
       obs::Registry::global(), "fleet.polls", 256);
+  // Each reader's three series, resolved when it opens its first window.
+  struct ReaderCounters {
+    obs::Counter windows, delivered, polls;
+  };
+  std::vector<std::optional<ReaderCounters>> reader_ctrs(cfg.n_readers);
 
   while (const auto ev = queue.pop()) {
     ++res.events;
@@ -225,11 +231,15 @@ FleetResult run_fleet(const FleetConfig& cfg, const common::Rng& rng) {
     res.reconfigures += wres.reconfigures;
     res.airtime_s += wres.duration_s;
 
-    const obs::LabelSet reader_label{{"reader", std::to_string(r)}};
-    windows_by_reader.with(reader_label).inc();
-    delivered_by_reader.with(reader_label).add(
-        static_cast<std::uint64_t>(wres.delivered));
-    polls_by_reader.with(reader_label).add(static_cast<std::uint64_t>(wres.polls));
+    if (!reader_ctrs[r]) {
+      const obs::LabelSet reader_label{{"reader", std::to_string(r)}};
+      reader_ctrs[r] = ReaderCounters{windows_by_reader.with(reader_label),
+                                      delivered_by_reader.with(reader_label),
+                                      polls_by_reader.with(reader_label)};
+    }
+    reader_ctrs[r]->windows.inc();
+    reader_ctrs[r]->delivered.add(static_cast<std::uint64_t>(wres.delivered));
+    reader_ctrs[r]->polls.add(static_cast<std::uint64_t>(wres.polls));
 
     busy_until[r] = t + wres.duration_s + cfg.inventory.timing.guard_s;
     res.makespan_s = std::max(res.makespan_s, busy_until[r]);

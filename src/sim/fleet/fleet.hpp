@@ -3,7 +3,7 @@
 //
 // Architecture (one seeded run):
 //  - layout: node/reader positions drawn from a dedicated child stream, then
-//    frozen into a SpatialGrid (range queries, ascending-id results).
+//    frozen into a SpatialGrid (range queries, cell-major results).
 //  - assignment: every node attaches to its nearest reader within
 //    max_link_range_m; the rest are counted unreachable, never polled.
 //  - addressing: MAC addresses are 8-bit, so each reader inventories its

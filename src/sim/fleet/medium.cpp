@@ -80,9 +80,6 @@ void SpatialGrid::query(const Position& p, common::Meters radius,
       }
     }
   }
-  // Cells were visited row-major, so results need one sort to be globally
-  // ascending (and therefore deterministic for every consumer).
-  std::sort(out.begin(), out.end());
 }
 
 }  // namespace vab::sim::fleet

@@ -4,9 +4,11 @@
 //
 // Layout is CSR-style (cell offsets into one flat id array) so a 100k-node
 // fleet costs two contiguous allocations, and ids inside a cell stay in
-// ascending order (bucketing is a stable counting sort). Query results are
-// returned sorted ascending, so everything downstream iterates nodes in a
-// deterministic order regardless of grid geometry.
+// ascending order (bucketing is a stable counting sort). Query results come
+// out cell-major: cells row by row, ascending ids within each cell. That
+// order is deterministic for a given grid but not globally ascending, so a
+// consumer must not depend on it (the fleet's nearest-reader attach keeps
+// per-node minima, which any visiting order reproduces).
 #pragma once
 
 #include <cstddef>
@@ -33,7 +35,7 @@ class SpatialGrid {
   /// points coincident) produce a 1x1 grid.
   SpatialGrid(std::vector<Position> points, common::Meters cell_size);
 
-  /// Ids of all points within `radius` of `p` (inclusive), ascending.
+  /// Ids of all points within `radius` of `p` (inclusive), cell-major.
   void query(const Position& p, common::Meters radius,
              std::vector<std::uint32_t>& out) const;
 

@@ -655,6 +655,58 @@ TEST(ArqEdgeCasesAtRungs, SlowestRungCostsMoreAirtimeSameOutcomes) {
   EXPECT_GT(lo.duration_s, hi.duration_s);
 }
 
+/// Loses the first `misses` uplinks, then delivers every leg.
+class LoseFirstUplinks final : public net::LinkTransport {
+ public:
+  explicit LoseFirstUplinks(std::size_t misses) : misses_(misses) {}
+  bool uplink_delivered(std::uint8_t /*addr*/, bytes& /*wire*/,
+                        common::Rng& /*rng*/) override {
+    if (misses_ == 0) return true;
+    --misses_;
+    return false;
+  }
+  bool ack_delivered(std::uint8_t /*addr*/, common::Rng& /*rng*/) override {
+    return true;
+  }
+
+ private:
+  std::size_t misses_;
+};
+
+TEST(ArqEdgeCasesAtRungs, MissWaitsAreChargedAtTheMissedPollsRung) {
+  // Rung 0 is the slowest rung: its slot is several times the fixed-rate
+  // FM0 slot, so a wait charged at the wrong slot shows in the airtime.
+  const InventoryConfig base = rung_pinned_config(0);
+  const net::MacTiming& t = base.timing;
+  const double slot = shared_ladder().rung(0).slot_duration(t.slot_payload_bytes).raw();
+  ASSERT_GT(slot, 2.0 * t.slot_duration_s());
+  // MCS queries and ACKs both carry one payload byte.
+  const double downlink =
+      static_cast<double>(net::wire_size(1) * 8) / t.downlink_bitrate_bps;
+  const double poll = downlink + (t.guard_s + slot);
+
+  {  // one miss, then delivery: one backoff slot of rung 0
+    common::Rng rng(1);
+    LoseFirstUplinks tp(1);
+    const auto res = run_inventory({7}, base, nullptr, rng, &tp);
+    ASSERT_EQ(res.polls, 2u);
+    ASSERT_EQ(res.retries, 1u);
+    const double backoff = static_cast<double>(net::kBackoffBaseSlots) * slot;
+    EXPECT_DOUBLE_EQ(res.duration_s, poll + backoff + poll + downlink);
+  }
+  {  // demoted on the first miss: the rediscovery penalty in rung-0 slots
+    InventoryConfig cfg = base;
+    cfg.arq.demote_after_misses = 0;
+    common::Rng rng(1);
+    LoseFirstUplinks tp(1);
+    const auto res = run_inventory({7}, cfg, nullptr, rng, &tp);
+    ASSERT_EQ(res.polls, 2u);
+    ASSERT_EQ(res.demotions, 1u);
+    const double penalty = static_cast<double>(net::kRediscoveryPenaltySlots) * slot;
+    EXPECT_DOUBLE_EQ(res.duration_s, poll + penalty + poll + downlink);
+  }
+}
+
 /// Integer protocol outcomes only: airtime legitimately varies with the
 /// rung, so rung-independence is asserted on everything *but* duration.
 struct RungCellOutcome {

@@ -85,7 +85,11 @@ TEST(FleetMedium, GridMatchesBruteForce) {
     std::vector<std::uint32_t> want;
     for (std::uint32_t id = 0; id < pts.size(); ++id)
       if (sim::fleet::distance_m(pts[id], c) <= r) want.push_back(id);
-    EXPECT_EQ(got, want) << "probe " << probe;  // same ids, ascending
+    // Results come cell-major, not ascending: compare as sets.
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+        << "duplicate id, probe " << probe;
+    EXPECT_EQ(got, want) << "probe " << probe;
   }
 }
 

@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,6 +25,7 @@
 #include "net/mcs/adapt.hpp"
 #include "net/mcs/mcs.hpp"
 #include "net/mcs/transport.hpp"
+#include "obs/metrics.hpp"
 #include "phy/ber.hpp"
 
 namespace vab {
@@ -504,6 +507,60 @@ TEST(TelemetryWorkload, RungResidencyAndReconfiguresRecorded) {
     residency += polls;
   }
   EXPECT_GT(residency, 0u);
+}
+
+/// Counters a registry snapshot's "counters" section holds, by name.
+std::map<std::string, std::uint64_t> snapshot_counters(const std::string& json) {
+  std::map<std::string, std::uint64_t> out;
+  const std::string open = "\"counters\":{";
+  std::size_t i = json.find(open);
+  if (i == std::string::npos) return out;
+  i += open.size();
+  while (i < json.size() && json[i] == '"') {
+    const std::size_t name_end = json.find('"', i + 1);
+    const std::string name = json.substr(i + 1, name_end - i - 1);
+    i = name_end + 2;  // past the closing quote and the colon
+    std::uint64_t v = 0;
+    for (; i < json.size() && json[i] >= '0' && json[i] <= '9'; ++i)
+      v = v * 10 + static_cast<std::uint64_t>(json[i] - '0');
+    out[name] = v;
+    if (i < json.size() && json[i] == ',') ++i;
+  }
+  return out;
+}
+
+// What telemetry_at(18.0, true, 0x5EED) records: the four rungs it polls,
+// its ACKs, steps and node reconfigurations.
+constexpr const char* kLadderRunCounters =
+    "net.arq.acks +478\n"
+    "net.mcs.reconfigures +24\n"
+    "net.mcs.rung_polls{rung=fm0-1000} +32\n"
+    "net.mcs.rung_polls{rung=fm0-2000} +32\n"
+    "net.mcs.rung_polls{rung=fm0-4000} +384\n"
+    "net.mcs.rung_polls{rung=fm0-500} +32\n"
+    "net.mcs.steps_up +24\n"
+    "stage.net.telemetry.calls +1\n";
+
+TEST(TelemetryWorkload, LadderRunMetricsPinned) {
+  // Every counter a fixed-seed ladder run moves in the global registry, as
+  // "name +delta" lines, less the wall-clock *.ns timers. The delta keeps
+  // the pin independent of what other tests in the process recorded.
+  const auto before = snapshot_counters(obs::Registry::global().snapshot_json(false));
+  (void)telemetry_at(18.0, true, 0x5EED);
+  const auto after = snapshot_counters(obs::Registry::global().snapshot_json(false));
+  std::string delta;
+  for (const auto& [name, v] : after) {
+    const auto it = before.find(name);
+    const std::uint64_t was = it == before.end() ? 0 : it->second;
+    const bool timer = name.size() > 3 && name.compare(name.size() - 3, 3, ".ns") == 0;
+    if (!timer && v != was) delta += name + " +" + std::to_string(v - was) + "\n";
+    // A rung series is registered on the rung's first poll, so none reads 0:
+    // the ladder's three unused rungs never appear.
+    if (name.starts_with("net.mcs.rung_polls{rung=")) {
+      EXPECT_GT(v, 0u) << name;
+    }
+  }
+  EXPECT_EQ(delta, kLadderRunCounters);
 }
 
 TEST(TelemetryWorkload, FairnessIsPerfectOnAHomogeneousCleanLink) {

@@ -64,8 +64,12 @@ TEST(Frame, WireSizeAndLimits) {
   EXPECT_EQ(serialize(f).size(), f.wire_size());
   EXPECT_EQ(serialize(f).size(), kMaxWireSize);
   EXPECT_EQ(wire_size(kReadingBytes), 12u);  // the sensor report on the air
-  f.payload.assign(256, 0xAA);
-  EXPECT_THROW(serialize(f), std::invalid_argument);
+  // The len field is one byte: a longer payload is rejected when it is set,
+  // so no Frame can hold a payload without a wire form.
+  EXPECT_THROW(f.payload.assign(256, 0xAA), std::invalid_argument);
+  EXPECT_THROW(f.payload.resize(256), std::invalid_argument);
+  EXPECT_THROW(f.payload = bytes(256, 0xAA), std::invalid_argument);
+  EXPECT_EQ(f.payload.size(), kMaxPayload);  // unchanged by the rejections
 }
 
 TEST(Frame, ParseCheckedClassifiesErrors) {
@@ -92,7 +96,8 @@ TEST(Frame, ParseCheckedClassifiesErrors) {
   EXPECT_EQ(parse_checked(lying).error, ParseError::kLengthMismatch);
 
   // Unknown type bytes, CRC valid; 0x02 and 0x30 are retired type values.
-  for (const std::uint8_t type : {0x7F, 0x02, 0x30}) {
+  for (const std::uint8_t type :
+       {std::uint8_t{0x7F}, std::uint8_t{0x02}, std::uint8_t{0x30}}) {
     bytes bad_type(wire.begin(), wire.end() - 2);
     bad_type[1] = type;
     bad_type = phy::append_crc(bad_type);
