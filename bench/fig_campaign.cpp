@@ -6,6 +6,11 @@
 // the same campaign at any thread count — doubles are emitted as %a hex
 // floats so two out= files can be compared with cmp(1).
 //
+// kind=waveform is a one-job waveform batch (river scenario at range=),
+// run through the same batch shard and merge as every other waveform
+// sweep; kind=linkbudget and kind=mismatch shard LinkBudget::monte_carlo
+// and vanatta::mismatch_monte_carlo.
+//
 // Worked example (waveform campaign split 4 ways, possibly on 4 machines):
 //   fig_campaign kind=waveform trials=64 shard=0/4 dir=ckpt   # ... 1/4..3/4
 //   fig_campaign kind=waveform trials=64 shard=0/4 dir=ckpt merge=1 out=a.txt
@@ -91,11 +96,12 @@ int main(int argc, char** argv) {
   if (kind == "waveform") {
     sim::Scenario scenario = sim::vab_river_scenario();
     scenario.range_m = cfg.get_double("range", 100.0);
+    const std::vector<sim::WaveformJob> jobs{{scenario, trials, bits, rng}};
     std::vector<sim::WaveformShardResult> shards;
     for (const auto& c : shard_cfgs)
-      shards.push_back(sim::run_waveform_shard(scenario, trials, bits, rng, c));
+      shards.push_back(sim::run_waveform_batch_shard(jobs, c));
     if (merge) {
-      const auto stats = sim::merge_waveform_campaign(shards, trials, bits);
+      const auto stats = sim::merge_waveform_batch_campaign(shards, jobs).front();
       lines = {"trials=" + std::to_string(stats.trials),
                "frames_synced=" + std::to_string(stats.frames_synced),
                "frames_ok=" + std::to_string(stats.frames_ok),

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   sim::Scenario s = sim::vab_ocean_scenario();
   s.range_m = cfg.get_double("waveform_range_m", 200.0);
   s.env.fading_sigma_db = 0.0;
-  common::Rng wrng = rng.child(99);
-  const auto stats = sim::run_waveform_trials(s, 3, 64, wrng);
+  const auto stats =
+      sim::run_waveform_batch({sim::WaveformJob{s, 3, 64, rng.child(99)}}).front();
   std::cout << "waveform check @" << s.range_m << " m: frames_ok=" << stats.frames_ok
             << "/" << stats.trials << " ber=" << stats.ber() << "\n";
   bench::emit_timing("E4", "sweep+waveform", sw.seconds(),

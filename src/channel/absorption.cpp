@@ -60,10 +60,6 @@ common::DbPerM francois_garrison_absorption(common::Hz f, const WaterProperties&
   return common::DbPerM::per_km(francois_garrison_db_per_km(f.raw() / 1000.0, w));
 }
 
-common::Db absorption_loss(common::Hz f, common::Meters range) {
-  return common::Db{thorp_db_per_km(f.raw() / 1000.0) * range.raw() / 1000.0};
-}
-
 Absorption::Absorption(common::Hz f, const WaterProperties& w)
     : db_per_km_(francois_garrison_db_per_km(f.raw() / 1000.0, w)) {}
 

@@ -24,9 +24,6 @@ common::DbPerM thorp_absorption(common::Hz f);
 /// Francois-Garrison absorption coefficient at `f`.
 common::DbPerM francois_garrison_absorption(common::Hz f, const WaterProperties& w);
 
-/// Absorption loss over `range` at `f` using Thorp.
-common::Db absorption_loss(common::Hz f, common::Meters range);
-
 /// Absorption loss using Francois-Garrison.
 common::Db absorption_loss(common::Hz f, common::Meters range, const WaterProperties& w);
 

@@ -166,43 +166,4 @@ cvec fft_real(const rvec& x) {
   return out;
 }
 
-rvec fft_convolve(const rvec& a, const rvec& b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = next_pow2(out_len);
-  auto fa_l = Workspace::local().take_c(n);
-  auto fb_l = Workspace::local().take_c(n);
-  cvec& fa = *fa_l;
-  cvec& fb = *fb_l;
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = cplx{a[i], 0.0};
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = cplx{b[i], 0.0};
-  const FftPlan& plan = fft_plan(n);
-  plan.forward(fa.data());
-  plan.forward(fb.data());
-  cmul_inplace(fa.data(), fb.data(), n);
-  plan.inverse(fa.data());
-  rvec out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = fa[i].real();
-  return out;
-}
-
-cvec fft_xcorr(const cvec& a, const cvec& b) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out_len = a.size() + b.size() - 1;
-  const std::size_t n = next_pow2(out_len);
-  auto fa_l = Workspace::local().take_c(n);
-  auto fb_l = Workspace::local().take_c(n);
-  cvec& fa = *fa_l;
-  cvec& fb = *fb_l;
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = a[i];
-  // Correlation = convolution with conjugated, time-reversed b.
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = std::conj(b[b.size() - 1 - i]);
-  const FftPlan& plan = fft_plan(n);
-  plan.forward(fa.data());
-  plan.forward(fb.data());
-  cmul_inplace(fa.data(), fb.data(), n);
-  plan.inverse(fa.data());
-  return cvec(fa.begin(), fa.begin() + static_cast<std::ptrdiff_t>(out_len));
-}
-
 }  // namespace vab::dsp

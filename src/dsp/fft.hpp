@@ -86,11 +86,4 @@ cvec fft_real(const rvec& x);
 /// next_pow2(x.size()) and holds the full Hermitian spectrum.
 void fft_real(const rvec& x, cvec& out);
 
-/// Linear convolution of two real signals via FFT; result length a+b-1.
-rvec fft_convolve(const rvec& a, const rvec& b);
-
-/// Linear cross-correlation r[k] = sum_n a[n+k] b*[n] for k in
-/// [-(b.size()-1), a.size()-1], returned with lag 0 at index b.size()-1.
-cvec fft_xcorr(const cvec& a, const cvec& b);
-
 }  // namespace vab::dsp

@@ -43,33 +43,6 @@ rvec design_lowpass(double cutoff_hz, double fs_hz, std::size_t taps, WindowType
   return h;
 }
 
-rvec design_highpass(double cutoff_hz, double fs_hz, std::size_t taps,
-                     WindowType window) {
-  rvec h = design_lowpass(cutoff_hz, fs_hz, taps, window);
-  // Spectral inversion: delta at center minus low-pass.
-  for (auto& c : h) c = -c;
-  h[h.size() / 2] += 1.0;
-  return h;
-}
-
-rvec design_bandpass(double lo_hz, double hi_hz, double fs_hz, std::size_t taps,
-                     WindowType window) {
-  if (lo_hz >= hi_hz) throw std::invalid_argument("bandpass needs lo < hi");
-  rvec lp_hi = design_lowpass(hi_hz, fs_hz, taps, window);
-  rvec lp_lo = design_lowpass(lo_hz, fs_hz, taps, window);
-  rvec h(lp_hi.size());
-  for (std::size_t i = 0; i < h.size(); ++i) h[i] = lp_hi[i] - lp_lo[i];
-  return h;
-}
-
-rvec design_bandstop(double lo_hz, double hi_hz, double fs_hz, std::size_t taps,
-                     WindowType window) {
-  rvec bp = design_bandpass(lo_hz, hi_hz, fs_hz, taps, window);
-  for (auto& c : bp) c = -c;
-  bp[bp.size() / 2] += 1.0;
-  return bp;
-}
-
 FirFilter::FirFilter(rvec taps) : taps_(std::move(taps)) {
   if (taps_.empty()) throw std::invalid_argument("FIR needs at least one tap");
   state_.assign(taps_.size(), cplx{});

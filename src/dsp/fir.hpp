@@ -14,18 +14,6 @@ rvec design_lowpass(double cutoff_hz, double fs_hz, std::size_t taps,
                     WindowType window = WindowType::kHamming,
                     double kaiser_beta = 8.6);
 
-/// High-pass via spectral inversion of the low-pass prototype.
-rvec design_highpass(double cutoff_hz, double fs_hz, std::size_t taps,
-                     WindowType window = WindowType::kHamming);
-
-/// Band-pass between `lo_hz` and `hi_hz`.
-rvec design_bandpass(double lo_hz, double hi_hz, double fs_hz, std::size_t taps,
-                     WindowType window = WindowType::kHamming);
-
-/// Band-stop (notch) between `lo_hz` and `hi_hz`.
-rvec design_bandstop(double lo_hz, double hi_hz, double fs_hz, std::size_t taps,
-                     WindowType window = WindowType::kHamming);
-
 /// Streaming FIR filter over real or complex samples. Keeps state across
 /// calls so long signals can be processed in chunks.
 class FirFilter {

@@ -47,25 +47,6 @@ std::uint16_t crc16(std::span<const std::uint8_t> data) {
   return crc;
 }
 
-bytes append_crc(bytes data) {
-  const std::uint16_t c = crc16(data);
-  data.push_back(static_cast<std::uint8_t>(c >> 8));
-  data.push_back(static_cast<std::uint8_t>(c & 0xFF));
-  return data;
-}
-
-bool check_and_strip_crc(const bytes& data, bytes& out) {
-  if (data.size() < 2) return false;
-  const std::size_t n = data.size() - 2;
-  const auto expect = static_cast<std::uint16_t>((data[n] << 8) | data[n + 1]);
-  if (crc16(std::span<const std::uint8_t>(data.data(), n)) != expect) return false;
-  if (&out == &data)
-    out.resize(n);
-  else
-    out.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
-  return true;
-}
-
 namespace {
 // Hamming(7,4) with parity bits p1,p2,p3 at positions 1,2,4 (1-indexed):
 // codeword [p1 p2 d1 p3 d2 d3 d4].

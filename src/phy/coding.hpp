@@ -21,14 +21,6 @@ bytes bytes_from_bits(const bitvec& bits);
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over bytes.
 std::uint16_t crc16(std::span<const std::uint8_t> data);
 
-/// Appends the CRC (big-endian) to `data`; pass an rvalue to skip the copy.
-bytes append_crc(bytes data);
-
-/// Verifies and strips a trailing CRC; returns false on mismatch or short
-/// input (out left untouched). The CRC is checked in place; `out` is only
-/// written on success.
-bool check_and_strip_crc(const bytes& data, bytes& out);
-
 /// Hamming(7,4): encodes each 4-bit nibble into 7 bits (SEC).
 bitvec hamming74_encode(const bitvec& bits);
 

@@ -297,37 +297,19 @@ void record_shard_manifest(const ShardSpec& shard) {
 }
 
 std::string checkpoint_path(const CampaignConfig& cfg, const std::string& kind) {
-  return cfg.dir + "/" + kind + "-" + hex64(fnv1a64(cfg.key)) + "-" +
-         std::to_string(cfg.shard.index) + "of" +
+  return cfg.dir + "/" + (kind == "batch" ? "waveform" : kind) + "-" +
+         hex64(fnv1a64(cfg.key)) + "-" + std::to_string(cfg.shard.index) + "of" +
          std::to_string(cfg.shard.count) + ".ckpt";
-}
-
-WaveformShardResult run_waveform_shard(const Scenario& scenario,
-                                       std::size_t n_trials,
-                                       std::size_t payload_bits,
-                                       const common::Rng& rng,
-                                       const CampaignConfig& cfg) {
-  VAB_STAGE("campaign.waveform_shard");
-  return run_shard<WaveformTrialOutcome>(
-      "waveform", n_trials, cfg,
-      [&](std::size_t t) { return run_waveform_trial(scenario, payload_bits, rng, t); });
-}
-
-WaveformStats merge_waveform_campaign(
-    const std::vector<WaveformShardResult>& shards, std::size_t n_trials,
-    std::size_t payload_bits) {
-  const auto slots = assemble(shards, n_trials);
-  return fold_waveform_trials(slots.data(), n_trials, payload_bits);
 }
 
 WaveformShardResult run_waveform_batch_shard(const std::vector<WaveformJob>& jobs,
                                              const CampaignConfig& cfg) {
-  VAB_STAGE("campaign.batch_shard");
+  VAB_STAGE("campaign.waveform_shard");
   std::vector<std::size_t> offsets(jobs.size() + 1, 0);
   for (std::size_t j = 0; j < jobs.size(); ++j)
     offsets[j + 1] = offsets[j] + jobs[j].trials;
   const std::size_t total = offsets.back();
-  return run_shard<WaveformTrialOutcome>("batch", total, cfg, [&](std::size_t flat) {
+  return run_shard<WaveformTrialOutcome>("waveform", total, cfg, [&](std::size_t flat) {
     const std::size_t j = static_cast<std::size_t>(
                               std::upper_bound(offsets.begin(), offsets.end(), flat) -
                               offsets.begin()) -

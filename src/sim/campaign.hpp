@@ -2,17 +2,24 @@
 //
 // A campaign splits a trial space [0, n_trials) into `count` contiguous
 // shards (common::split_range) that can run in separate processes. Shard i
-// computes the trials of its range with the same per-trial entry points the
-// in-process runners use — trial t always draws from `rng.child(t)` with the
+// computes the trials of its range with the same per-trial entry points as
+// every other run — trial t always draws from `rng.child(t)` with the
 // *global* index t, and the parent stream is never advanced — so the shard
 // topology cannot affect any trial's stream. Each shard persists its raw
 // per-trial outcomes (never folded aggregates: floating-point folds must not
 // be re-associated) to a checkpoint file; `run_*_shard` returns the
 // checkpointed outcomes instead of recomputing when a valid file exists, so
 // an interrupted sweep resumes from its completed shards. `merge_*_campaign`
-// places every outcome by global trial index and re-runs the same serial
-// trial-order fold the single-process runner uses — the merged result is
-// bit-identical to an uninterrupted run at any thread count.
+// places every outcome by global trial index and runs the serial
+// trial-order fold — the merged result is bit-identical to an uninterrupted
+// run at any thread count.
+//
+// Waveform trials have exactly one path, the batch shard and batch merge
+// below: `run_waveform_batch` (sim/montecarlo.hpp) is the one-shard campaign
+// without a checkpoint directory, and a single scenario is a one-job batch.
+// The link-budget and mismatch shards wrap `LinkBudget::monte_carlo_trial`
+// and `vanatta::mismatch_trial`; their in-process runners keep their own
+// loops because those libraries sit below this one.
 //
 // Checkpoint files are plain text: a header binding (kind, campaign key,
 // shard, trial range), an informational copy of the writer's run manifest,
@@ -74,7 +81,9 @@ struct CampaignConfig {
 };
 
 /// Path of the checkpoint file `run_*_shard` reads/writes for `kind`
-/// ("waveform", "batch", "linkbudget", "mismatch") under `cfg`.
+/// ("waveform", "linkbudget", "mismatch") under `cfg`. "batch", the waveform
+/// kind's former name, resolves to the "waveform" file, because
+/// perfbench/src/wave_campaign.cpp measures checkpoint size through it.
 std::string checkpoint_path(const CampaignConfig& cfg, const std::string& kind);
 
 template <typename Outcome>
@@ -90,27 +99,19 @@ using WaveformShardResult = ShardResult<WaveformTrialOutcome>;
 using BerShardResult = ShardResult<LinkBudget::BerTrialOutcome>;
 using MismatchShardResult = ShardResult<double>;
 
-/// Computes (or resumes from checkpoint) this shard of an n_trials waveform
-/// campaign; trials fan out over the parallel engine within the shard.
-WaveformShardResult run_waveform_shard(const Scenario& scenario,
-                                       std::size_t n_trials,
-                                       std::size_t payload_bits,
-                                       const common::Rng& rng,
-                                       const CampaignConfig& cfg);
-
-/// Serial trial-order fold over all shards of the campaign. Throws
-/// std::runtime_error unless the shards cover [0, n_trials) exactly once.
-WaveformStats merge_waveform_campaign(
-    const std::vector<WaveformShardResult>& shards, std::size_t n_trials,
-    std::size_t payload_bits);
-
-/// Shard of a run_waveform_batch fan-out: the flattened (job, trial) index
-/// space is sharded globally, so shards stay balanced even when individual
-/// jobs have few trials.
+/// Computes (or resumes from checkpoint) this shard of a waveform campaign:
+/// the flattened (job, trial) index space is sharded globally, so shards
+/// stay balanced even when individual jobs have few trials. Flat index
+/// `offset_j + t` runs trial t of job j from `jobs[j].rng.child(t)`, so a
+/// one-job campaign's checkpoint records are indexed by trial. Every call
+/// that computes instead of resuming counts one `campaign.shards_computed`,
+/// the in-process `run_waveform_batch` included.
 WaveformShardResult run_waveform_batch_shard(const std::vector<WaveformJob>& jobs,
                                              const CampaignConfig& cfg);
 
-/// Per-job stats, bit-identical to run_waveform_batch(jobs).
+/// Per-job stats: the serial trial-order fold of each job's slice. Throws
+/// std::runtime_error unless the shards cover every (job, trial) exactly
+/// once.
 std::vector<WaveformStats> merge_waveform_batch_campaign(
     const std::vector<WaveformShardResult>& shards,
     const std::vector<WaveformJob>& jobs);

@@ -1,9 +1,7 @@
 #include "sim/montecarlo.hpp"
 
-#include <algorithm>
-
-#include "common/parallel.hpp"
 #include "obs/obs.hpp"
+#include "sim/campaign.hpp"
 
 namespace vab::sim {
 
@@ -75,41 +73,10 @@ std::vector<SweepPoint> ber_vs_range_sweep(const Scenario& scenario, const rvec&
   return out;
 }
 
-WaveformStats run_waveform_trials(const Scenario& scenario, std::size_t n_trials,
-                                  std::size_t payload_bits, common::Rng& rng) {
-  VAB_STAGE("sim.waveform_trials");
-  std::vector<WaveformTrialOutcome> slots(n_trials);
-  common::parallel_for(0, n_trials, [&](std::size_t t) {
-    slots[t] = run_waveform_trial(scenario, payload_bits, rng, t);
-  });
-  return fold_waveform_trials(slots.data(), n_trials, payload_bits);
-}
-
 std::vector<WaveformStats> run_waveform_batch(const std::vector<WaveformJob>& jobs) {
   VAB_STAGE("sim.waveform_batch");
-  // Flatten every (job, trial) pair into one index space.
-  std::vector<std::size_t> offsets(jobs.size() + 1, 0);
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    offsets[j + 1] = offsets[j] + jobs[j].trials;
-  const std::size_t total = offsets.back();
-
-  std::vector<WaveformTrialOutcome> slots(total);
-  common::parallel_for(0, total, [&](std::size_t flat) {
-    const std::size_t j =
-        static_cast<std::size_t>(std::upper_bound(offsets.begin(), offsets.end(), flat) -
-                                 offsets.begin()) -
-        1;
-    const std::size_t t = flat - offsets[j];
-    slots[flat] = run_waveform_trial(jobs[j].scenario, jobs[j].payload_bits,
-                                     jobs[j].rng, t);
-  });
-
-  std::vector<WaveformStats> out;
-  out.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    out.push_back(fold_waveform_trials(slots.data() + offsets[j], jobs[j].trials,
-                                       jobs[j].payload_bits));
-  return out;
+  return merge_waveform_batch_campaign({run_waveform_batch_shard(jobs, CampaignConfig{})},
+                                       jobs);
 }
 
 }  // namespace vab::sim

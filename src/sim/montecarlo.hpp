@@ -6,6 +6,11 @@
 // outcome into a per-trial slot; aggregation then folds the slots serially
 // in trial order. Results are therefore bit-identical for any thread count
 // (including 1) — see tests/test_parallel_determinism.cpp.
+//
+// Waveform trials have one path: a WaveformJob batch, computed by the
+// campaign shard runner (sim/campaign.hpp). `run_waveform_batch` is the
+// unsharded, checkpoint-free campaign, and a single scenario is a one-job
+// batch.
 #pragma once
 
 #include <cstddef>
@@ -68,14 +73,9 @@ WaveformTrialOutcome run_waveform_trial(const Scenario& scenario,
                                         const common::Rng& rng, std::size_t t);
 
 /// Serial trial-order fold of raw outcomes — the one aggregation
-/// implementation behind both the in-process runners and the campaign merge.
+/// implementation, run by the campaign merge.
 WaveformStats fold_waveform_trials(const WaveformTrialOutcome* slots,
                                    std::size_t n_trials, std::size_t payload_bits);
-
-/// Runs `n_trials` full waveform trials with random payloads of
-/// `payload_bits` bits each; trial t draws from `rng.child(t)`.
-WaveformStats run_waveform_trials(const Scenario& scenario, std::size_t n_trials,
-                                  std::size_t payload_bits, common::Rng& rng);
 
 /// One batch of waveform trials: a scenario, a trial count and the master
 /// stream the per-trial children are derived from.
@@ -89,7 +89,10 @@ struct WaveformJob {
 /// Runs several waveform batches as one flat parallel fan-out over every
 /// (job, trial) pair — full-chain trials are seconds-scale, so cross-batch
 /// fan-out is what keeps all cores busy when each batch has few trials.
-/// Result j is bit-identical to run_waveform_trials(jobs[j]...).
+/// This is the one-shard campaign without a checkpoint directory:
+/// `merge_waveform_batch_campaign({run_waveform_batch_shard(jobs, {})}, jobs)`.
+/// Result j depends only on jobs[j], so it equals the one-job batch
+/// {jobs[j]} at any thread count.
 std::vector<WaveformStats> run_waveform_batch(const std::vector<WaveformJob>& jobs);
 
 }  // namespace vab::sim

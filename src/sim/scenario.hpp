@@ -7,7 +7,6 @@
 #include "channel/multipath.hpp"
 #include "channel/noise.hpp"
 #include "channel/soundspeed.hpp"
-#include "channel/spreading.hpp"
 #include "fault/fault.hpp"
 #include "phy/fec.hpp"
 #include "phy/modem.hpp"

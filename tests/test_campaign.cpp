@@ -1,7 +1,8 @@
 // Distributed-campaign correctness: shard/merge bit-identity against the
 // in-process runners at several thread counts and shard topologies,
-// checkpoint round-trip and resume-after-interrupt semantics, and rejection
-// of stale/corrupt/mismatched checkpoint files.
+// checkpoint round-trip and resume-after-interrupt semantics, rejection of
+// stale/corrupt/mismatched checkpoint files, and resumption from checkpoint
+// files checked in under tests/data (the on-disk format is pinned).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,6 +57,12 @@ sim::CampaignConfig campaign(const std::string& dir, const std::string& key,
   return cfg;
 }
 
+/// One waveform job: a single-scenario campaign is a one-job batch.
+std::vector<sim::WaveformJob> one_job(std::size_t trials, std::size_t bits,
+                                      std::uint64_t seed) {
+  return {sim::WaveformJob{fast_scenario(), trials, bits, common::Rng(seed)}};
+}
+
 bool same_stats(const sim::WaveformStats& a, const sim::WaveformStats& b) {
   return a.trials == b.trials && a.frames_synced == b.frames_synced &&
          a.frames_ok == b.frames_ok && a.total_bits == b.total_bits &&
@@ -96,22 +103,18 @@ TEST(ShardSpec, RangesPartitionTheTrialSpaceExactly) {
 }
 
 TEST_F(CampaignTest, WaveformMergeMatchesDirectRunAcrossThreadsAndShards) {
-  const sim::Scenario scenario = fast_scenario();
-  const std::size_t trials = 12;
-  const std::size_t bits = 32;
-  common::Rng rng(42);
+  const auto jobs = one_job(12, 32, 42);
   common::set_thread_count(1);
-  const sim::WaveformStats direct =
-      sim::run_waveform_trials(scenario, trials, bits, rng);
+  const sim::WaveformStats direct = sim::run_waveform_batch(jobs)[0];
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     for (const std::size_t count : {1u, 3u, 5u}) {
       common::set_thread_count(threads);
       std::vector<sim::WaveformShardResult> shards;
       for (std::size_t i = 0; i < count; ++i)
-        shards.push_back(sim::run_waveform_shard(scenario, trials, bits, rng,
-                                                 campaign("", "k", i, count)));
-      const auto merged = sim::merge_waveform_campaign(shards, trials, bits);
+        shards.push_back(
+            sim::run_waveform_batch_shard(jobs, campaign("", "k", i, count)));
+      const auto merged = sim::merge_waveform_batch_campaign(shards, jobs)[0];
       EXPECT_TRUE(same_stats(direct, merged))
           << "threads=" << threads << " shards=" << count;
     }
@@ -122,14 +125,10 @@ TEST_F(CampaignTest, InterruptedCampaignResumesBitIdentical) {
   // "Interrupt": only shard 0 of 3 completes and checkpoints. The resumed
   // sweep must load shard 0 from disk (not recompute) and produce stats
   // bit-identical to an uninterrupted single-shard run.
-  const sim::Scenario scenario = fast_scenario();
-  const std::size_t trials = 9;
-  const std::size_t bits = 32;
-  common::Rng rng(7);
+  const auto jobs = one_job(9, 32, 7);
   common::set_thread_count(2);
 
-  const auto first =
-      sim::run_waveform_shard(scenario, trials, bits, rng, campaign(dir(), "key", 0, 3));
+  const auto first = sim::run_waveform_batch_shard(jobs, campaign(dir(), "key", 0, 3));
   EXPECT_FALSE(first.from_checkpoint);
   const std::string ckpt = sim::checkpoint_path(campaign(dir(), "key", 0, 3), "waveform");
   ASSERT_TRUE(fs::exists(ckpt));
@@ -138,24 +137,19 @@ TEST_F(CampaignTest, InterruptedCampaignResumesBitIdentical) {
 
   std::vector<sim::WaveformShardResult> shards;
   for (std::size_t i = 0; i < 3; ++i)
-    shards.push_back(sim::run_waveform_shard(scenario, trials, bits, rng,
-                                             campaign(dir(), "key", i, 3)));
+    shards.push_back(sim::run_waveform_batch_shard(jobs, campaign(dir(), "key", i, 3)));
   EXPECT_TRUE(shards[0].from_checkpoint);
   EXPECT_FALSE(shards[1].from_checkpoint);
 
   common::set_thread_count(1);
-  common::Rng fresh(7);
-  const auto direct = sim::run_waveform_trials(scenario, trials, bits, fresh);
-  EXPECT_TRUE(same_stats(direct, sim::merge_waveform_campaign(shards, trials, bits)));
+  const auto direct = sim::run_waveform_batch(one_job(9, 32, 7))[0];
+  EXPECT_TRUE(same_stats(direct, sim::merge_waveform_batch_campaign(shards, jobs)[0]));
 }
 
 TEST_F(CampaignTest, CheckpointRejectedOnCorruptionTruncationOrWrongKey) {
-  const sim::Scenario scenario = fast_scenario();
-  const std::size_t trials = 6;
-  const std::size_t bits = 32;
-  common::Rng rng(11);
+  const auto jobs = one_job(6, 32, 11);
   const auto cfg = campaign(dir(), "key-a", 0, 2);
-  sim::run_waveform_shard(scenario, trials, bits, rng, cfg);
+  sim::run_waveform_batch_shard(jobs, cfg);
   const std::string path = sim::checkpoint_path(cfg, "waveform");
   ASSERT_TRUE(fs::exists(path));
   std::ifstream in(path);
@@ -166,8 +160,7 @@ TEST_F(CampaignTest, CheckpointRejectedOnCorruptionTruncationOrWrongKey) {
   // A different campaign key maps to a different file entirely.
   const auto other = campaign(dir(), "key-b", 0, 2);
   EXPECT_NE(sim::checkpoint_path(other, "waveform"), path);
-  EXPECT_FALSE(
-      sim::run_waveform_shard(scenario, trials, bits, rng, other).from_checkpoint);
+  EXPECT_FALSE(sim::run_waveform_batch_shard(jobs, other).from_checkpoint);
 
   // Flip one record byte: digest mismatch, recompute.
   std::string corrupt = content;
@@ -175,18 +168,15 @@ TEST_F(CampaignTest, CheckpointRejectedOnCorruptionTruncationOrWrongKey) {
   ASSERT_NE(pos, std::string::npos);
   corrupt[pos + 3] = corrupt[pos + 3] == 'z' ? 'y' : 'z';
   std::ofstream(path, std::ios::trunc) << corrupt;
-  EXPECT_FALSE(
-      sim::run_waveform_shard(scenario, trials, bits, rng, cfg).from_checkpoint);
+  EXPECT_FALSE(sim::run_waveform_batch_shard(jobs, cfg).from_checkpoint);
 
   // Truncate after the header: missing records, recompute.
   std::ofstream(path, std::ios::trunc) << content.substr(0, content.find('\n') + 1);
-  EXPECT_FALSE(
-      sim::run_waveform_shard(scenario, trials, bits, rng, cfg).from_checkpoint);
+  EXPECT_FALSE(sim::run_waveform_batch_shard(jobs, cfg).from_checkpoint);
 
   // Intact file is accepted again.
   std::ofstream(path, std::ios::trunc) << content;
-  EXPECT_TRUE(
-      sim::run_waveform_shard(scenario, trials, bits, rng, cfg).from_checkpoint);
+  EXPECT_TRUE(sim::run_waveform_batch_shard(jobs, cfg).from_checkpoint);
 }
 
 // Rewrites the checkpoint at `path` with its first record replaced and the
@@ -219,16 +209,13 @@ void replace_first_record(const std::string& path, const std::string& record) {
 }
 
 TEST_F(CampaignTest, CheckpointWithMalformedRecordRecomputes) {
-  const sim::Scenario scenario = fast_scenario();
-  const std::size_t trials = 6;
-  const std::size_t bits = 32;
-  common::Rng rng(13);
+  const auto jobs = one_job(6, 32, 13);
   common::set_thread_count(1);
-  const sim::WaveformStats direct = sim::run_waveform_trials(scenario, trials, bits, rng);
+  const sim::WaveformStats direct = sim::run_waveform_batch(jobs)[0];
 
   const auto cfg = campaign(dir(), "key", 0, 2);
   const std::string path = sim::checkpoint_path(cfg, "waveform");
-  const auto first = sim::run_waveform_shard(scenario, trials, bits, rng, cfg);
+  const auto first = sim::run_waveform_batch_shard(jobs, cfg);
   ASSERT_FALSE(first.from_checkpoint);
 
   // Control: a rewritten file holding the shard's own first record (as the
@@ -240,7 +227,7 @@ TEST_F(CampaignTest, CheckpointWithMalformedRecordRecomputes) {
   in.close();
   ASSERT_EQ(own.rfind("r ", 0), 0u);
   replace_first_record(path, own.substr(2));
-  EXPECT_TRUE(sim::run_waveform_shard(scenario, trials, bits, rng, cfg).from_checkpoint);
+  EXPECT_TRUE(sim::run_waveform_batch_shard(jobs, cfg).from_checkpoint);
 
   const std::string reals = " 0x1p+0 0x1p+0 0x1p+0";
   const std::vector<std::string> bad_records = {
@@ -258,27 +245,53 @@ TEST_F(CampaignTest, CheckpointWithMalformedRecordRecomputes) {
   };
   for (const std::string& bad : bad_records) {
     replace_first_record(path, bad);
-    const auto resumed = sim::run_waveform_shard(scenario, trials, bits, rng, cfg);
+    const auto resumed = sim::run_waveform_batch_shard(jobs, cfg);
     EXPECT_FALSE(resumed.from_checkpoint) << bad;
-    const auto second = sim::run_waveform_shard(scenario, trials, bits, rng,
-                                                campaign(dir(), "key", 1, 2));
+    const auto second = sim::run_waveform_batch_shard(jobs, campaign(dir(), "key", 1, 2));
     EXPECT_TRUE(same_stats(
-        direct, sim::merge_waveform_campaign({resumed, second}, trials, bits)))
+        direct, sim::merge_waveform_batch_campaign({resumed, second}, jobs)[0]))
         << bad;
   }
 }
 
 TEST_F(CampaignTest, MergeRejectsMissingAndOverlappingShards) {
-  const sim::Scenario scenario = fast_scenario();
-  const std::size_t trials = 8;
-  const std::size_t bits = 32;
-  common::Rng rng(3);
-  auto s0 = sim::run_waveform_shard(scenario, trials, bits, rng, campaign("", "k", 0, 2));
-  auto s1 = sim::run_waveform_shard(scenario, trials, bits, rng, campaign("", "k", 1, 2));
-  EXPECT_THROW(sim::merge_waveform_campaign({s0}, trials, bits), std::runtime_error);
-  EXPECT_THROW(sim::merge_waveform_campaign({s0, s0, s1}, trials, bits),
+  const auto jobs = one_job(8, 32, 3);
+  auto s0 = sim::run_waveform_batch_shard(jobs, campaign("", "k", 0, 2));
+  auto s1 = sim::run_waveform_batch_shard(jobs, campaign("", "k", 1, 2));
+  EXPECT_THROW(sim::merge_waveform_batch_campaign({s0}, jobs), std::runtime_error);
+  EXPECT_THROW(sim::merge_waveform_batch_campaign({s0, s0, s1}, jobs),
                std::runtime_error);
-  EXPECT_NO_THROW(sim::merge_waveform_campaign({s1, s0}, trials, bits));
+  EXPECT_NO_THROW(sim::merge_waveform_batch_campaign({s1, s0}, jobs));
+}
+
+TEST_F(CampaignTest, ResumesCheckedInCheckpointFiles) {
+  // tests/data/waveform_ckpt holds both shards of
+  //   fig_campaign kind=waveform trials=8 bits=16 seed=3 shard=i/2 dir=...
+  // as written by the earlier single-scenario waveform shard runner. Both
+  // must load instead of recomputing and merge to the stats that run's
+  // merge step printed, so the header, key, range and record format stay
+  // readable across releases.
+  fs::copy(fs::path(VAB_TEST_DATA_DIR) / "waveform_ckpt", dir());
+  sim::Scenario scenario = sim::vab_river_scenario();
+  scenario.range_m = 100.0;
+  const std::vector<sim::WaveformJob> jobs{{scenario, 8, 16, common::Rng(3)}};
+  std::vector<sim::WaveformShardResult> shards;
+  for (std::size_t i = 0; i < 2; ++i) {
+    shards.push_back(sim::run_waveform_batch_shard(
+        jobs, campaign(dir(), "waveform:trials=8:bits=16:seed=3", i, 2)));
+    EXPECT_TRUE(shards.back().from_checkpoint) << "shard " << i;
+  }
+  const sim::WaveformStats merged = sim::merge_waveform_batch_campaign(shards, jobs)[0];
+  EXPECT_EQ(merged.trials, 8u);
+  EXPECT_EQ(merged.frames_synced, 8u);
+  EXPECT_EQ(merged.frames_ok, 8u);
+  EXPECT_EQ(merged.total_bits, 128u);
+  EXPECT_EQ(merged.bit_errors, 0u);
+  EXPECT_EQ(merged.mean_snr_db, 0x1.8a5bec4d5641ep+4);
+  EXPECT_EQ(merged.mean_corr_peak, 0x1.d6305f4aac567p-1);
+  EXPECT_EQ(merged.mean_sic_suppression_db, 0x1.c68b455554423p+6);
+  // Recomputing the same campaign reproduces the stored outcomes.
+  EXPECT_TRUE(same_stats(merged, sim::run_waveform_batch(jobs)[0]));
 }
 
 TEST_F(CampaignTest, LinkBudgetShardsMergeBitIdentical) {

@@ -1,4 +1,4 @@
-// Absorption, spreading, sound speed and ambient-noise models against
+// Absorption, sound speed and ambient-noise models against
 // published reference values; noise synthesis against its own spectral model.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "channel/absorption.hpp"
 #include "channel/noise.hpp"
 #include "channel/soundspeed.hpp"
-#include "channel/spreading.hpp"
 #include "common/rng.hpp"
 #include "dsp/spectrum.hpp"
 
@@ -92,28 +91,6 @@ TEST(Absorption, FreshwaterMuchLowerThanSeawater) {
   // MgSO4/boric relaxation dominates at 18.5 kHz and needs salt.
   EXPECT_LT(francois_garrison_absorption(common::Hz::from_khz(18.5), fresh).raw(),
             0.5 * francois_garrison_absorption(common::Hz::from_khz(18.5), sea).raw());
-}
-
-TEST(Spreading, ModelOrdering) {
-  const common::Meters r{500.0};
-  EXPECT_LT(spreading_loss(SpreadingModel::kCylindrical, r),
-            spreading_loss(SpreadingModel::kPractical, r));
-  EXPECT_LT(spreading_loss(SpreadingModel::kPractical, r),
-            spreading_loss(SpreadingModel::kSpherical, r));
-  EXPECT_NEAR(spreading_loss(SpreadingModel::kSpherical, common::Meters{1000.0}).raw(),
-              60.0, 1e-9);
-}
-
-TEST(Spreading, ClampedBelowOneMeter) {
-  EXPECT_DOUBLE_EQ(spreading_loss(SpreadingModel::kSpherical, common::Meters{0.1}).raw(),
-                   0.0);
-}
-
-TEST(Spreading, TransmissionLossCombines) {
-  const common::Db tl = transmission_loss(common::Hz{18500.0}, common::Meters{1000.0},
-                                          SpreadingModel::kSpherical);
-  EXPECT_NEAR(tl.raw(), 60.0 + thorp_absorption(common::Hz::from_khz(18.5)).raw_per_km(),
-              0.1);
 }
 
 TEST(SoundSpeed, MackenzieReference) {

@@ -47,28 +47,6 @@ TEST(Fir, KaiserDeepStopband) {
   EXPECT_LT(fir_response_at(h, 37000.0, fs), 3e-5);
 }
 
-TEST(Fir, HighpassComplement) {
-  const double fs = 48000.0;
-  const rvec h = design_highpass(1000.0, fs, 101);
-  EXPECT_LT(fir_response_at(h, 50.0, fs), 0.02);
-  EXPECT_NEAR(fir_response_at(h, 10000.0, fs), 1.0, 0.02);
-}
-
-TEST(Fir, BandpassSelects) {
-  const double fs = 96000.0;
-  const rvec h = design_bandpass(16000.0, 21000.0, fs, 255);
-  EXPECT_NEAR(fir_response_at(h, 18500.0, fs), 1.0, 0.05);
-  EXPECT_LT(fir_response_at(h, 5000.0, fs), 0.01);
-  EXPECT_LT(fir_response_at(h, 40000.0, fs), 0.01);
-}
-
-TEST(Fir, BandstopRejectsCenter) {
-  const double fs = 96000.0;
-  const rvec h = design_bandstop(18000.0, 19000.0, fs, 255);
-  EXPECT_LT(fir_response_at(h, 18500.0, fs), 0.05);
-  EXPECT_NEAR(fir_response_at(h, 5000.0, fs), 1.0, 0.03);
-}
-
 TEST(Fir, StreamingMatchesBatchAndResets) {
   common::Rng rng(1);
   const rvec h = design_lowpass(4000.0, 48000.0, 31);
@@ -93,7 +71,7 @@ TEST(Fir, StreamingMatchesBatchAndResets) {
 TEST(Fir, InvalidDesignThrows) {
   EXPECT_THROW(design_lowpass(0.0, 48000.0, 31), std::invalid_argument);
   EXPECT_THROW(design_lowpass(30000.0, 48000.0, 31), std::invalid_argument);
-  EXPECT_THROW(design_bandpass(5000.0, 1000.0, 48000.0, 31), std::invalid_argument);
+  EXPECT_THROW(design_lowpass(1000.0, 0.0, 31), std::invalid_argument);
   EXPECT_THROW(FirFilter(rvec{}), std::invalid_argument);
 }
 

@@ -124,6 +124,15 @@ TEST(ConfigNegative, FallbacksUntouchedByMissingKeys) {
 
 // ---------------------------------------------- frame::parse_checked bounds --
 
+/// `body` followed by its big-endian CRC-16, the layout net::serialize
+/// writes: lets a test tamper with a header and keep the CRC valid.
+bytes with_crc(bytes body) {
+  const std::uint16_t c = phy::crc16(body);
+  body.push_back(static_cast<std::uint8_t>(c >> 8));
+  body.push_back(static_cast<std::uint8_t>(c & 0xFF));
+  return body;
+}
+
 net::Frame sample_frame(std::size_t payload_len) {
   net::Frame f;
   f.addr = 0x21;
@@ -179,7 +188,7 @@ TEST(ParseCheckedBounds, LyingLengthFieldClassified) {
     const int lied = static_cast<int>(wire[3]) + delta;
     if (lied < 0 || lied > static_cast<int>(net::kMaxPayload)) continue;
     wire[3] = static_cast<std::uint8_t>(lied);
-    const auto r = net::parse_checked(phy::append_crc(wire));
+    const auto r = net::parse_checked(with_crc(wire));
     EXPECT_EQ(r.error, net::ParseError::kLengthMismatch) << "delta " << delta;
     EXPECT_FALSE(r.frame.has_value());
   }
@@ -189,7 +198,7 @@ TEST(ParseCheckedBounds, UnknownTypeClassified) {
   auto wire = net::serialize(sample_frame(2));
   wire.resize(wire.size() - 2);
   wire[1] = 0x7E;  // not a FrameType
-  EXPECT_EQ(net::parse_checked(phy::append_crc(wire)).error,
+  EXPECT_EQ(net::parse_checked(with_crc(wire)).error,
             net::ParseError::kBadType);
 }
 

@@ -10,6 +10,15 @@
 namespace vab::net {
 namespace {
 
+/// `body` followed by its big-endian CRC-16, the layout net::serialize
+/// writes: lets a test tamper with a header and keep the CRC valid.
+bytes with_crc(bytes body) {
+  const std::uint16_t c = phy::crc16(body);
+  body.push_back(static_cast<std::uint8_t>(c >> 8));
+  body.push_back(static_cast<std::uint8_t>(c & 0xFF));
+  return body;
+}
+
 TEST(Frame, SerializeParseRoundTrip) {
   Frame f;
   f.addr = 7;
@@ -92,7 +101,7 @@ TEST(Frame, ParseCheckedClassifiesErrors) {
   // this is the case plain CRC checking does not cover.
   bytes lying(wire.begin(), wire.end() - 2);
   lying[3] = 200;
-  lying = phy::append_crc(lying);
+  lying = with_crc(lying);
   EXPECT_EQ(parse_checked(lying).error, ParseError::kLengthMismatch);
 
   // Unknown type bytes, CRC valid; 0x02 and 0x30 are retired type values.
@@ -100,7 +109,7 @@ TEST(Frame, ParseCheckedClassifiesErrors) {
        {std::uint8_t{0x7F}, std::uint8_t{0x02}, std::uint8_t{0x30}}) {
     bytes bad_type(wire.begin(), wire.end() - 2);
     bad_type[1] = type;
-    bad_type = phy::append_crc(bad_type);
+    bad_type = with_crc(bad_type);
     EXPECT_EQ(parse_checked(bad_type).error, ParseError::kBadType) << int{type};
   }
 }

@@ -79,8 +79,7 @@ TEST_F(DeterminismTest, WaveformTrialsBitIdenticalAcrossThreadCounts) {
   s.env.fading_sigma_db = 0.0;
   auto run = [&](unsigned threads) {
     common::set_thread_count(threads);
-    common::Rng rng(42);
-    return sim::run_waveform_trials(s, 6, 32, rng);
+    return sim::run_waveform_batch({sim::WaveformJob{s, 6, 32, common::Rng(42)}})[0];
   };
   const auto serial = run(1);
   ASSERT_EQ(serial.trials, 6u);
@@ -89,8 +88,9 @@ TEST_F(DeterminismTest, WaveformTrialsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(DeterminismTest, WaveformBatchMatchesPerJobRuns) {
-  // The flat (job, trial) fan-out must reproduce per-job run_waveform_trials
-  // bit-for-bit, at every thread count.
+  // Jobs are independent: each job of a two-job batch (one flat (job, trial)
+  // fan-out) must equal its own one-job batch bit-for-bit, at every thread
+  // count.
   std::vector<sim::WaveformJob> jobs;
   common::Rng master(7);
   for (double r : {30.0, 45.0}) {
@@ -103,19 +103,15 @@ TEST_F(DeterminismTest, WaveformBatchMatchesPerJobRuns) {
     j.rng = master.child(static_cast<std::uint64_t>(r));
     jobs.push_back(j);
   }
-  common::set_thread_count(1);
-  std::vector<sim::WaveformStats> reference;
-  for (auto& j : jobs) {
-    common::Rng rng = j.rng;
-    reference.push_back(
-        sim::run_waveform_trials(j.scenario, j.trials, j.payload_bits, rng));
-  }
   for (unsigned t : kThreadCounts) {
     common::set_thread_count(t);
     const auto batch = sim::run_waveform_batch(jobs);
-    ASSERT_EQ(batch.size(), reference.size());
-    for (std::size_t j = 0; j < batch.size(); ++j)
-      expect_waveform_stats_identical(reference[j], batch[j], t);
+    ASSERT_EQ(batch.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const auto alone = sim::run_waveform_batch({jobs[j]});
+      ASSERT_EQ(alone.size(), 1u);
+      expect_waveform_stats_identical(alone[0], batch[j], t);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "net/frame.hpp"
 #include "phy/ber.hpp"
 #include "phy/coding.hpp"
 
@@ -28,26 +29,32 @@ TEST(Crc16, KnownVector) {
   EXPECT_EQ(crc16(msg), 0x29B1);
 }
 
+// Frames append and check the CRC in place (net::serialize /
+// net::parse_checked); the CRC is checked before any other header field, so
+// any corruption it catches reads kBadCrc.
 TEST(Crc16, DetectsCorruption) {
   common::Rng rng(1);
   for (int trial = 0; trial < 50; ++trial) {
-    bytes msg(16);
-    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    bytes wire = append_crc(msg);
-    bytes out;
-    ASSERT_TRUE(check_and_strip_crc(wire, out));
-    EXPECT_EQ(out, msg);
+    net::Frame f;
+    f.type = net::FrameType::kSensorReport;
+    f.payload.resize(16);
+    for (auto& b : f.payload) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    bytes wire = net::serialize(f);
+    const auto clean = net::parse_checked(wire);
+    ASSERT_EQ(clean.error, net::ParseError::kOk);
+    EXPECT_EQ(clean.frame->payload, f.payload);
     // Flip one random bit anywhere in the frame.
     const auto byte = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<long>(wire.size()) - 1));
     wire[byte] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-    EXPECT_FALSE(check_and_strip_crc(wire, out)) << "trial " << trial;
+    EXPECT_EQ(net::parse_checked(wire).error, net::ParseError::kBadCrc)
+        << "trial " << trial;
   }
 }
 
 TEST(Crc16, ShortInputRejected) {
-  bytes out;
-  EXPECT_FALSE(check_and_strip_crc({0x01}, out));
+  EXPECT_EQ(net::parse_checked({0x01}).error, net::ParseError::kTooShort);
+  EXPECT_EQ(net::parse_checked({}).error, net::ParseError::kTooShort);
 }
 
 // The bitwise CRC-16/CCITT-FALSE loop the table is generated from.
@@ -69,26 +76,6 @@ TEST(Crc16, TableMatchesBitwiseReference) {
     for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     EXPECT_EQ(crc16(msg), bitwise_crc16(msg)) << "length " << n;
   }
-}
-
-TEST(Crc16, FailedCheckLeavesOutUntouched) {
-  const bytes sentinel{0xAA, 0xBB, 0xCC};
-  bytes wire = append_crc({0x01, 0x02, 0x03, 0x04});
-  wire.back() ^= 0x01;
-  bytes out = sentinel;
-  EXPECT_FALSE(check_and_strip_crc(wire, out));
-  EXPECT_EQ(out, sentinel);
-  EXPECT_FALSE(check_and_strip_crc({0x01}, out));
-  EXPECT_EQ(out, sentinel);
-  EXPECT_FALSE(check_and_strip_crc({}, out));
-  EXPECT_EQ(out, sentinel);
-}
-
-TEST(Crc16, StripInPlaceWhenOutAliasesInput) {
-  const bytes msg{0x10, 0x20, 0x30};
-  bytes wire = append_crc(msg);
-  ASSERT_TRUE(check_and_strip_crc(wire, wire));
-  EXPECT_EQ(wire, msg);
 }
 
 TEST(Hamming, RoundTripClean) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -109,7 +110,10 @@ TEST_P(CodecFuzz, CrcCatchesRandomTwoBitCorruption) {
   common::Rng rng(GetParam() + 2000);
   bytes msg(12);
   for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-  bytes wire = phy::append_crc(msg);
+  const std::uint16_t crc = phy::crc16(msg);
+  bytes wire = msg;
+  wire.push_back(static_cast<std::uint8_t>(crc >> 8));
+  wire.push_back(static_cast<std::uint8_t>(crc & 0xFF));
   // Any two distinct bit flips: CRC-16 detects all double-bit errors within
   // its guarantee length.
   const auto total_bits = wire.size() * 8;
@@ -120,8 +124,9 @@ TEST_P(CodecFuzz, CrcCatchesRandomTwoBitCorruption) {
   if (j == i) j = (j + 1) % total_bits;
   wire[i / 8] ^= static_cast<std::uint8_t>(1u << (i % 8));
   wire[j / 8] ^= static_cast<std::uint8_t>(1u << (j % 8));
-  bytes out;
-  EXPECT_FALSE(phy::check_and_strip_crc(wire, out));
+  const std::size_t n = msg.size();
+  const auto stored = static_cast<std::uint16_t>((wire[n] << 8) | wire[n + 1]);
+  EXPECT_NE(phy::crc16(std::span(wire).first(n)), stored);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Range<std::uint64_t>(0, 8));
@@ -170,10 +175,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ArraySweep, ::testing::Values(2u, 4u, 6u, 8u, 12
 
 TEST(ChannelProperties, AbsorptionLinearInRange) {
   for (double f : {10e3, 18.5e3, 50e3}) {
+    const channel::WaterProperties w;
     const double a1 =
-        channel::absorption_loss(common::Hz{f}, common::Meters{100.0}).raw();
+        channel::absorption_loss(common::Hz{f}, common::Meters{100.0}, w).raw();
     const double a2 =
-        channel::absorption_loss(common::Hz{f}, common::Meters{200.0}).raw();
+        channel::absorption_loss(common::Hz{f}, common::Meters{200.0}, w).raw();
     EXPECT_NEAR(a2, 2.0 * a1, 1e-9) << f;
   }
 }

@@ -175,16 +175,6 @@ TEST_F(SimdKernels, FftForwardInverseAndConvolveMatchScalar) {
     auto [scalar_i, simd_i] = scalar_vs_dispatched([&] { return dsp::ifft(x); });
     EXPECT_TRUE(bytes_equal(scalar_i, simd_i)) << "ifft n=" << n;
   }
-  const rvec a = random_rvec(rng, 100);
-  const rvec b = random_rvec(rng, 37);
-  auto [scalar_c, simd_c] =
-      scalar_vs_dispatched([&] { return dsp::fft_convolve(a, b); });
-  EXPECT_TRUE(bytes_equal(scalar_c, simd_c));
-  const cvec ca = random_cvec(rng, 64);
-  const cvec cb = random_cvec(rng, 21);
-  auto [scalar_x, simd_x] =
-      scalar_vs_dispatched([&] { return dsp::fft_xcorr(ca, cb); });
-  EXPECT_TRUE(bytes_equal(scalar_x, simd_x));
 }
 
 TEST_F(SimdKernels, MixersMatchFreshNcoReference) {

@@ -111,8 +111,8 @@ TEST(WaveformE2E, LinkBudgetCalibratesAgainstWaveformSnr) {
   s.env.fading_sigma_db = 0.0;
   s.env.multipath.max_order = 0;   // single path for a clean comparison
   s.env.spreading_coeff = 20.0;
-  common::Rng rng(108);
-  const auto stats = sim::run_waveform_trials(s, 3, 48, rng);
+  const auto stats =
+      sim::run_waveform_batch({sim::WaveformJob{s, 3, 48, common::Rng(108)}})[0];
   ASSERT_EQ(stats.frames_synced, 3u);
   const sim::LinkBudget budget(s);
   const double predicted_snr =
@@ -131,11 +131,11 @@ TEST(WaveformE2E, MultipathDelaySpreadDegradesHighBitrates) {
   common::Rng rng(109);
 
   s.phy.bitrate_bps = 200.0;
-  common::Rng rng_slow = rng.child(1);
-  const auto slow = sim::run_waveform_trials(s, 2, 32, rng_slow);
+  const auto slow =
+      sim::run_waveform_batch({sim::WaveformJob{s, 2, 32, rng.child(1)}})[0];
   s.phy.bitrate_bps = 2000.0;
-  common::Rng rng_fast = rng.child(2);
-  const auto fast = sim::run_waveform_trials(s, 2, 32, rng_fast);
+  const auto fast =
+      sim::run_waveform_batch({sim::WaveformJob{s, 2, 32, rng.child(2)}})[0];
   EXPECT_LE(slow.ber(), fast.ber() + 1e-9);
 }
 
