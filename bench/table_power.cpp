@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // Harvested power vs range in the river scenario.
   const piezo::BvdModel bvd =
       piezo::BvdModel::from_resonance(18500.0, 25.0, 0.3, 10e-9, 0.6);
-  const piezo::EnergyHarvester harvester({}, bvd);
+  const piezo::EnergyHarvester harvester(bvd);
   const sim::LinkBudget lb(sim::vab_river_scenario());
   const double avg_load =
       power.average_power_w(0.90, 0.05, 0.04, 0.01);  // typical duty cycle

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   // Per-node view, including the harvesting budget at each node's range.
   const piezo::BvdModel bvd =
       piezo::BvdModel::from_resonance(18500.0, 25.0, 0.3, 10e-9, 0.6);
-  const piezo::EnergyHarvester harvester({}, bvd);
+  const piezo::EnergyHarvester harvester(bvd);
   const piezo::PowerBudget power{};
   const sim::LinkBudget budget(scenario);
   // Duty cycle per round: the node backscatters one slot per round.

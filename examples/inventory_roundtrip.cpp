@@ -52,9 +52,7 @@ int main(int argc, char** argv) {
   nc.address = addr;
   nc.phy = rc.phy;
   nc.array.f_design_hz = rc.phy.carrier_hz;
-  const piezo::BvdModel transducer =
-      piezo::BvdModel::from_resonance(18500.0, 25.0, 0.3, 10e-9, 0.6);
-  core::VabNode node(nc, transducer);
+  core::VabNode node(nc);
   node.set_sensor_reading({cfg.get_double("temp_c", 18.25), 204.2, 2870});
 
   std::cout << "reader -> node " << static_cast<int>(addr) << ": QUERY\n";

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   const net::mcs::McsEntry uplink = net::mcs::McsEntry::from_config(base.phy, base.fec);
   const piezo::BvdModel bvd =
       piezo::BvdModel::from_resonance(18500.0, 25.0, 0.3, 10e-9, 0.6);
-  const piezo::EnergyHarvester harvester({}, bvd);
+  const piezo::EnergyHarvester harvester(bvd);
   const piezo::PowerBudget power{};
 
   // Node baseline load between passes: sleep plus ~40 s/day of sensing

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "dsp/resample.hpp"
 #include "dsp/workspace.hpp"
 #include "obs/obs.hpp"
 
@@ -27,7 +26,7 @@ double WaveformChannel::max_delay_s() const {
   return d;
 }
 
-void WaveformChannel::apply_taps(const rvec& tx, rvec& out) const {
+void WaveformChannel::propagate_clean(const rvec& tx, rvec& out) const {
   VAB_STAGE("channel.apply_taps");
   const double fs = cfg_.fs_hz;
   const double wave_amp = cfg_.surface_wave_amplitude_m;
@@ -65,27 +64,6 @@ void WaveformChannel::apply_taps(const rvec& tx, rvec& out) const {
       }
     }
   }
-}
-
-rvec WaveformChannel::propagate_clean(const rvec& tx) const {
-  rvec y;
-  propagate_clean(tx, y);
-  return y;
-}
-
-void WaveformChannel::propagate_clean(const rvec& tx, rvec& out) const {
-  apply_taps(tx, out);
-  if (cfg_.doppler_speed_mps != 0.0) {
-    // Uniform motion compresses/dilates the time axis by (1 +/- v/c).
-    const double factor = 1.0 + cfg_.doppler_speed_mps / cfg_.sound_speed_mps;
-    out = dsp::resample_linear(out, cfg_.fs_hz * factor, cfg_.fs_hz);
-  }
-}
-
-rvec WaveformChannel::propagate(const rvec& tx) const {
-  rvec y;
-  propagate(tx, y);
-  return y;
 }
 
 void WaveformChannel::propagate(const rvec& tx, rvec& out) const {

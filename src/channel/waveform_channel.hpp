@@ -1,6 +1,6 @@
 // Time-domain propagation: applies a tap set (delays + gains) to a passband
-// waveform, optionally with Doppler (platform drift) and slow fading, and
-// adds Wenz ambient noise. This is the substrate the end-to-end waveform
+// waveform, optionally with slow fading and surface-wave motion, and adds
+// Wenz ambient noise. This is the substrate the end-to-end waveform
 // simulator runs on.
 #pragma once
 
@@ -19,8 +19,6 @@ struct WaveformChannelConfig {
   std::vector<PathTap> taps;          ///< from image_method_taps or custom
   NoiseConditions noise{};
   bool add_noise = true;
-  /// Relative radial speed (m/s) between endpoints; positive = closing.
-  double doppler_speed_mps = 0.0;
   double sound_speed_mps = 1500.0;
   /// Std-dev of slow per-tap log-amplitude fading in dB (0 = static channel).
   double fading_sigma_db = 0.0;
@@ -41,26 +39,18 @@ class WaveformChannel {
   WaveformChannel(WaveformChannelConfig cfg, common::Rng& rng);
 
   /// Propagates a pressure waveform (Pa, at 1 m from the source) through the
-  /// channel; the output is the pressure at the receiver, same sample rate,
-  /// extended by the maximum path delay.
-  rvec propagate(const rvec& tx) const;
-
-  /// Out-parameter form used on the trial hot path; noise scratch comes from
-  /// the thread-local dsp::Workspace.
+  /// channel into `out`: the pressure at the receiver, same sample rate,
+  /// extended by the maximum path delay. Noise scratch comes from the
+  /// thread-local dsp::Workspace.
   void propagate(const rvec& tx, rvec& out) const;
 
-  /// Propagates without noise (used by calibration tests).
-  rvec propagate_clean(const rvec& tx) const;
-
-  /// Out-parameter form of `propagate_clean`.
+  /// `propagate` without the fault hook and the ambient noise.
   void propagate_clean(const rvec& tx, rvec& out) const;
 
   const std::vector<PathTap>& taps() const { return cfg_.taps; }
   double max_delay_s() const;
 
  private:
-  void apply_taps(const rvec& tx, rvec& out) const;
-
   WaveformChannelConfig cfg_;
   common::Rng* rng_;
   std::vector<double> fade_;  ///< per-tap linear fading factors for this run

@@ -35,11 +35,6 @@ double percentile(rvec v, double p) {
   return v[lo] + frac * (v[hi] - v[lo]);
 }
 
-double min_value(const rvec& v) {
-  if (v.empty()) throw std::invalid_argument("min of empty vector");
-  return *std::min_element(v.begin(), v.end());
-}
-
 double max_value(const rvec& v) {
   if (v.empty()) throw std::invalid_argument("max of empty vector");
   return *std::max_element(v.begin(), v.end());

@@ -12,7 +12,6 @@ double variance(const rvec& v);   // population variance
 double stddev(const rvec& v);
 double median(rvec v);            // by value: sorts a copy
 double percentile(rvec v, double p);  // p in [0,100]
-double min_value(const rvec& v);
 double max_value(const rvec& v);
 
 /// Running mean/variance accumulator (Welford).

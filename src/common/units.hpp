@@ -152,9 +152,6 @@ struct Db : units_detail::StrongDouble<Db>,
   [[nodiscard]] static Db from_power_ratio(double ratio) {
     return Db{10.0 * std::log10(ratio)};
   }
-  [[nodiscard]] static Db from_amplitude_ratio(double ratio) {
-    return Db{20.0 * std::log10(ratio)};
-  }
 };
 
 /// Signal-to-noise ratio in dB. Distinct from Db the way a point is distinct

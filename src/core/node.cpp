@@ -1,19 +1,19 @@
 #include "core/node.hpp"
 
 #include "net/frame.hpp"
+#include "phy/pie.hpp"
 
 namespace vab::core {
 
-VabNode::VabNode(NodeConfig cfg, const piezo::BvdModel& transducer)
+VabNode::VabNode(NodeConfig cfg)
     : cfg_(cfg),
       array_(cfg.array),
       modulator_(cfg.phy),
-      mac_(cfg.address, cfg.mac),
-      harvester_(cfg.harvester, transducer) {}
+      mac_(cfg.address, net::MacTiming{}) {}
 
 std::optional<ScheduledUplink> VabNode::handle_downlink(const rvec& envelope,
                                                         double fs_hz) {
-  const auto bits = phy::pie_decode_envelope(envelope, cfg_.pie, fs_hz);
+  const auto bits = phy::pie_decode_envelope(envelope, fs_hz);
   if (!bits) return std::nullopt;
   const auto frame = net::parse_bits(*bits);
   if (!frame) return std::nullopt;
@@ -26,20 +26,6 @@ std::optional<ScheduledUplink> VabNode::handle_downlink(const rvec& envelope,
   up.tx_offset_s = response->tx_offset_s;
   up.switch_states = modulator_.switch_waveform(net::serialize_bits(response->frame));
   return up;
-}
-
-void VabNode::account_harvest(double pressure_pa, double duration_s) {
-  harvested_j_ +=
-      harvester_.harvested_power_w(pressure_pa, cfg_.phy.carrier_hz) * duration_s;
-  spent_j_ += cfg_.power.sleep_w * duration_s;
-}
-
-void VabNode::account_listen(double duration_s) {
-  spent_j_ += cfg_.power.rx_listen_w * duration_s;
-}
-
-void VabNode::account_backscatter(double duration_s) {
-  spent_j_ += cfg_.power.backscatter_w * duration_s;
 }
 
 }  // namespace vab::core

@@ -1,7 +1,6 @@
 // VabNode — the paper's battery-free sensor node, end to end:
 // PIE downlink decode (envelope detector) -> MAC -> sensor payload ->
-// FM0 backscatter uplink via the Van Atta array, with an energy ledger
-// tracking harvest vs spend.
+// FM0 backscatter uplink via the Van Atta array.
 #pragma once
 
 #include <cstdint>
@@ -10,8 +9,6 @@
 #include "common/types.hpp"
 #include "net/mac.hpp"
 #include "phy/modem.hpp"
-#include "phy/pie.hpp"
-#include "piezo/harvester.hpp"
 #include "vanatta/array.hpp"
 
 namespace vab::core {
@@ -20,10 +17,6 @@ struct NodeConfig {
   std::uint8_t address = 1;
   vanatta::VanAttaConfig array{};
   phy::PhyConfig phy{};
-  phy::PieConfig pie{};
-  net::MacTiming mac{};
-  piezo::HarvesterConfig harvester{};
-  piezo::PowerBudget power{};
 };
 
 /// Result of handling one downlink: the uplink switch waveform to apply and
@@ -36,7 +29,7 @@ struct ScheduledUplink {
 
 class VabNode {
  public:
-  VabNode(NodeConfig cfg, const piezo::BvdModel& transducer);
+  explicit VabNode(NodeConfig cfg);
 
   /// Feeds the downlink envelope (output of the node's passive envelope
   /// detector, arbitrary scale) and produces a scheduled uplink if the
@@ -44,16 +37,6 @@ class VabNode {
   std::optional<ScheduledUplink> handle_downlink(const rvec& envelope, double fs_hz);
 
   void set_sensor_reading(const net::SensorReading& r) { reading_ = r; }
-  const net::SensorReading& sensor_reading() const { return reading_; }
-
-  /// Energy ledger: harvested while absorbing carrier at `pressure_pa` for
-  /// `duration_s`; spent per state via the power budget.
-  void account_harvest(double pressure_pa, double duration_s);
-  void account_listen(double duration_s);
-  void account_backscatter(double duration_s);
-  double energy_balance_j() const { return harvested_j_ - spent_j_; }
-  double harvested_j() const { return harvested_j_; }
-  double spent_j() const { return spent_j_; }
 
   std::uint8_t address() const { return cfg_.address; }
   const NodeConfig& config() const { return cfg_; }
@@ -64,10 +47,7 @@ class VabNode {
   vanatta::VanAttaArray array_;
   phy::BackscatterModulator modulator_;
   net::NodeMac mac_;
-  piezo::EnergyHarvester harvester_;
   net::SensorReading reading_{};
-  double harvested_j_ = 0.0;
-  double spent_j_ = 0.0;
 };
 
 }  // namespace vab::core

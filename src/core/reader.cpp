@@ -1,19 +1,17 @@
 #include "core/reader.hpp"
 
-#include <cmath>
-
-#include "common/units.hpp"
 #include "dsp/mixer.hpp"
 #include "obs/obs.hpp"
+#include "phy/pie.hpp"
 
 namespace vab::core {
 
 VabReader::VabReader(ReaderConfig cfg)
-    : cfg_(cfg), demod_(cfg.phy), mac_(cfg.mac) {}
+    : cfg_(cfg), demod_(cfg.phy), mac_(net::MacTiming{}) {}
 
 rvec VabReader::make_downlink_waveform(const net::Frame& f) const {
   const bitvec bits = net::serialize_bits(f);
-  const rvec env = phy::pie_encode_envelope(bits, cfg_.pie, cfg_.phy.fs_hz);
+  const rvec env = phy::pie_encode_envelope(bits, cfg_.phy.fs_hz);
   rvec carrier = dsp::make_tone(cfg_.phy.carrier_hz, cfg_.phy.fs_hz, env.size());
   for (std::size_t i = 0; i < env.size(); ++i) carrier[i] *= env[i];
   return carrier;
@@ -21,10 +19,6 @@ rvec VabReader::make_downlink_waveform(const net::Frame& f) const {
 
 rvec VabReader::make_carrier(std::size_t n) const {
   return dsp::make_tone(cfg_.phy.carrier_hz, cfg_.phy.fs_hz, n);
-}
-
-double VabReader::drive_amplitude_pa() const {
-  return common::pressure_from_spl(cfg_.source_level_db) * std::sqrt(2.0);
 }
 
 std::size_t VabReader::uplink_bits(std::size_t payload_bytes) {

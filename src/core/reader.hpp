@@ -9,15 +9,11 @@
 #include "net/frame.hpp"
 #include "net/mac.hpp"
 #include "phy/modem.hpp"
-#include "phy/pie.hpp"
 
 namespace vab::core {
 
 struct ReaderConfig {
   phy::PhyConfig phy{};
-  phy::PieConfig pie{};
-  net::MacTiming mac{};
-  double source_level_db = 184.0;  ///< projector output, dB re 1 uPa @ 1 m
 };
 
 struct UplinkDecode {
@@ -35,9 +31,6 @@ class VabReader {
 
   /// Continuous carrier of `n` samples for the backscatter phase.
   rvec make_carrier(std::size_t n) const;
-
-  /// Peak pressure amplitude (Pa at 1 m) corresponding to the source level.
-  double drive_amplitude_pa() const;
 
   /// Expected uplink payload bits for a frame with `payload_bytes` payload.
   static std::size_t uplink_bits(std::size_t payload_bytes);

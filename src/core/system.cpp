@@ -39,7 +39,7 @@ NetworkResult NetworkSimulator::run(std::size_t rounds, std::size_t payload_byte
   if (!scenario_.fault.empty()) injector.emplace(scenario_.fault);
 
   // Round = downlink announcement + guard + one slot per node.
-  const double downlink_s = phy::pie_duration_s(frame_bits, phy::PieConfig{});
+  const double downlink_s = phy::pie_duration_s(frame_bits);
   res.round_duration_s = downlink_s + timing.guard_s +
                          static_cast<double>(nodes_.size()) * timing.slot_duration_s();
 

@@ -31,9 +31,6 @@ class FirFilter {
   void process(const rvec& x, rvec& y);
   void process(const cvec& x, cvec& y);
 
-  /// Group delay of a linear-phase filter in samples.
-  double group_delay() const { return (static_cast<double>(taps_.size()) - 1.0) / 2.0; }
-
   void reset();
   const rvec& taps() const { return taps_; }
 

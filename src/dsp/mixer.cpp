@@ -13,7 +13,7 @@
 namespace vab::dsp {
 
 Nco::Nco(double freq_hz, double fs_hz, double phase_rad)
-    : fs_hz_(fs_hz), step_(common::kTwoPi * freq_hz / fs_hz), phase_(phase_rad) {
+    : step_(common::kTwoPi * freq_hz / fs_hz), phase_(phase_rad) {
   if (fs_hz <= 0.0) throw std::invalid_argument("NCO sample rate must be > 0");
 }
 
@@ -24,8 +24,6 @@ cplx Nco::next() {
 }
 
 double Nco::next_cos() { return next().real(); }
-
-void Nco::set_frequency(double freq_hz) { step_ = common::kTwoPi * freq_hz / fs_hz_; }
 
 namespace {
 

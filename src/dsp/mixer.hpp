@@ -19,10 +19,8 @@ class Nco {
 
   /// Instantaneous phase in radians.
   double phase() const { return phase_; }
-  void set_frequency(double freq_hz);
 
  private:
-  double fs_hz_;
   double step_;
   double phase_;
 };

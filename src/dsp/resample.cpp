@@ -1,63 +1,8 @@
 #include "dsp/resample.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "dsp/fir.hpp"
-
 namespace vab::dsp {
-
-namespace {
-template <typename Vec>
-Vec decimate_impl(const Vec& x, std::size_t m, std::size_t taps) {
-  if (m == 0) throw std::invalid_argument("decimation factor must be >= 1");
-  if (m == 1) return x;
-  // Anti-alias at 80% of the new Nyquist (normalized design: fs = 1).
-  FirFilter lp(design_lowpass(0.4 / static_cast<double>(m), 1.0, taps));
-  Vec filtered = lp.process(x);
-  Vec out;
-  out.reserve(filtered.size() / m + 1);
-  for (std::size_t i = 0; i < filtered.size(); i += m) out.push_back(filtered[i]);
-  return out;
-}
-
-template <typename Vec>
-Vec resample_impl(const Vec& x, double fs_in, double fs_out) {
-  if (fs_in <= 0.0 || fs_out <= 0.0) throw std::invalid_argument("rates must be > 0");
-  if (x.empty()) return {};
-  const double ratio = fs_in / fs_out;
-  const auto n_out = static_cast<std::size_t>(
-      std::floor(static_cast<double>(x.size() - 1) / ratio)) + 1;
-  Vec out(n_out);
-  for (std::size_t i = 0; i < n_out; ++i)
-    out[i] = sample_at(x, static_cast<double>(i) * ratio);
-  return out;
-}
-}  // namespace
-
-rvec decimate(const rvec& x, std::size_t m, std::size_t taps) {
-  return decimate_impl(x, m, taps);
-}
-cvec decimate(const cvec& x, std::size_t m, std::size_t taps) {
-  return decimate_impl(x, m, taps);
-}
-
-rvec resample_linear(const rvec& x, double fs_in, double fs_out) {
-  return resample_impl(x, fs_in, fs_out);
-}
-cvec resample_linear(const cvec& x, double fs_in, double fs_out) {
-  return resample_impl(x, fs_in, fs_out);
-}
-
-double sample_at(const rvec& x, double t) {
-  if (x.empty()) throw std::invalid_argument("sample_at on empty signal");
-  if (t <= 0.0) return x.front();
-  const auto last = static_cast<double>(x.size() - 1);
-  if (t >= last) return x.back();
-  const auto i = static_cast<std::size_t>(t);
-  const double frac = t - static_cast<double>(i);
-  return x[i] + frac * (x[i + 1] - x[i]);
-}
 
 cplx sample_at(const cvec& x, double t) {
   if (x.empty()) throw std::invalid_argument("sample_at on empty signal");

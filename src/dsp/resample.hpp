@@ -1,25 +1,13 @@
-// Rate conversion: integer decimation with anti-alias filtering and
-// arbitrary-ratio linear-interpolation resampling (adequate for the
-// heavily-oversampled signals in this simulator).
+// Fractional-delay interpolation for reading a heavily-oversampled signal
+// between its samples.
 #pragma once
-
-#include <cstddef>
 
 #include "common/types.hpp"
 
 namespace vab::dsp {
 
-/// Decimates by integer factor `m` after an anti-alias low-pass.
-rvec decimate(const rvec& x, std::size_t m, std::size_t taps = 63);
-cvec decimate(const cvec& x, std::size_t m, std::size_t taps = 63);
-
-/// Linear-interpolation resample from fs_in to fs_out.
-rvec resample_linear(const rvec& x, double fs_in, double fs_out);
-cvec resample_linear(const cvec& x, double fs_in, double fs_out);
-
 /// Fractional-delay interpolation: sample x at continuous index `t`
 /// (linear between neighbors; clamped at the ends).
-double sample_at(const rvec& x, double t);
 cplx sample_at(const cvec& x, double t);
 
 }  // namespace vab::dsp

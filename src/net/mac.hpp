@@ -73,7 +73,6 @@ class NodeMac {
                                       const SensorReading& reading);
 
   std::uint8_t address() const { return addr_; }
-  std::uint8_t next_seq() const { return seq_; }
   /// True while a report is outstanding (sent but not yet ACKed).
   bool awaiting_ack() const { return awaiting_ack_; }
 
@@ -87,7 +86,6 @@ class NodeMac {
   /// Modem/FEC reconfigurations performed (counted only on rung *change*).
   std::size_t reconfigures() const { return reconfigures_; }
   const phy::PhyConfig& phy_config() const { return phy_cfg_; }
-  const phy::FecConfig& fec_config() const { return fec_cfg_; }
 
  private:
   void reconfigure(std::size_t rung);

@@ -10,10 +10,10 @@ RateController::RateController(const McsLadder& ladder, AdaptConfig cfg)
   sustain_snr_db_.reserve(ladder.size());
   for (std::size_t r = 0; r < ladder.size(); ++r) {
     sustain_snr_db_.push_back(
-        ladder.rung(r).snr_for_delivery(cfg_.target_delivery, cfg_.frame_bits).raw());
+        ladder.rung(r).snr_for_delivery(kTargetDelivery, kValidationFrameBits).raw());
   }
   rung_ = std::min(cfg_.start_rung, ladder.size() - 1);
-  delivery_ewma_ = cfg_.target_delivery;
+  delivery_ewma_ = kTargetDelivery;
 }
 
 common::SnrDb RateController::down_threshold(std::size_t rung_index) const {
@@ -25,21 +25,21 @@ common::SnrDb RateController::down_threshold(std::size_t rung_index) const {
 common::SnrDb RateController::up_threshold(std::size_t rung_index) const {
   if (rung_index + 1 >= sustain_snr_db_.size())
     return common::SnrDb{std::numeric_limits<double>::infinity()};
-  return common::SnrDb{sustain_snr_db_[rung_index + 1] + cfg_.hysteresis_db};
+  return common::SnrDb{sustain_snr_db_[rung_index + 1] + kHysteresisDb};
 }
 
 int RateController::observe(std::optional<common::SnrDb> snr_ref, bool delivered) {
   ++polls_;
   if (snr_ref.has_value()) {
     if (snr_ewma_.has_value()) {
-      *snr_ewma_ += cfg_.ewma_alpha * (snr_ref->raw() - *snr_ewma_);
+      *snr_ewma_ += kEwmaAlpha * (snr_ref->raw() - *snr_ewma_);
     } else {
       snr_ewma_ = snr_ref->raw();
     }
   }
   const double sample = delivered ? 1.0 : 0.0;
   if (have_outcome_) {
-    delivery_ewma_ += cfg_.ewma_alpha * (sample - delivery_ewma_);
+    delivery_ewma_ += kEwmaAlpha * (sample - delivery_ewma_);
   } else {
     delivery_ewma_ = sample;
     have_outcome_ = true;
@@ -59,9 +59,9 @@ int RateController::try_step() {
     }
   } else if (have_outcome_) {
     // Outcome path: the delivery EWMA stands in for a BER estimate.
-    if (delivery_ewma_ < cfg_.outcome_down_below && rung_ > 0) {
+    if (delivery_ewma_ < kOutcomeDownBelow && rung_ > 0) {
       dir = -1;
-    } else if (delivery_ewma_ > cfg_.outcome_up_above &&
+    } else if (delivery_ewma_ > kOutcomeUpAbove &&
                rung_ + 1 < ladder_->size()) {
       dir = +1;
     }
@@ -73,10 +73,10 @@ int RateController::try_step() {
     ++steps_up_;
     // A just-promoted rung has no delivery history; seed the EWMA at the
     // target so one stale low sample cannot immediately bounce it back.
-    if (!snr_ewma_.has_value()) delivery_ewma_ = cfg_.target_delivery;
+    if (!snr_ewma_.has_value()) delivery_ewma_ = kTargetDelivery;
   } else {
     ++steps_down_;
-    if (!snr_ewma_.has_value()) delivery_ewma_ = cfg_.target_delivery;
+    if (!snr_ewma_.has_value()) delivery_ewma_ = kTargetDelivery;
   }
   return dir;
 }
@@ -84,7 +84,7 @@ int RateController::try_step() {
 void RateController::reset() {
   rung_ = std::min(cfg_.start_rung, ladder_->size() - 1);
   snr_ewma_.reset();
-  delivery_ewma_ = cfg_.target_delivery;
+  delivery_ewma_ = kTargetDelivery;
   have_outcome_ = false;
   polls_ = 0;
   polls_at_change_ = 0;

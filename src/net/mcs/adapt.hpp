@@ -12,8 +12,8 @@
 //    reference scale; the EWMA is compared against per-rung thresholds
 //    derived from the ladder's analytic delivery curves. Step down when the
 //    EWMA falls below the SNR where the *current* rung sustains
-//    `target_delivery`; step up when it clears the SNR where the *next*
-//    rung sustains it, plus `hysteresis_db`. The gap between those
+//    `kTargetDelivery`; step up when it clears the SNR where the *next*
+//    rung sustains it, plus `kHysteresisDb`. The gap between those
 //    thresholds is what prevents rung flapping under constant SNR.
 //  - Outcome path (fallback, e.g. over the historical i.i.d. model): a
 //    delivery EWMA (a BER proxy) is compared against fixed delivery bands.
@@ -28,17 +28,20 @@
 
 namespace vab::net::mcs {
 
+inline constexpr double kEwmaAlpha = 0.25;  ///< weight of the newest observation
+/// Per-rung sustainable delivery target; the threshold curves evaluate it
+/// for a representative kValidationFrameBits frame.
+inline constexpr double kTargetDelivery = 0.9;
+inline constexpr double kHysteresisDb = 1.5;  ///< extra SNR demanded before stepping up
+/// Outcome-path bands (used when no SNR measurement is available): a
+/// delivery EWMA below kOutcomeDownBelow forces a step down, one above
+/// kOutcomeUpAbove allows a step up.
+inline constexpr double kOutcomeDownBelow = 0.7;
+inline constexpr double kOutcomeUpAbove = 0.98;
+
 struct AdaptConfig {
-  double ewma_alpha = 0.25;        ///< weight of the newest observation
-  double target_delivery = 0.9;    ///< per-rung sustainable delivery target
-  double hysteresis_db = 1.5;      ///< extra SNR demanded before stepping up
   std::size_t min_dwell_polls = 4; ///< polls between consecutive rung changes
   std::size_t start_rung = McsLadder::kPaperRung;  ///< clamped to the ladder
-  /// Representative frame length for the threshold curves.
-  std::size_t frame_bits = kValidationFrameBits;
-  /// Outcome-path bands (used when no SNR measurement is available).
-  double outcome_down_below = 0.7;  ///< delivery EWMA that forces a step down
-  double outcome_up_above = 0.98;   ///< delivery EWMA that allows a step up
   /// Pin the controller to start_rung (fault-matrix runs that must compare
   /// rungs under identical fault schedules).
   bool frozen = false;
@@ -65,8 +68,6 @@ class RateController {
   std::size_t steps_up() const { return steps_up_; }
   std::size_t steps_down() const { return steps_down_; }
   bool has_snr() const { return snr_ewma_.has_value(); }
-  common::SnrDb snr_ewma() const { return common::SnrDb{snr_ewma_.value_or(0.0)}; }
-  double delivery_ewma() const { return delivery_ewma_; }
 
   /// SNR below which `rung` cannot sustain the delivery target (step-down
   /// threshold; -inf for the bottom rung).

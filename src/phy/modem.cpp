@@ -20,7 +20,7 @@ namespace vab::phy {
 
 std::size_t PhyConfig::decimation() const {
   const double target_rate =
-      static_cast<double>(target_samples_per_chip) * chip_rate_hz();
+      static_cast<double>(kTargetSamplesPerChip) * chip_rate_hz();
   const auto m = static_cast<std::size_t>(std::floor(fs_hz / target_rate));
   return std::max<std::size_t>(m, 1);
 }
@@ -232,16 +232,16 @@ DemodResult ReaderDemodulator::demodulate(const rvec& passband,
   // constellation. Falls back to plain derotation when disabled or when the
   // fit fails.
   cplx derot = std::exp(cplx{0.0, -res.carrier_phase_rad});
-  if (cfg_.enable_equalizer && n_known >= 2 * cfg_.channel_taps + 4) {
+  if (cfg_.enable_equalizer && n_known >= 2 * kChannelTaps + 4) {
     VAB_STAGE("demod.equalize");
     try {
       const cvec known_chips(chips.begin(),
                              chips.begin() + static_cast<std::ptrdiff_t>(n_known));
       const auto est =
-          estimate_channel_ls(known_chips, pre_levels, cfg_.channel_taps, 1);
+          estimate_channel_ls(known_chips, pre_levels, kChannelTaps, 1);
       res.channel_fit_error = est.fit_error;
       std::size_t delay = 0;
-      const cvec w = design_zf_equalizer(est, cfg_.equalizer_taps, delay);
+      const cvec w = design_zf_equalizer(est, kEqualizerTaps, delay);
       cvec shifted = chips;
       for (auto& v : shifted) v -= est.baseline;
       chips = equalize(shifted, w, delay);
@@ -320,10 +320,6 @@ DemodResult ReaderDemodulator::demodulate(const rvec& passband,
     res.snr_db = 10.0 * std::log10(std::max(a * a, 1e-30) / std::max(nvar, 1e-30));
   }
   return res;
-}
-
-rvec reader_carrier(const PhyConfig& cfg, std::size_t n_samples) {
-  return dsp::make_tone(cfg.carrier_hz, cfg.fs_hz, n_samples);
 }
 
 }  // namespace vab::phy

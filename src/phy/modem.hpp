@@ -31,21 +31,22 @@ inline std::size_t chips_per_bit(UplinkCode code) {
   return 2;
 }
 
+/// Target baseband samples per chip after decimation (actual value may be
+/// fractional; the demodulator interpolates).
+inline constexpr std::size_t kTargetSamplesPerChip = 8;
+inline constexpr std::size_t kChannelTaps = 3;    ///< chip-spaced channel estimate length
+inline constexpr std::size_t kEqualizerTaps = 7;  ///< zero-forcing equalizer length
+
 struct PhyConfig {
   double fs_hz = 192000.0;       ///< passband simulation rate
   double carrier_hz = 18500.0;   ///< piezo resonance
   double bitrate_bps = 500.0;    ///< chip rate is chips_per_bit() x this
   UplinkCode uplink_code = UplinkCode::kFm0;
-  /// Target baseband samples per chip after decimation (actual value may be
-  /// fractional; the demodulator interpolates).
-  std::size_t target_samples_per_chip = 8;
   double sync_threshold = 0.45;  ///< normalized correlation acceptance
   std::size_t lowpass_taps = 255;
   SicConfig sic{};
   /// Preamble-trained chip-rate equalizer (set false for the ablation).
   bool enable_equalizer = true;
-  std::size_t channel_taps = 3;    ///< chip-spaced channel estimate length
-  std::size_t equalizer_taps = 7;  ///< zero-forcing equalizer length
 
   std::size_t chips_per_bit() const { return phy::chips_per_bit(uplink_code); }
   double chip_rate_hz() const {
@@ -56,17 +57,8 @@ struct PhyConfig {
   double fs_baseband_hz() const { return fs_hz / static_cast<double>(decimation()); }
   double samples_per_chip_bb() const { return fs_baseband_hz() / chip_rate_hz(); }
 
-  /// Typed views of the unit-bearing fields, for callers migrating onto the
-  /// strong-unit API (the raw fields above stay authoritative for configs).
-  common::SampleRateHz fs() const { return common::SampleRateHz{fs_hz}; }
-  common::Hz carrier() const { return common::Hz{carrier_hz}; }
+  /// Typed view of the chip rate for the strong-unit link-budget API.
   common::Hz chip_rate() const { return common::Hz{chip_rate_hz()}; }
-  common::SampleRateHz fs_baseband() const {
-    return common::SampleRateHz{fs_baseband_hz()};
-  }
-  common::Seconds chip_duration() const {
-    return common::Seconds{1.0 / chip_rate_hz()};
-  }
 };
 
 /// Node-side modulator: produces the per-sample switch state (0/1 at fs)
@@ -143,8 +135,5 @@ class ReaderDemodulator {
   rvec pre_levels_;    ///< settle pilot + preamble chip levels
   cvec sync_ref_;      ///< zero-meaned baseband-rate sync reference
 };
-
-/// Continuous reader carrier (projector drive), unit amplitude.
-rvec reader_carrier(const PhyConfig& cfg, std::size_t n_samples);
 
 }  // namespace vab::phy

@@ -13,32 +13,31 @@ void append_level(rvec& env, double level, double duration_s, double fs_hz) {
 }
 }  // namespace
 
-rvec pie_encode_envelope(const bitvec& bits, const PieConfig& cfg, double fs_hz) {
-  if (fs_hz <= 0.0 || cfg.tari_s <= 0.0) throw std::invalid_argument("bad PIE config");
+rvec pie_encode_envelope(const bitvec& bits, double fs_hz) {
+  if (fs_hz <= 0.0) throw std::invalid_argument("bad PIE sample rate");
   rvec env;
-  const double pw = cfg.pw_ratio * cfg.tari_s;
+  const double pw = kPiePwRatio * kPieTariS;
   // Leading carrier so the node's envelope detector settles, then delimiter.
-  append_level(env, 1.0, 2.0 * cfg.tari_s, fs_hz);
-  append_level(env, 0.0, cfg.delimiter_taris * cfg.tari_s, fs_hz);
+  append_level(env, 1.0, 2.0 * kPieTariS, fs_hz);
+  append_level(env, 0.0, kPieDelimiterTaris * kPieTariS, fs_hz);
   for (auto b : bits) {
-    const double high = (b & 1u) ? cfg.one_ratio * cfg.tari_s : cfg.tari_s;
+    const double high = (b & 1u) ? kPieOneRatio * kPieTariS : kPieTariS;
     append_level(env, 1.0, high, fs_hz);
     append_level(env, 0.0, pw, fs_hz);
   }
   // Trailing carrier marks end of frame.
-  append_level(env, 1.0, 2.0 * cfg.tari_s, fs_hz);
+  append_level(env, 1.0, 2.0 * kPieTariS, fs_hz);
   return env;
 }
 
-double pie_duration_s(std::size_t n_bits, const PieConfig& cfg) {
-  const double pw = cfg.pw_ratio * cfg.tari_s;
+double pie_duration_s(std::size_t n_bits) {
+  const double pw = kPiePwRatio * kPieTariS;
   // Worst case: all ones.
-  return (2.0 + cfg.delimiter_taris + 2.0) * cfg.tari_s +
-         static_cast<double>(n_bits) * (cfg.one_ratio * cfg.tari_s + pw);
+  return (2.0 + kPieDelimiterTaris + 2.0) * kPieTariS +
+         static_cast<double>(n_bits) * (kPieOneRatio * kPieTariS + pw);
 }
 
-std::optional<bitvec> pie_decode_envelope(const rvec& envelope, const PieConfig& cfg,
-                                          double fs_hz) {
+std::optional<bitvec> pie_decode_envelope(const rvec& envelope, double fs_hz) {
   if (envelope.empty()) return std::nullopt;
   const double high = *std::max_element(envelope.begin(), envelope.end());
   if (high <= 0.0) return std::nullopt;
@@ -64,7 +63,7 @@ std::optional<bitvec> pie_decode_envelope(const rvec& envelope, const PieConfig&
   }
   runs.push_back({cur, len});
 
-  const double tari_samples = cfg.tari_s * fs_hz;
+  const double tari_samples = kPieTariS * fs_hz;
 
   // Debounce: multipath interference makes the envelope chatter across the
   // threshold at symbol edges, inserting sub-tari glitch runs. Merge any run
@@ -82,7 +81,7 @@ std::optional<bitvec> pie_decode_envelope(const rvec& envelope, const PieConfig&
       break;
     }
   }
-  const double delim_samples = cfg.delimiter_taris * tari_samples;
+  const double delim_samples = kPieDelimiterTaris * tari_samples;
 
   // Find the delimiter: an off-run close to the expected length that is
   // preceded by carrier (an on-run of at least one tari). The precondition
@@ -106,7 +105,7 @@ std::optional<bitvec> pie_decode_envelope(const rvec& envelope, const PieConfig&
   // longer than pw) and terminates the frame.
   bitvec bits;
   const double threshold_samples = 1.5 * tari_samples;
-  const double pw_samples = cfg.pw_ratio * tari_samples;
+  const double pw_samples = kPiePwRatio * tari_samples;
   for (std::size_t i = start; i < runs.size(); ++i) {
     if (!runs[i].on) continue;
     const bool followed_by_pw =

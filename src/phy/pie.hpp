@@ -12,25 +12,23 @@
 
 namespace vab::phy {
 
-struct PieConfig {
-  double tari_s = 12.5e-3;      ///< data-0 high duration (reference interval)
-  double pw_ratio = 0.5;        ///< low-pulse width as a fraction of tari
-  double one_ratio = 2.0;       ///< data-1 high duration in taris
-  /// Frame delimiter: a low pulse this many taris long precedes the data.
-  double delimiter_taris = 4.0;
-};
+/// Data-0 high duration (the reference interval, "tari").
+inline constexpr double kPieTariS = 12.5e-3;
+inline constexpr double kPiePwRatio = 0.5;   ///< low-pulse width as a fraction of tari
+inline constexpr double kPieOneRatio = 2.0;  ///< data-1 high duration in taris
+/// Frame delimiter: a low pulse this many taris long precedes the data.
+inline constexpr double kPieDelimiterTaris = 4.0;
 
 /// Expands bits into an on/off envelope (1 = carrier on) sampled at `fs_hz`,
 /// starting with the frame delimiter.
-rvec pie_encode_envelope(const bitvec& bits, const PieConfig& cfg, double fs_hz);
+rvec pie_encode_envelope(const bitvec& bits, double fs_hz);
 
 /// Decodes an envelope (arbitrary positive amplitude, 0 when off) back into
 /// bits. Threshold is adaptive (half the observed high level). Returns
 /// nullopt if no delimiter is found.
-std::optional<bitvec> pie_decode_envelope(const rvec& envelope, const PieConfig& cfg,
-                                          double fs_hz);
+std::optional<bitvec> pie_decode_envelope(const rvec& envelope, double fs_hz);
 
 /// Duration in seconds of the encoded envelope for `n_bits`.
-double pie_duration_s(std::size_t n_bits, const PieConfig& cfg);
+double pie_duration_s(std::size_t n_bits);
 
 }  // namespace vab::phy

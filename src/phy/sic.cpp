@@ -12,53 +12,36 @@ SelfInterferenceCanceller::SelfInterferenceCanceller(const SicConfig& cfg,
     : cfg_(cfg) {
   if (chip_rate_hz <= 0.0 || fs_bb_hz <= 0.0)
     throw std::invalid_argument("rates must be > 0");
-  const double corner_hz = cfg.notch_corner_frac * chip_rate_hz;
+  const double corner_hz = kNotchCornerFrac * chip_rate_hz;
   alpha_ = 1.0 - std::exp(-common::kTwoPi * corner_hz / fs_bb_hz);
 }
 
-cvec SelfInterferenceCanceller::process(const cvec& x, const cvec& reference) {
-  cvec y = x;
-  process_inplace(y, reference);
-  return y;
-}
-
-void SelfInterferenceCanceller::process_inplace(cvec& x, const cvec& reference) {
-  if (!reference.empty() && reference.size() != x.size())
-    throw std::invalid_argument("reference length mismatch");
-
+void SelfInterferenceCanceller::process_inplace(cvec& x) {
   // DC power before (carrier sits at 0 Hz in baseband).
   cplx mean_before{};
   for (const auto& v : x) mean_before += v;
   if (!x.empty()) mean_before /= static_cast<double>(x.size());
 
-  cvec& y = x;
   if (cfg_.enable_dc_notch) {
     // Stage 1 (static): subtract the full-capture complex mean. For an
     // unmodulated carrier blast this is exact — the blast can sit 80-90 dB
     // above the backscatter and any tracker transient of that size would
     // bury the frame. The balanced FM0 frame contributes ~nothing to the
     // mean.
-    for (auto& v : y) v -= mean_before;
+    for (auto& v : x) v -= mean_before;
     // Stage 2 (dynamic): slow one-pole tracker absorbs residual drift
     // (projector ramp, platform motion). It starts from zero error, so its
     // own transient is negligible.
     cplx track{};
-    for (auto& v : y) {
+    for (auto& v : x) {
       track += alpha_ * (v - track);
       v -= track;
     }
   }
-  if (cfg_.enable_lms) {
-    dsp::LmsCanceller lms(cfg_.lms_taps, cfg_.lms_mu);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const cplx ref = reference.empty() ? cplx{1.0, 0.0} : reference[i];
-      y[i] = lms.process(y[i], ref);
-    }
-  }
 
   cplx mean_after{};
-  for (const auto& v : y) mean_after += v;
-  if (!y.empty()) mean_after /= static_cast<double>(y.size());
+  for (const auto& v : x) mean_after += v;
+  if (!x.empty()) mean_after /= static_cast<double>(x.size());
 
   const double before = std::norm(mean_before);
   const double after = std::norm(mean_after);

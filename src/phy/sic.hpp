@@ -3,50 +3,32 @@
 // At the reader, the direct projector-to-hydrophone blast is tens of dB
 // above the backscatter. In complex baseband the unmodulated carrier is a
 // (slowly drifting) DC term; the backscatter data lives in the FM0
-// sidebands. Stage 1 high-passes the DC; stage 2 runs an NLMS canceller
-// against the known transmit reference to track residual amplitude/phase
-// drift (platform motion, projector ramp).
+// sidebands. The canceller subtracts the capture's DC, then a slow one-pole
+// tracker absorbs residual amplitude/phase drift (platform motion,
+// projector ramp).
 #pragma once
 
-#include <optional>
-
 #include "common/types.hpp"
-#include "dsp/lms.hpp"
 
 namespace vab::phy {
 
+/// One-pole drift-tracker corner as a fraction of the chip rate. Must sit far
+/// below the chip rate or the tracker eats the FM0 modulation itself; FM0
+/// guarantees runs of at most two chips, so 1% of the chip rate keeps the
+/// in-run droop negligible while still tracking carrier drift.
+inline constexpr double kNotchCornerFrac = 0.01;
+
 struct SicConfig {
-  bool enable_dc_notch = true;
-  /// One-pole high-pass corner as a fraction of the chip rate. Must sit far
-  /// below the chip rate or the tracker eats the FM0 modulation itself; FM0
-  /// guarantees runs of at most two chips, so 1% of the chip rate keeps the
-  /// in-run droop negligible while still tracking carrier drift.
-  double notch_corner_frac = 0.01;
-  /// Optional second stage. With a plain constant-carrier reference the LMS
-  /// degenerates into a second DC tracker that fights the notch and bites
-  /// into the modulation, so it is off by default; enable it when the
-  /// transmit reference has structure (PIE downlink leakage, projector
-  /// ramps) for the canceller to learn.
-  bool enable_lms = false;
-  std::size_t lms_taps = 4;
-  /// NLMS step. Small on purpose: with a constant-carrier reference the
-  /// canceller's tracking time constant is ~1/mu samples, which must span
-  /// many chips so the zero-mean data looks like noise to the adaptation.
-  double lms_mu = 0.005;
+  bool enable_dc_notch = true;  ///< false only for the E8 ablation
 };
 
 class SelfInterferenceCanceller {
  public:
-  /// `chip_rate_hz` and `fs_bb_hz` size the notch corner.
+  /// `chip_rate_hz` and `fs_bb_hz` size the tracker corner.
   SelfInterferenceCanceller(const SicConfig& cfg, double chip_rate_hz, double fs_bb_hz);
 
-  /// Cancels the carrier from baseband `x`. `reference` is the transmit
-  /// carrier in baseband (constant 1 for a pure tone); if empty, a unit
-  /// reference is assumed.
-  cvec process(const cvec& x, const cvec& reference = {});
-
-  /// Allocation-free variant: cancels the carrier in place.
-  void process_inplace(cvec& x, const cvec& reference = {});
+  /// Cancels the carrier from baseband `x` in place.
+  void process_inplace(cvec& x);
 
   /// Carrier suppression achieved on the last call, in dB (power at DC
   /// before vs after).

@@ -14,10 +14,7 @@ double rectifier_efficiency(const RectifierModel& r, double input_rms_v) {
   return r.peak_efficiency * x / (1.0 + x);
 }
 
-EnergyHarvester::EnergyHarvester(HarvesterConfig cfg, const BvdModel& transducer)
-    : cfg_(cfg), transducer_(transducer) {
-  if (cfg_.aperture_m2 <= 0.0) throw std::invalid_argument("aperture must be > 0");
-}
+EnergyHarvester::EnergyHarvester(const BvdModel& transducer) : transducer_(transducer) {}
 
 double EnergyHarvester::available_electrical_power_w(double pressure_pa,
                                                      double f_hz) const {
@@ -26,7 +23,7 @@ double EnergyHarvester::available_electrical_power_w(double pressure_pa,
   const double intensity = pressure_pa * pressure_pa / common::kWaterAcousticImpedance;
   // Acoustic->electrical conversion mirrors the electrical->acoustic path:
   // the motional efficiency applies in reverse.
-  return intensity * cfg_.aperture_m2 * transducer_.eta_acoustic();
+  return intensity * kHarvestApertureM2 * transducer_.eta_acoustic();
   (void)f_hz;
 }
 
@@ -34,8 +31,8 @@ double EnergyHarvester::harvested_power_w(double pressure_pa, double f_hz) const
   const double p_el = available_electrical_power_w(pressure_pa, f_hz);
   // Rectifier input RMS voltage after the boost network; the diode drop
   // makes harvesting nonlinear in the incident level.
-  const double v_rms = std::sqrt(p_el * cfg_.rectifier_input_resistance_ohms);
-  return p_el * rectifier_efficiency(cfg_.rectifier, v_rms);
+  const double v_rms = std::sqrt(p_el * kRectifierInputResistanceOhms);
+  return p_el * rectifier_efficiency(RectifierModel{}, v_rms);
 }
 
 double PowerBudget::average_power_w(double frac_sleep, double frac_listen,

@@ -23,20 +23,16 @@ struct RectifierModel {
 /// Conversion efficiency of the rectifier at the given input RMS voltage.
 double rectifier_efficiency(const RectifierModel& r, double input_rms_v);
 
-struct HarvesterConfig {
-  RectifierModel rectifier{};
-  double aperture_m2 = 5e-3;        ///< effective acoustic capture area
-  /// Impedance presented to the rectifier after the voltage-boost matching
-  /// network (piezo harvesters step the low at-resonance impedance up so the
-  /// open-circuit voltage clears the diode drop).
-  double rectifier_input_resistance_ohms = 2e4;
-  double storage_capacitance_f = 1e-3;
-  double storage_voltage_v = 2.5;   ///< regulated operating voltage
-};
+inline constexpr double kHarvestApertureM2 = 5e-3;  ///< effective acoustic capture area
+/// Impedance presented to the rectifier after the voltage-boost matching
+/// network (piezo harvesters step the low at-resonance impedance up so the
+/// open-circuit voltage clears the diode drop).
+inline constexpr double kRectifierInputResistanceOhms = 2e4;
 
+/// Harvests through a default RectifierModel behind the boost network.
 class EnergyHarvester {
  public:
-  EnergyHarvester(HarvesterConfig cfg, const BvdModel& transducer);
+  explicit EnergyHarvester(const BvdModel& transducer);
 
   /// Electrical power available from an incident plane wave with RMS
   /// pressure `pressure_pa` at frequency `f_hz` (intensity x aperture x
@@ -46,10 +42,7 @@ class EnergyHarvester {
   /// DC power after rectification.
   double harvested_power_w(double pressure_pa, double f_hz) const;
 
-  const HarvesterConfig& config() const { return cfg_; }
-
  private:
-  HarvesterConfig cfg_;
   BvdModel transducer_;
 };
 

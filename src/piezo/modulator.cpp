@@ -45,6 +45,4 @@ double LoadModulator::static_reflection(LoadState a, LoadState b, double f_hz) c
   return std::abs(gamma(a, f_hz) + gamma(b, f_hz)) / 2.0;
 }
 
-double ideal_ook_modulation_depth() { return 1.0; }
-
 }  // namespace vab::piezo

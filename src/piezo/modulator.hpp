@@ -55,7 +55,4 @@ class LoadModulator {
   SwitchModel sw_;
 };
 
-/// Convenience: modulation depth for an ideal open/short switch (= 1).
-double ideal_ook_modulation_depth();
-
 }  // namespace vab::piezo

@@ -19,8 +19,6 @@ cplx TwoPort::voltage_gain(cplx z_load) const {
   return 1.0 / (a + b / z_load);
 }
 
-TwoPort identity_twoport() { return {}; }
-
 TwoPort series_element(cplx z) { return TwoPort{{1.0, 0.0}, z, {}, {1.0, 0.0}}; }
 
 TwoPort shunt_element(cplx y) { return TwoPort{{1.0, 0.0}, {}, y, {1.0, 0.0}}; }

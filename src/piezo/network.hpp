@@ -21,9 +21,6 @@ struct TwoPort {
   cplx voltage_gain(cplx z_load) const;
 };
 
-/// Identity two-port.
-TwoPort identity_twoport();
-
 /// Series impedance element.
 TwoPort series_element(cplx z);
 

@@ -6,8 +6,8 @@
 //   reader demodulator -> bits
 //
 // This exercises every DSP block under the real impairments (multipath ISI,
-// carrier blast, Wenz noise, Doppler) and is the ground truth the analytic
-// link budget is calibrated against.
+// carrier blast, Wenz noise, fading, surface motion) and is the ground truth
+// the analytic link budget is calibrated against.
 #pragma once
 
 #include <cstddef>
@@ -36,11 +36,6 @@ class WaveformSimulator {
 
   /// Runs one uplink trial with the given payload bits.
   WaveformTrialResult run_trial(const bitvec& payload);
-
-  /// Node-side reflection amplitude factors (modulated amplitude per state,
-  /// and static leak), exposed for tests.
-  double modulated_amplitude() const { return mod_amp_lin_; }
-  double static_amplitude() const { return static_amp_lin_; }
 
   const Scenario& scenario() const { return scenario_; }
 

@@ -81,7 +81,7 @@ cplx VanAttaArray::bistatic_response(double theta_in, double theta_out, double f
   const double so = std::sin(theta_out);
   const double pat = element_pattern(theta_in) * element_pattern(theta_out);
   const cplx mod = state_factor(state);
-  const cplx line_rot = std::exp(cplx{0.0, -cfg_.line_phase_rad});
+  const cplx line_rot = std::exp(cplx{0.0, -kLinePhaseRad});
 
   cplx acc{};
   for (std::size_t i = 0; i < cfg_.n_elements; ++i) {

@@ -50,10 +50,11 @@ struct VanAttaConfig {
   double switch_insertion_db = 0.3; ///< modulator switch through-loss
   /// Element directivity exponent: pattern amplitude cos^q(theta).
   double directivity_q = 0.5;
-  /// Extra electrical line length expressed as phase at f_design (all pairs
-  /// share it in a clean build; per-element errors are injected separately).
-  double line_phase_rad = 0.0;
 };
+
+/// Extra electrical line length expressed as phase at f_design (all pairs
+/// share it in a clean build; per-element errors are injected separately).
+inline constexpr double kLinePhaseRad = 0.0;
 
 class VanAttaArray {
  public:

@@ -13,10 +13,6 @@
 namespace vab::core {
 namespace {
 
-piezo::BvdModel transducer() {
-  return piezo::BvdModel::from_resonance(18500.0, 25.0, 0.3, 10e-9, 0.6);
-}
-
 NodeConfig node_config(std::uint8_t addr) {
   NodeConfig cfg;
   cfg.address = addr;
@@ -39,7 +35,7 @@ TEST(CoreLoop, DownlinkQueryToScheduledUplink) {
   ReaderConfig rc;
   rc.phy.fs_hz = 96000.0;
   VabReader reader(rc);
-  VabNode node(node_config(3), transducer());
+  VabNode node(node_config(3));
   node.set_sensor_reading({21.5, 180.0, 2900});
 
   const net::Frame query = reader.mac().make_query(3);
@@ -61,14 +57,14 @@ TEST(CoreLoop, WrongAddressIgnored) {
   ReaderConfig rc;
   rc.phy.fs_hz = 96000.0;
   VabReader reader(rc);
-  VabNode node(node_config(3), transducer());
+  VabNode node(node_config(3));
   const rvec downlink = reader.make_downlink_waveform(reader.mac().make_query(9));
   EXPECT_FALSE(node.handle_downlink(envelope_detect(downlink, rc.phy.fs_hz), rc.phy.fs_hz)
                    .has_value());
 }
 
 TEST(CoreLoop, GarbageEnvelopeIgnored) {
-  VabNode node(node_config(3), transducer());
+  VabNode node(node_config(3));
   EXPECT_FALSE(node.handle_downlink(rvec(5000, 0.3), 96000.0).has_value());
 }
 
@@ -78,7 +74,7 @@ TEST(CoreLoop, UplinkDecodeThroughReader) {
   ReaderConfig rc;
   rc.phy.fs_hz = 96000.0;
   VabReader reader(rc);
-  VabNode node(node_config(3), transducer());
+  VabNode node(node_config(3));
   node.set_sensor_reading({15.25, 120.5, 3100});
 
   const net::Frame query = reader.mac().make_query(3);
@@ -104,16 +100,6 @@ TEST(CoreLoop, UplinkDecodeThroughReader) {
   const auto reading = net::decode_reading(decode.frame->payload);
   ASSERT_TRUE(reading.has_value());
   EXPECT_NEAR(reading->pressure_kpa, 120.5, net::kPressureResolutionKpa);
-}
-
-TEST(CoreLoop, EnergyLedger) {
-  VabNode node(node_config(1), transducer());
-  node.account_harvest(100.0, 100.0);  // strong incident field (160 dB), 100 s
-  EXPECT_GT(node.harvested_j(), 0.0);
-  node.account_backscatter(1.0);
-  node.account_listen(1.0);
-  EXPECT_GT(node.spent_j(), 0.0);
-  EXPECT_EQ(node.energy_balance_j(), node.harvested_j() - node.spent_j());
 }
 
 TEST(Network, DeliveryDegradesWithRange) {

@@ -1,4 +1,4 @@
-// Correlation, LMS and spectral estimation.
+// Correlation and spectral estimation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/correlate.hpp"
-#include "dsp/lms.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/spectrum.hpp"
 
@@ -143,33 +142,6 @@ TEST(Correlate, EnergyAndRms) {
   EXPECT_DOUBLE_EQ(energy(x), 25.0);
   EXPECT_NEAR(rms(x), std::sqrt(12.5), 1e-12);
   EXPECT_DOUBLE_EQ(rms(rvec{}), 0.0);
-}
-
-TEST(Lms, CancelsCorrelatedInterference) {
-  common::Rng rng(3);
-  LmsCanceller lms(4, 0.5);
-  // Interference = scaled/rotated copy of the reference; signal = small noise.
-  const cplx coupling{0.8, -0.3};
-  double residual_late = 0.0;
-  for (int i = 0; i < 3000; ++i) {
-    const cplx ref = rng.complex_gaussian();
-    const cplx input = coupling * ref;
-    const cplx err = lms.process(input, ref);
-    if (i > 2500) residual_late += std::norm(err);
-  }
-  EXPECT_LT(residual_late / 500.0, 1e-4);
-}
-
-TEST(Lms, FreezeStopsAdaptation) {
-  LmsCanceller lms(2, 0.5);
-  lms.set_adapting(false);
-  for (int i = 0; i < 100; ++i) lms.process(cplx{1.0, 0.0}, cplx{1.0, 0.0});
-  for (const auto& w : lms.weights()) EXPECT_EQ(w, cplx{});
-}
-
-TEST(Lms, ParameterValidation) {
-  EXPECT_THROW(LmsCanceller(0, 0.5), std::invalid_argument);
-  EXPECT_THROW(LmsCanceller(4, 2.5), std::invalid_argument);
 }
 
 TEST(Welch, WhiteNoisePsdFlatAtCorrectLevel) {

@@ -1,4 +1,4 @@
-// FIR/IIR design and filtering, windows, resampling.
+// FIR/IIR design and filtering, windows, fractional-delay interpolation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,30 +85,11 @@ TEST(OnePole, StepResponseTimeConstant) {
   EXPECT_NEAR(y, 0.63, 0.05);
 }
 
-TEST(Resample, DecimateKeepsLowFrequency) {
-  const double fs = 96000.0;
-  const rvec x = make_tone(500.0, fs, 9600);
-  const rvec y = decimate(x, 8);
-  ASSERT_NEAR(static_cast<double>(y.size()), 1200.0, 2.0);
-  // Tone RMS preserved (0.707 for unit sine), ignoring filter edges.
-  double e = 0.0;
-  for (std::size_t i = 200; i < y.size(); ++i) e += y[i] * y[i];
-  EXPECT_NEAR(std::sqrt(e / static_cast<double>(y.size() - 200)), 0.707, 0.03);
-}
-
-TEST(Resample, LinearRatioAndValues) {
-  rvec x{0.0, 1.0, 2.0, 3.0, 4.0};
-  const rvec y = resample_linear(x, 1.0, 2.0);
-  ASSERT_GE(y.size(), 8u);
-  EXPECT_NEAR(y[1], 0.5, 1e-12);
-  EXPECT_NEAR(y[4], 2.0, 1e-12);
-}
-
 TEST(Resample, SampleAtClampsEnds) {
-  rvec x{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(sample_at(x, -1.0), 1.0);
-  EXPECT_DOUBLE_EQ(sample_at(x, 10.0), 3.0);
-  EXPECT_NEAR(sample_at(x, 0.5), 1.5, 1e-12);
+  const cvec x{{1.0, -1.0}, {2.0, -2.0}, {3.0, -3.0}};
+  EXPECT_EQ(sample_at(x, -1.0), x.front());
+  EXPECT_EQ(sample_at(x, 10.0), x.back());
+  EXPECT_NEAR(std::abs(sample_at(x, 0.5) - cplx(1.5, -1.5)), 0.0, 1e-12);
 }
 
 TEST(Nco, PhaseContinuityAcrossChunks) {

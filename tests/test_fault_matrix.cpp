@@ -490,14 +490,16 @@ TEST(ZeroFaultIdentity, WaveformChannelMatchesNullInjector) {
 
   common::Rng rng_a(5);
   channel::WaveformChannel plain(cfg, rng_a);
-  const rvec out_plain = plain.propagate(tx);
+  rvec out_plain;
+  plain.propagate(tx, out_plain);
 
   FaultInjector empty{FaultPlan{}};
   channel::WaveformChannelConfig cfg_hooked = cfg;
   cfg_hooked.fault = &empty;
   common::Rng rng_b(5);
   channel::WaveformChannel hooked(cfg_hooked, rng_b);
-  const rvec out_hooked = hooked.propagate(tx);
+  rvec out_hooked;
+  hooked.propagate(tx, out_hooked);
 
   ASSERT_EQ(out_plain.size(), out_hooked.size());
   for (std::size_t i = 0; i < out_plain.size(); ++i)

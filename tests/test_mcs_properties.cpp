@@ -273,7 +273,7 @@ TEST(RateControllerProperties, ThresholdBandsAreOrdered) {
       // that justified the step exceeds r+1's step-down threshold by the
       // hysteresis margin, so one step can never immediately revert.
       EXPECT_GE(ctl.up_threshold(r).raw(),
-                ctl.down_threshold(r + 1).raw() + cfg.hysteresis_db - 1e-9)
+                ctl.down_threshold(r + 1).raw() + net::mcs::kHysteresisDb - 1e-9)
           << "rung " << r;
     }
   }

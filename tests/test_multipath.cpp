@@ -127,7 +127,8 @@ TEST(WaveformChannel, SingleTapDelaysAndScales) {
   WaveformChannel ch(cfg, rng);
   rvec x(100, 0.0);
   x[20] = 2.0;
-  const rvec y = ch.propagate_clean(x);
+  rvec y;
+  ch.propagate_clean(x, y);
   EXPECT_NEAR(y[30], 1.0, 1e-9);
   EXPECT_NEAR(y[29], 0.0, 1e-9);
 }
@@ -141,7 +142,8 @@ TEST(WaveformChannel, FractionalDelayInterpolates) {
   WaveformChannel ch(cfg, rng);
   rvec x(100, 0.0);
   x[20] = 1.0;
-  const rvec y = ch.propagate_clean(x);
+  rvec y;
+  ch.propagate_clean(x, y);
   EXPECT_NEAR(y[30], 0.5, 1e-9);
   EXPECT_NEAR(y[31], 0.5, 1e-9);
 }
@@ -154,23 +156,11 @@ TEST(WaveformChannel, NoiseAdditionRaisesFloor) {
   cfg.noise.site_floor_db = 70.0;
   WaveformChannel ch(cfg, rng);
   const rvec x(4096, 0.0);
-  const rvec y = ch.propagate(x);
+  rvec y;
+  ch.propagate(x, y);
   double e = 0.0;
   for (double v : y) e += v * v;
   EXPECT_GT(e, 0.0);
-}
-
-TEST(WaveformChannel, DopplerChangesLength) {
-  common::Rng rng(4);
-  WaveformChannelConfig cfg;
-  cfg.fs_hz = 48000.0;
-  cfg.taps = single_tap(1.0, 0.0);
-  cfg.add_noise = false;
-  cfg.doppler_speed_mps = 15.0;  // 1% of sound speed
-  WaveformChannel ch(cfg, rng);
-  const rvec x(10000, 1.0);
-  const rvec y = ch.propagate_clean(x);
-  EXPECT_NEAR(static_cast<double>(y.size()), 10000.0 / 1.01, 25.0);
 }
 
 TEST(WaveformChannel, MultipathCombImpulseResponse) {
@@ -184,7 +174,8 @@ TEST(WaveformChannel, MultipathCombImpulseResponse) {
   WaveformChannel ch(cfg, rng);
   rvec x(200, 0.0);
   x[0] = 1.0;
-  const rvec y = ch.propagate_clean(x);
+  rvec y;
+  ch.propagate_clean(x, y);
   // The impulse response contains one spike per tap (within interpolation).
   std::size_t spikes = 0;
   for (double v : y)

@@ -169,7 +169,7 @@ TEST(Harvester, RectifierKneeBehaviour) {
 
 TEST(Harvester, PowerScalesWithIntensity) {
   const BvdModel m = test_transducer();
-  EnergyHarvester h({}, m);
+  EnergyHarvester h(m);
   const double p1 = h.available_electrical_power_w(1.0, 18500.0);
   const double p2 = h.available_electrical_power_w(2.0, 18500.0);
   EXPECT_NEAR(p2 / p1, 4.0, 1e-9);  // intensity ~ pressure^2
@@ -177,7 +177,7 @@ TEST(Harvester, PowerScalesWithIntensity) {
 
 TEST(Harvester, EnergyNeutralAtHighIncidentPressure) {
   const BvdModel m = test_transducer();
-  EnergyHarvester h({}, m);
+  EnergyHarvester h(m);
   PowerBudget b;
   // 165 dB re 1 uPa incident (strong carrier near the reader).
   const double p_strong = common::pressure_from_spl(165.0);

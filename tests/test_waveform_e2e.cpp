@@ -139,13 +139,11 @@ TEST(WaveformE2E, MultipathDelaySpreadDegradesHighBitrates) {
   EXPECT_LE(slow.ber(), fast.ber() + 1e-9);
 }
 
-TEST(WaveformE2E, DopplerDriftStillDecodes) {
+TEST(WaveformE2E, VabDecodesErrorFreeAt40m) {
   sim::Scenario s = sim::vab_river_scenario();
   s.range_m = 40.0;
   s.env.fading_sigma_db = 0.0;
   common::Rng rng(110);
-  // Drifting boat: the round trip compresses the time base.
-  // (Applied via the waveform channel's doppler in a custom trial below.)
   sim::WaveformSimulator wsim(s, rng);
   const auto res = wsim.run_trial(rng.random_bits(32));
   ASSERT_TRUE(res.demod.sync_found);
