@@ -2,6 +2,8 @@
 // dominate the reader's real-time budget.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "channel/noise.hpp"
 #include "common/rng.hpp"
 #include "dsp/correlate.hpp"
@@ -68,14 +70,29 @@ BENCHMARK(BM_Downconvert);
 void BM_NoiseSynthesis(benchmark::State& state) {
   common::Rng rng(3);
   const channel::NoiseConditions cond{};
+  const auto n = static_cast<std::size_t>(state.range(0));
+  rvec y;
   for (auto _ : state) {
-    rvec y = channel::synthesize_ambient_noise(65536, common::SampleRateHz{96000.0},
-                                               cond, rng);
+    channel::synthesize_ambient_noise(n, common::SampleRateHz{96000.0}, cond, rng, y);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 65536);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_NoiseSynthesis);
+// 131,072 is the FFT size of a waveform trial's ~81.6k-sample capture.
+BENCHMARK(BM_NoiseSynthesis)->Arg(65536)->Arg(131072);
+
+// The per-bin draws of a 131,072-point synthesis: nfft - 2 normals through
+// the dispatched batch sampler.
+void BM_GaussianFill(benchmark::State& state) {
+  common::Rng rng(3);
+  std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    dsp::simd::fill_gaussian(rng, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_GaussianFill)->Arg(131070);
 
 // Sync-length correlation: the demodulator slides a ~360-sample preamble
 // reference over a ~16k-sample baseband capture. Naive vs FFT overlap-save.
@@ -184,6 +201,18 @@ void BM_FirDecimateScalar(benchmark::State& state) {
                           static_cast<std::int64_t>(x.size()));
 }
 BENCHMARK(BM_FirDecimateScalar);
+
+void BM_GaussianFillScalar(benchmark::State& state) {
+  const ScalarForced guard;
+  common::Rng rng(3);
+  std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    dsp::simd::fill_gaussian(rng, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_GaussianFillScalar)->Arg(131070);
 
 // End-to-end waveform trial (single thread): the unit of work every
 // EXPERIMENTS sweep repeats thousands of times.

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (double r : {5.0, 10.0, 20.0, 40.0, 80.0, 160.0}) {
     const double spl = lb.carrier_spl_at_node(common::Meters{r}).raw();
     const double p_in =
-        harvester.harvested_power_w(common::pressure_from_spl(spl), 18500.0);
+        harvester.harvested_power_w(common::pressure_from_spl(spl));
     h.add_row({common::Table::num(r, 0), common::Table::num(spl, 1),
                common::Table::num(p_in * 1e6, 2),
                p_in * 0.95 >= avg_load ? "yes" : "no"});

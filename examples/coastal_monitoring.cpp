@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     const double spl =
         budget.carrier_spl_at_node(common::Meters{nodes[i].range_m}).raw();
     const double harvest =
-        harvester.harvested_power_w(common::pressure_from_spl(spl), 18500.0);
+        harvester.harvested_power_w(common::pressure_from_spl(spl));
     const double load = power.average_power_w(0.97 - bs_frac, 0.02, bs_frac, 0.01);
     t.add_row({std::to_string(i), common::Table::num(nodes[i].range_m, 0),
                common::Table::num(common::rad_to_deg(nodes[i].orientation_rad), 0),

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     // Energy: harvest during dwell, drain during the gap.
     const double spl = lb.carrier_spl_at_node(common::Meters{cross}).raw();
     const double harvest_w =
-        harvester.harvested_power_w(common::pressure_from_spl(spl), 18500.0);
+        harvester.harvested_power_w(common::pressure_from_spl(spl));
     core::CapacitorConfig cc;
     core::StorageCapacitor cap(cc);
     double min_v = cap.voltage();

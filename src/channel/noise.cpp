@@ -8,6 +8,7 @@
 
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "obs/metrics.hpp"
 
@@ -144,21 +145,27 @@ void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
 
   // Hermitian spectrum with per-bin amplitude from the Wenz NSD (cached).
   // PSD [Pa^2/Hz] -> per-bin variance = PSD * df; split across +/- bins.
+  // Bin k carries sigma[k] * rng.complex_gaussian(1.0): the batch sampler
+  // writes those draws (re, im per bin) straight into spec[1..nfft/2), and
+  // the loop applies complex_gaussian's sqrt(1/2) and then sigma[k] in
+  // place, in that order.
   const rvec& sigma = sigma_table(nfft, fs_hz, cond);
-  for (std::size_t k = 1; k < nfft / 2; ++k) {
-    const cplx g = rng.complex_gaussian(1.0);
-    spec[k] = sigma[k] * g;
+  const std::size_t half = nfft / 2;
+  dsp::simd::fill_gaussian(rng, reinterpret_cast<double*>(spec.data() + 1),
+                           2 * (half - 1));
+  const double unit = std::sqrt(1.0 / 2.0);
+  for (std::size_t k = 1; k < half; ++k) {
+    spec[k] = cplx{unit * spec[k].real() * sigma[k], unit * spec[k].imag() * sigma[k]};
     spec[nfft - k] = std::conj(spec[k]);
   }
   // DC and Nyquist real-valued; negligible energy, keep zero.
 
-  // The inverse FFT of this Hermitian spectrum, scaled by nfft/ sqrt?? —
-  // with ifft normalization 1/N, variance per sample is sum_k |S_k|^2 / N^2;
-  // compensate to land at sum_k PSD*df = total band power.
-  dsp::fft_plan(nfft).inverse(spec.data());
+  // With ifft normalization 1/N the variance per sample would be
+  // sum_k |S_k|^2 / N^2, so the samples are the unnormalized inverse:
+  // sum_k PSD * df = total band power.
+  dsp::fft_plan(nfft).inverse_unscaled(spec.data());
   out.resize(n);
-  const double scale = static_cast<double>(nfft);
-  for (std::size_t i = 0; i < n; ++i) out[i] = spec[i].real() * scale;
+  for (std::size_t i = 0; i < n; ++i) out[i] = spec[i].real();
 }
 
 }  // namespace vab::channel

@@ -3,14 +3,88 @@
 // Every stochastic component in the library takes an explicit Rng& so that a
 // trial is fully determined by its seed. Benches derive per-trial seeds from
 // a master seed with `child()` to keep trials independent yet reproducible.
+//
+// The engine and the real-valued distributions are in-repo code that
+// reproduces libstdc++'s std::mt19937_64, generate_canonical<double, 53>
+// and normal_distribution bit for bit, so the seeded draws do not depend on
+// which standard library the build links. Only `uniform_int` and the
+// binomial draw in sim/linkbudget still run std:: distribution code (over
+// this engine). tests/test_rng.cpp pins all of it, against std:: and
+// against checked-in draw vectors.
 #pragma once
 
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 #include "common/types.hpp"
 
 namespace vab::common {
+
+/// MT19937-64 (Matsumoto & Nishimura), output-identical to std::mt19937_64:
+/// the same seeding recurrence, twist and tempering. The state holds the
+/// untempered words; each draw tempers one on read.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kWords = 312;  ///< state size n
+  static constexpr std::size_t kShift = 156;  ///< middle offset m
+  static constexpr result_type kMatrixA = 0xb5026f5aa96619e9ULL;
+  static constexpr result_type kUpperMask = ~result_type{0} << 31;
+  static constexpr result_type kLowerMask = ~kUpperMask;
+
+  explicit Mt19937_64(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= kWords) twist();
+    return temper(x_[pos_++]);
+  }
+
+  /// One word of the twist: x[k] <- far ^ (y >> 1) ^ (y odd ? a : 0) with
+  /// y = (x[k] upper bits | x[k+1] lower bits).
+  static result_type twist_word(result_type cur, result_type next, result_type far) {
+    const result_type y = (cur & kUpperMask) | (next & kLowerMask);
+    return far ^ (y >> 1) ^ ((y & 1U) ? kMatrixA : 0);
+  }
+
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+  /// Regenerates all kWords state words and rewinds to the first.
+  void twist();
+
+ private:
+  friend class Rng;
+  std::array<result_type, kWords> x_;
+  std::size_t pos_;
+};
+
+/// generate_canonical<double, 53> over a 64-bit engine: one word, converted
+/// with one rounding and scaled by 2^-64, clamped below 1.
+inline double canonical_double(std::uint64_t word) {
+  const double u = static_cast<double>(word) / 18446744073709551616.0;
+  return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
+}
+
+/// The raw state behind an Rng, for batch samplers outside common
+/// (dsp::simd::fill_gaussian) that must leave it exactly as the same number
+/// of sequential gaussian() calls would.
+struct RngRawState {
+  std::uint64_t* words;    ///< Mt19937_64::kWords untempered state words
+  std::size_t& pos;        ///< next word to temper; kWords means twist first
+  double& saved_normal;    ///< second value of the last accepted polar pair
+  bool& has_saved_normal;  ///< saved_normal is the next gaussian() value
+};
 
 class Rng {
  public:
@@ -50,7 +124,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() { return unit_(engine_); }
+  double uniform() { return canonical_double(engine_()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -60,8 +134,10 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Standard normal sample.
-  double gaussian() { return normal_(engine_); }
+  /// Standard normal sample: the Marsaglia polar method, which yields two
+  /// values per accepted (x, y) pair; the second is returned by the next
+  /// call.
+  double gaussian();
 
   /// Normal with given mean and standard deviation.
   double gaussian(double mean, double stddev) { return mean + stddev * gaussian(); }
@@ -78,13 +154,18 @@ class Rng {
   /// Vector of random bits.
   bitvec random_bits(std::size_t n);
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
+
+  /// The engine words, position and polar cache, for batch samplers.
+  RngRawState raw_state() {
+    return {engine_.x_.data(), engine_.pos_, saved_normal_, has_saved_normal_};
+  }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uint64_t seed_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  double saved_normal_ = 0.0;
+  bool has_saved_normal_ = false;
 };
 
 }  // namespace vab::common

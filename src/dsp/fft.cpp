@@ -68,7 +68,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   }
 }
 
-void FftPlan::transform(cplx* x, const cplx* twiddle, bool inverse) const {
+void FftPlan::transform(cplx* x, const cplx* twiddle, bool normalize) const {
   const std::size_t n = n_;
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t j = bitrev_[i];
@@ -76,7 +76,7 @@ void FftPlan::transform(cplx* x, const cplx* twiddle, bool inverse) const {
   }
   // Danielson–Lanczos butterflies; stage `len` reads its precomputed table.
   simd::fft_stages(x, n, twiddle);
-  if (inverse) {
+  if (normalize) {
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i)
       x[i] = cplx{inv_n * x[i].real(), inv_n * x[i].imag()};
@@ -85,6 +85,7 @@ void FftPlan::transform(cplx* x, const cplx* twiddle, bool inverse) const {
 
 void FftPlan::forward(cplx* x) const { transform(x, tw_fwd_.data(), false); }
 void FftPlan::inverse(cplx* x) const { transform(x, tw_inv_.data(), true); }
+void FftPlan::inverse_unscaled(cplx* x) const { transform(x, tw_inv_.data(), false); }
 
 const FftPlan& fft_plan(std::size_t n) {
   static const obs::Counter hits = obs::counter("dsp.fft.plan_hits");

@@ -48,9 +48,13 @@ class FftPlan {
   void forward(cplx* x) const;
   /// In-place inverse transform (includes 1/N normalization).
   void inverse(cplx* x) const;
+  /// In-place inverse transform without the 1/N pass. Scaling by a power of
+  /// two is exact, so this is N * `inverse` bit for bit wherever `inverse`
+  /// yields no subnormal.
+  void inverse_unscaled(cplx* x) const;
 
  private:
-  void transform(cplx* x, const cplx* twiddle, bool inverse) const;
+  void transform(cplx* x, const cplx* twiddle, bool normalize) const;
 
   std::size_t n_;
   std::vector<std::uint32_t> bitrev_;  ///< bit-reversed index of each i

@@ -100,4 +100,12 @@ void fft_stages(cplx* x, std::size_t n, const cplx* twiddle) {
   }
 }
 
+void fill_gaussian(common::Rng& rng, double* out, std::size_t n) {
+  if (active_isa() == Isa::kAvx2) {
+    detail::fill_gaussian_avx2(rng.raw_state(), out, n);
+  } else {
+    detail::fill_gaussian_scalar(rng.raw_state(), out, n);
+  }
+}
+
 }  // namespace vab::dsp::simd

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace vab::dsp::simd::detail {
@@ -14,7 +15,9 @@ namespace vab::dsp::simd::detail {
   void fir_decimate_##suffix(const double* taps, std::size_t n_taps,           \
                              const cplx* x, std::size_t i_first,               \
                              std::size_t m, cplx* out, std::size_t n_out);     \
-  void fft_stages_##suffix(cplx* x, std::size_t n, const cplx* twiddle);
+  void fft_stages_##suffix(cplx* x, std::size_t n, const cplx* twiddle);      \
+  void fill_gaussian_##suffix(common::RngRawState st, double* out,             \
+                              std::size_t n);
 
 VAB_SIMD_KERNELS(scalar)
 VAB_SIMD_KERNELS(avx2)

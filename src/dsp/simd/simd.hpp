@@ -1,18 +1,21 @@
-// Hand-vectorized batch kernels for the two DSP hot loops whose vector path
-// moves end-to-end throughput (radix-2 FFT stages and decimating FIR),
-// dispatched at runtime between AVX2 and the width-1 scalar reference.
+// Hand-vectorized batch kernels for the three hot loops whose vector path
+// moves end-to-end throughput (radix-2 FFT stages, decimating FIR and the
+// Gaussian draws of noise synthesis), dispatched at runtime between AVX2 and
+// the width-1 scalar reference.
 //
 // Bit-identity contract: each kernel vectorizes across *independent outputs*
-// (FFT butterflies within a stage, decimated FIR outputs), never across a
-// reduction axis, so each SIMD lane executes exactly the scalar sequence of
-// IEEE-754 operations for its output. Remainder tails reuse the same kernel
-// templates instantiated at width 1 (arch_scalar.hpp). Seeded results are
-// therefore bit-identical with AVX2 and with dispatch forced to scalar; the
-// path is on by default and gated by tests/test_simd_kernels.cpp.
+// (FFT butterflies within a stage, decimated FIR outputs, engine words and
+// polar candidate pairs), never across a reduction axis, so each SIMD lane
+// executes exactly the scalar sequence of IEEE-754 operations for its
+// output. Remainder tails reuse the same kernel templates instantiated at
+// width 1 (arch_scalar.hpp). Seeded results are therefore bit-identical with
+// AVX2 and with dispatch forced to scalar; the path is on by default and
+// gated by tests/test_simd_kernels.cpp and tests/test_rng.cpp.
 #pragma once
 
 #include <cstddef>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace vab::dsp::simd {
@@ -50,5 +53,12 @@ void fir_decimate(const double* taps, std::size_t n_taps, const cplx* x,
 /// two) already bit-reversed samples; `twiddle` is the FftPlan per-stage
 /// table with stage `len` starting at offset len/2 - 1.
 void fft_stages(cplx* x, std::size_t n, const cplx* twiddle);
+
+/// out[0..n) = the next n rng.gaussian() values, and rng is left exactly as
+/// those n calls would leave it (engine position, cached second value).
+/// Twists and tempers whole MT blocks lane-parallel, tests every candidate
+/// pair of a block without branching and compacts the accepted ones; glibc
+/// `log` still runs once per accepted pair.
+void fill_gaussian(common::Rng& rng, double* out, std::size_t n);
 
 }  // namespace vab::dsp::simd

@@ -9,9 +9,9 @@
 namespace vab::dsp::simd::detail {
 
 #if defined(__AVX2__)
-VAB_SIMD_DEFINE_KERNELS(avx2, Avx2Arch)
+VAB_SIMD_DEFINE_KERNELS(avx2, Avx2Arch, Avx2DrawArch)
 #else
-VAB_SIMD_DEFINE_KERNELS(avx2, ScalarArch)
+VAB_SIMD_DEFINE_KERNELS(avx2, ScalarArch, ScalarDrawArch)
 #endif
 
 }  // namespace vab::dsp::simd::detail

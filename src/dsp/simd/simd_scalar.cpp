@@ -5,6 +5,6 @@
 
 namespace vab::dsp::simd::detail {
 
-VAB_SIMD_DEFINE_KERNELS(scalar, ScalarArch)
+VAB_SIMD_DEFINE_KERNELS(scalar, ScalarArch, ScalarDrawArch)
 
 }  // namespace vab::dsp::simd::detail

@@ -16,19 +16,17 @@ double rectifier_efficiency(const RectifierModel& r, double input_rms_v) {
 
 EnergyHarvester::EnergyHarvester(const BvdModel& transducer) : transducer_(transducer) {}
 
-double EnergyHarvester::available_electrical_power_w(double pressure_pa,
-                                                     double f_hz) const {
+double EnergyHarvester::available_electrical_power_w(double pressure_pa) const {
   if (pressure_pa < 0.0) throw std::invalid_argument("pressure must be >= 0");
   // Plane-wave intensity I = p_rms^2 / (rho c).
   const double intensity = pressure_pa * pressure_pa / common::kWaterAcousticImpedance;
   // Acoustic->electrical conversion mirrors the electrical->acoustic path:
   // the motional efficiency applies in reverse.
   return intensity * kHarvestApertureM2 * transducer_.eta_acoustic();
-  (void)f_hz;
 }
 
-double EnergyHarvester::harvested_power_w(double pressure_pa, double f_hz) const {
-  const double p_el = available_electrical_power_w(pressure_pa, f_hz);
+double EnergyHarvester::harvested_power_w(double pressure_pa) const {
+  const double p_el = available_electrical_power_w(pressure_pa);
   // Rectifier input RMS voltage after the boost network; the diode drop
   // makes harvesting nonlinear in the incident level.
   const double v_rms = std::sqrt(p_el * kRectifierInputResistanceOhms);
@@ -47,17 +45,6 @@ double PowerBudget::average_power_w(double frac_sleep, double frac_listen,
 double energy_per_bit_j(const PowerBudget& b, double bitrate_bps) {
   if (bitrate_bps <= 0.0) throw std::invalid_argument("bitrate must be > 0");
   return b.backscatter_w / bitrate_bps;
-}
-
-bool is_energy_neutral(const EnergyHarvester& h, const PowerBudget& b, double pressure_pa,
-                       double f_hz, double frac_sleep, double frac_listen,
-                       double frac_backscatter, double frac_active) {
-  // Harvesting only happens in the absorptive (non-backscatter) states.
-  const double harvest_duty = frac_sleep + frac_listen;
-  const double in_w = h.harvested_power_w(pressure_pa, f_hz) * harvest_duty;
-  const double out_w =
-      b.average_power_w(frac_sleep, frac_listen, frac_backscatter, frac_active);
-  return in_w >= out_w;
 }
 
 }  // namespace vab::piezo

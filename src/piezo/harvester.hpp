@@ -35,12 +35,14 @@ class EnergyHarvester {
   explicit EnergyHarvester(const BvdModel& transducer);
 
   /// Electrical power available from an incident plane wave with RMS
-  /// pressure `pressure_pa` at frequency `f_hz` (intensity x aperture x
-  /// transducer efficiency).
-  double available_electrical_power_w(double pressure_pa, double f_hz) const;
+  /// pressure `pressure_pa` (intensity x aperture x transducer efficiency).
+  /// The conversion is the transducer's at resonance (`eta_acoustic()`):
+  /// the carrier is assumed to sit on the series resonance, so there is no
+  /// frequency argument.
+  double available_electrical_power_w(double pressure_pa) const;
 
-  /// DC power after rectification.
-  double harvested_power_w(double pressure_pa, double f_hz) const;
+  /// DC power after rectification (at resonance, as above).
+  double harvested_power_w(double pressure_pa) const;
 
  private:
   BvdModel transducer_;
@@ -60,11 +62,5 @@ struct PowerBudget {
 
 /// Energy per uplink bit at `bitrate_bps` in the backscatter state.
 double energy_per_bit_j(const PowerBudget& b, double bitrate_bps);
-
-/// True if the harvested power at the given incident pressure sustains the
-/// duty cycle indefinitely (net-positive energy).
-bool is_energy_neutral(const EnergyHarvester& h, const PowerBudget& b, double pressure_pa,
-                       double f_hz, double frac_sleep, double frac_listen,
-                       double frac_backscatter, double frac_active);
 
 }  // namespace vab::piezo

@@ -2,13 +2,18 @@
 // published reference values; noise synthesis against its own spectral model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "channel/absorption.hpp"
 #include "channel/noise.hpp"
 #include "channel/soundspeed.hpp"
 #include "common/rng.hpp"
+#include "common/units.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/spectrum.hpp"
 
 namespace vab::channel {
@@ -158,6 +163,52 @@ TEST(Noise, SynthesisDeterministicPerSeed) {
   const rvec x = synthesize_ambient_noise(1024, common::SampleRateHz{48000.0}, cond, a);
   const rvec y = synthesize_ambient_noise(1024, common::SampleRateHz{48000.0}, cond, b);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(x[i], y[i]);
+}
+
+// The synthesis written out the direct way: one complex_gaussian per bin,
+// the normalized inverse FFT, then the x nfft rescale. The library fills the
+// bins with the batch sampler and skips both power-of-two scalings; the
+// samples must not change by one bit.
+rvec reference_noise(std::size_t n, double fs, const NoiseConditions& cond,
+                     common::Rng& rng) {
+  const std::size_t nfft = dsp::next_pow2(std::max<std::size_t>(n, 2));
+  const double df = fs / static_cast<double>(nfft);
+  cvec spec(nfft);
+  for (std::size_t k = 1; k < nfft / 2; ++k) {
+    const double f = static_cast<double>(k) * df;
+    const double psd_pa2 = std::pow(10.0, ambient_nsd(common::Hz{f}, cond).raw() / 10.0) *
+                           common::kRefPressurePa * common::kRefPressurePa;
+    const double sigma = std::sqrt(psd_pa2 * df / 2.0);
+    spec[k] = sigma * rng.complex_gaussian(1.0);
+    spec[nfft - k] = std::conj(spec[k]);
+  }
+  dsp::fft_plan(nfft).inverse(spec.data());
+  rvec out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = spec[i].real() * static_cast<double>(nfft);
+  return out;
+}
+
+TEST(Noise, SynthesisEqualsPerBinReference) {
+  const NoiseConditions cond{0.5, 6.0, 50.0};
+  for (const auto isa : {dsp::simd::Isa::kScalar, dsp::simd::compiled_isa()}) {
+    ASSERT_TRUE(dsp::simd::force_isa(isa));
+    for (std::size_t n : {1, 2, 3, 1000, 81569})
+      for (const bool cached : {false, true}) {
+        common::Rng a(21), b(21);
+        if (cached) {  // enter with a second polar value cached
+          a.gaussian();
+          b.gaussian();
+        }
+        const rvec got =
+            synthesize_ambient_noise(n, common::SampleRateHz{96000.0}, cond, a);
+        const rvec want = reference_noise(n, 96000.0, cond, b);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
+            << dsp::simd::isa_name(isa) << " n=" << n << " cached=" << cached;
+        EXPECT_EQ(a.gaussian(), b.gaussian());  // same stream position after
+      }
+  }
+  dsp::simd::reset_isa();
 }
 
 }  // namespace

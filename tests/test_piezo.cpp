@@ -170,8 +170,8 @@ TEST(Harvester, RectifierKneeBehaviour) {
 TEST(Harvester, PowerScalesWithIntensity) {
   const BvdModel m = test_transducer();
   EnergyHarvester h(m);
-  const double p1 = h.available_electrical_power_w(1.0, 18500.0);
-  const double p2 = h.available_electrical_power_w(2.0, 18500.0);
+  const double p1 = h.available_electrical_power_w(1.0);
+  const double p2 = h.available_electrical_power_w(2.0);
   EXPECT_NEAR(p2 / p1, 4.0, 1e-9);  // intensity ~ pressure^2
 }
 
@@ -179,12 +179,16 @@ TEST(Harvester, EnergyNeutralAtHighIncidentPressure) {
   const BvdModel m = test_transducer();
   EnergyHarvester h(m);
   PowerBudget b;
+  // Harvesting happens only while absorbing (sleep + listen), against the
+  // node's average draw over the whole duty cycle.
+  const double harvest_duty = 0.90 + 0.05;
+  const double draw_w = b.average_power_w(0.90, 0.05, 0.04, 0.01);
   // 165 dB re 1 uPa incident (strong carrier near the reader).
   const double p_strong = common::pressure_from_spl(165.0);
-  EXPECT_TRUE(is_energy_neutral(h, b, p_strong, 18500.0, 0.90, 0.05, 0.04, 0.01));
+  EXPECT_GE(h.harvested_power_w(p_strong) * harvest_duty, draw_w);
   // 110 dB is far too weak to power even the sleep current.
   const double p_weak = common::pressure_from_spl(110.0);
-  EXPECT_FALSE(is_energy_neutral(h, b, p_weak, 18500.0, 0.90, 0.05, 0.04, 0.01));
+  EXPECT_LT(h.harvested_power_w(p_weak) * harvest_duty, b.sleep_w);
 }
 
 TEST(Harvester, PowerBudgetAccounting) {

@@ -136,6 +136,15 @@ class ExactDiagnostics(unittest.TestCase):
             "scheduling",
             self._findings("rng_capture.cpp"))
 
+    def test_batch_draw_capture_diagnostic(self):
+        path = os.path.join(FIXTURES, "violating", "batch_draw_capture.cpp")
+        self.assertIn(
+            f"{path}:11: [rng-parallel-capture] 'fill_gaussian(rng, ...)' "
+            "draws from a captured Rng inside a parallel body; derive a "
+            "per-index stream with 'rng.child(i)' so draw order cannot "
+            "depend on scheduling",
+            self._findings("batch_draw_capture.cpp"))
+
     def test_unordered_diagnostic(self):
         path = os.path.join(FIXTURES, "violating", "unordered_accumulate.cpp")
         self.assertIn(

@@ -17,6 +17,13 @@ void clean_inline_child(const Rng& rng, double* out, std::size_t n) {
   });
 }
 
+void clean_batch(const Rng& rng, double* out, std::size_t blocks, std::size_t len) {
+  parallel_for(std::size_t{0}, blocks, [&](std::size_t b) {
+    Rng local = rng.child(b);
+    dsp::simd::fill_gaussian(local, out + b * len, len);
+  });
+}
+
 double clean_param(std::size_t n) {
   return parallel_reduce_seeded(
       std::size_t{0}, n, 0.0,

@@ -123,8 +123,11 @@ UNIT_SUFFIX_RE = re.compile(r"_(?:db|hz|m|s)$")
 
 DRAW_METHODS = (
     "uniform", "uniform_int", "gaussian", "complex_gaussian", "coin",
-    "random_bits", "gaussian_vector", "engine",
+    "random_bits", "gaussian_vector", "engine", "raw_state",
 )
+
+#: Free functions that draw from the Rng passed as their first argument.
+DRAW_FUNCTIONS = ("fill_gaussian",)
 
 ACCUMULATE_RE = re.compile(
     r"(?:\+=|\|=|\^=|<<|\bpush_back\s*\(|\bemplace_back\s*\(|"
@@ -448,6 +451,8 @@ PARALLEL_CALL_RE = re.compile(r"\bparallel_(?:for|reduce)\s*(?:<[^;{}]*?>)?\s*\(
 LAMBDA_RE = re.compile(r"\[([^\]\n]*)\]\s*\(([^)]*)\)")
 DRAW_RE = re.compile(
     r"\b(\w+)\s*(?:\.|->)\s*(" + "|".join(DRAW_METHODS) + r")\s*\(")
+FREE_DRAW_RE = re.compile(
+    r"\b(" + "|".join(DRAW_FUNCTIONS) + r")\s*\(\s*(\w+)\s*,")
 CHILD_LOCAL_RE = re.compile(
     r"\b(?:auto|Rng|common::Rng)\s*&?\s+(\w+)\s*=\s*[\w.\->:]+\.child\s*\(")
 
@@ -478,20 +483,23 @@ def check_rng_parallel_capture(src: SourceFile) -> list[Finding]:
             explicit = {c.strip().lstrip("&*")
                         for c in captures.split(",") if c.strip()}
             local = set(CHILD_LOCAL_RE.findall(body)) | params
-            for draw in DRAW_RE.finditer(body):
-                name, method = draw.group(1), draw.group(2)
+            draws = [(d.start(), d.group(1), f"{d.group(1)}.{d.group(2)}()")
+                     for d in DRAW_RE.finditer(body)]
+            draws += [(d.start(), d.group(2), f"{d.group(1)}({d.group(2)}, ...)")
+                      for d in FREE_DRAW_RE.finditer(body)]
+            for start, name, call in sorted(draws):
                 if name in local:
                     continue
                 captured = "&" in captures or "=" in captures or \
                     name in explicit
                 if not captured:
                     continue
-                line = src.line_of(open_paren + body_open + draw.start())
+                line = src.line_of(open_paren + body_open + start)
                 if src.is_allowed(line, "rng-parallel-capture"):
                     continue
                 found.append(Finding(
                     src.path, line, "rng-parallel-capture",
-                    f"'{name}.{method}()' draws from a captured Rng inside a "
+                    f"'{call}' draws from a captured Rng inside a "
                     "parallel body; derive a per-index stream with "
                     f"'{name}.child(i)' so draw order cannot depend on "
                     "scheduling"))
