@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "channel/noise.hpp"
+#include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
@@ -80,6 +81,50 @@ void BM_NoiseSynthesis(benchmark::State& state) {
 }
 // 131,072 is the FFT size of a waveform trial's ~81.6k-sample capture.
 BENCHMARK(BM_NoiseSynthesis)->Arg(65536)->Arg(131072);
+
+// A waveform trial's ambient noise as the simulator draws it: at the
+// demodulator's 8 kHz output rate, shaped by its front-end filter, from an
+// 8,192-point spectrum (the river scenario's front end keeps 3.5k-6.8k
+// samples of a capture).
+void BM_BasebandNoise(benchmark::State& state) {
+  const sim::Scenario sc = sim::vab_river_scenario();
+  const phy::ReaderDemodulator demod(sc.phy);
+  common::Rng rng(3);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  cvec y;
+  for (auto _ : state) {
+    channel::synthesize_baseband_noise(
+        n, common::SampleRateHz{sc.phy.fs_hz}, common::Hz{sc.phy.carrier_hz},
+        demod.lowpass_taps(), sc.phy.decimation(), sc.env.noise, rng, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_BasebandNoise)->Arg(8192);
+
+// The static-tap gather of one channel leg: the river 300 m forward taps
+// over a trial-length (81,569-sample) carrier.
+void BM_ApplyTaps(benchmark::State& state) {
+  sim::Scenario sc = sim::vab_river_scenario();
+  sc.range_m = 300.0;
+  channel::WaveformChannelConfig cfg;
+  cfg.fs_hz = sc.phy.fs_hz;
+  cfg.taps = sim::forward_taps(sc);
+  cfg.add_noise = false;
+  common::Rng rng(4);
+  const channel::WaveformChannel ch(cfg, rng);
+  const rvec tx = dsp::make_tone(sc.phy.carrier_hz, sc.phy.fs_hz, 81569, 1.0, 0.0);
+  rvec out;
+  for (auto _ : state) {
+    ch.propagate_clean(tx, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tx.size()));
+}
+BENCHMARK(BM_ApplyTaps);
 
 // The per-bin draws of a 131,072-point synthesis: nfft - 2 normals through
 // the dispatched batch sampler.

@@ -48,4 +48,18 @@ rvec synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
 void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
                               const NoiseConditions& cond, common::Rng& rng, rvec& out);
 
+/// Synthesizes `n` samples of the ambient noise as a receiver front end
+/// hears it: passband noise at rate `fs`, downconverted at `carrier`,
+/// filtered by the real FIR `lowpass` and decimated by `decimation`. The
+/// result is a stationary complex Gaussian sequence at fs / decimation whose
+/// two-sided PSD is the Wenz NSD at carrier + f, halved, times |H(f)|^2 of
+/// `lowpass`, summed over the decimation aliases. Frequencies where |H(f)|^2
+/// is under 1e-11 (110 dB below a unity passband: the demodulator's Kaiser
+/// stopband, the -2 carrier image among them) are dropped. Drawn from a
+/// next_pow2(n)-point spectrum; the per-bin sigmas are cached per thread like
+/// the passband ones.
+void synthesize_baseband_noise(std::size_t n, common::SampleRateHz fs, common::Hz carrier,
+                               const rvec& lowpass, std::size_t decimation,
+                               const NoiseConditions& cond, common::Rng& rng, cvec& out);
+
 }  // namespace vab::channel

@@ -34,8 +34,15 @@ struct WaveformChannelConfig {
   fault::FaultInjector* fault = nullptr;
 };
 
+/// Most surface bounces a tap may have under surface-wave motion: the output
+/// headroom covers the path-length swing of this many.
+inline constexpr int kMaxSurfaceBounces = 6;
+
 class WaveformChannel {
  public:
+  /// Throws std::invalid_argument under surface-wave motion for a tap with
+  /// more than kMaxSurfaceBounces bounces, or whose path is shorter than its
+  /// swing (2 x amplitude x bounces), so its delay would go negative.
   WaveformChannel(WaveformChannelConfig cfg, common::Rng& rng);
 
   /// Propagates a pressure waveform (Pa, at 1 m from the source) through the
@@ -51,6 +58,11 @@ class WaveformChannel {
   double max_delay_s() const;
 
  private:
+  /// `propagate_clean` under surface-wave motion, tap by tap: a moving tap
+  /// scatters each tx sample to its moving delay, a static one is added as
+  /// the gather adds it.
+  void propagate_surface(const rvec& tx, rvec& out) const;
+
   WaveformChannelConfig cfg_;
   common::Rng* rng_;
   std::vector<double> fade_;  ///< per-tap linear fading factors for this run

@@ -4,20 +4,19 @@
 // trial is fully determined by its seed. Benches derive per-trial seeds from
 // a master seed with `child()` to keep trials independent yet reproducible.
 //
-// The engine and the real-valued distributions are in-repo code that
-// reproduces libstdc++'s std::mt19937_64, generate_canonical<double, 53>
-// and normal_distribution bit for bit, so the seeded draws do not depend on
-// which standard library the build links. Only `uniform_int` and the
-// binomial draw in sim/linkbudget still run std:: distribution code (over
-// this engine). tests/test_rng.cpp pins all of it, against std:: and
-// against checked-in draw vectors.
+// The engine and the distributions are in-repo code that reproduces
+// libstdc++'s std::mt19937_64, generate_canonical<double, 53>,
+// normal_distribution and uniform_int_distribution<int64_t> bit for bit, so
+// the seeded draws do not depend on which standard library the build links.
+// Only the binomial draw in sim/linkbudget still runs std:: distribution
+// code (over this engine). tests/test_rng.cpp pins all of it, against std::
+// and against checked-in draw vectors.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <random>
 
 #include "common/types.hpp"
 
@@ -129,9 +128,33 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive: libstdc++'s
+  /// uniform_int_distribution<int64_t> over this engine, draw for draw. The
+  /// range is taken as the unsigned offset hi - lo; a full 64-bit range
+  /// passes one word through, any other is Lemire's multiply-and-reject
+  /// (`_S_nd`) over unsigned __int128. The result is lo plus the offset,
+  /// wrapped in unsigned arithmetic.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    const std::uint64_t urange =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    std::uint64_t ret;
+    if (urange == Mt19937_64::max()) {
+      ret = engine_();
+    } else {
+      const std::uint64_t erange = urange + 1;
+      using u128 = unsigned __int128;
+      u128 product = u128{engine_()} * erange;
+      auto low = static_cast<std::uint64_t>(product);
+      if (low < erange) {
+        const std::uint64_t threshold = -erange % erange;
+        while (low < threshold) {
+          product = u128{engine_()} * erange;
+          low = static_cast<std::uint64_t>(product);
+        }
+      }
+      ret = static_cast<std::uint64_t>(product >> 64);
+    }
+    return static_cast<std::int64_t>(ret + static_cast<std::uint64_t>(lo));
   }
 
   /// Standard normal sample: the Marsaglia polar method, which yields two

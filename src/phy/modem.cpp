@@ -149,8 +149,7 @@ cvec ReaderDemodulator::to_baseband(const rvec& passband, double* suppression_db
   return out;
 }
 
-void ReaderDemodulator::to_baseband(const rvec& passband, cvec& out,
-                                    double* suppression_db) const {
+void ReaderDemodulator::front_end(const rvec& passband, cvec& out) const {
   VAB_STAGE("demod.baseband");
   // Downconvert, then anti-alias + decimate in one decimated FIR pass: only
   // the kept baseband samples are computed, so the 255-tap filter costs
@@ -165,20 +164,35 @@ void ReaderDemodulator::to_baseband(const rvec& passband, cvec& out,
   // notch for thousands of samples.
   const std::size_t warmup = cfg_.lowpass_taps + 8 * m;
   dsp::fir_filter_decimate(lowpass_taps_, bb, m, warmup, out);
+}
 
-  // Self-interference cancellation.
+namespace {
+void cancel_self_interference(const PhyConfig& cfg, cvec& bb, double* suppression_db) {
   VAB_STAGE("demod.sic");
-  SelfInterferenceCanceller sic(cfg_.sic, cfg_.chip_rate_hz(), cfg_.fs_baseband_hz());
-  sic.process_inplace(out);
+  SelfInterferenceCanceller sic(cfg.sic, cfg.chip_rate_hz(), cfg.fs_baseband_hz());
+  sic.process_inplace(bb);
   if (suppression_db) *suppression_db = sic.last_suppression_db();
+}
+}  // namespace
+
+void ReaderDemodulator::to_baseband(const rvec& passband, cvec& out,
+                                    double* suppression_db) const {
+  front_end(passband, out);
+  cancel_self_interference(cfg_, out, suppression_db);
 }
 
 DemodResult ReaderDemodulator::demodulate(const rvec& passband,
                                           std::size_t expected_bits) const {
-  DemodResult res;
   auto bb_l = dsp::Workspace::local().take_c(0);
   cvec& bb = *bb_l;
-  to_baseband(passband, bb, &res.sic_suppression_db);
+  front_end(passband, bb);
+  return demodulate_baseband(bb, expected_bits);
+}
+
+DemodResult ReaderDemodulator::demodulate_baseband(cvec& bb,
+                                                   std::size_t expected_bits) const {
+  DemodResult res;
+  cancel_self_interference(cfg_, bb, &res.sic_suppression_db);
 
   // Sync against the cached zero-meaned reference (built at construction).
   const double spc = cfg_.samples_per_chip_bb();

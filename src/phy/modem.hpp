@@ -113,17 +113,32 @@ class ReaderDemodulator {
  public:
   explicit ReaderDemodulator(PhyConfig cfg);
 
-  /// Demodulates `expected_bits` payload bits from a passband capture.
+  /// Demodulates `expected_bits` payload bits from a passband capture:
+  /// `front_end`, then `demodulate_baseband`.
   DemodResult demodulate(const rvec& passband, std::size_t expected_bits) const;
+
+  /// The linear half of the receive chain: downconversion at the carrier and
+  /// the decimating anti-alias FIR, from the passband capture to complex
+  /// baseband at `fs_baseband_hz()`. Only kept samples are computed, so cost
+  /// scales with the baseband rate. Anything added to the capture reaches the
+  /// output through this filter alone, which is why additive noise can be
+  /// drawn at baseband instead (channel::synthesize_baseband_noise).
+  void front_end(const rvec& passband, cvec& out) const;
+
+  /// The rest of the chain on `front_end` output: self-interference
+  /// cancellation (in place on `bb`), sync, chip integration, equalizer and
+  /// line decode.
+  DemodResult demodulate_baseband(cvec& bb, std::size_t expected_bits) const;
 
   /// Exposes the baseband (post-SIC) signal for diagnostics/benches.
   cvec to_baseband(const rvec& passband, double* suppression_db = nullptr) const;
 
-  /// Out-parameter form used on the trial hot path; the anti-alias filter
-  /// runs in decimated form (only kept samples are computed), so cost scales
-  /// with the baseband rate, not the passband rate.
+  /// Out-parameter form: `front_end`, then the canceller.
   void to_baseband(const rvec& passband, cvec& out,
                    double* suppression_db = nullptr) const;
+
+  /// The anti-alias FIR prototype `front_end` runs at `fs_hz`.
+  const rvec& lowpass_taps() const { return lowpass_taps_; }
 
   const PhyConfig& config() const { return cfg_; }
 

@@ -164,14 +164,22 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
     rx.resize(tail_end - head);
   }
 
-  // Ambient noise at the hydrophone.
+  // Receiver front end, then the ambient noise at the hydrophone. The path
+  // from the noise adder to the front-end output is linear, so the noise is
+  // drawn as the front end would pass it: at the baseband rate, shaped by the
+  // anti-alias filter.
+  auto bb_l = dsp::Workspace::local().take_c(0);
+  cvec& bb = *bb_l;
+  demodulator_.front_end(rx, bb);
   {
     VAB_STAGE("wave.noise");
-    auto noise_l = dsp::Workspace::local().take_r(0);
-    rvec& noise = *noise_l;
-    channel::synthesize_ambient_noise(rx.size(), common::SampleRateHz{fs},
-                                      scenario_.env.noise, *rng_, noise);
-    for (std::size_t n = 0; n < rx.size(); ++n) rx[n] += noise[n];
+    auto noise_l = dsp::Workspace::local().take_c(0);
+    cvec& noise = *noise_l;
+    channel::synthesize_baseband_noise(bb.size(), common::SampleRateHz{fs},
+                                       common::Hz{phy.carrier_hz},
+                                       demodulator_.lowpass_taps(), phy.decimation(),
+                                       scenario_.env.noise, *rng_, noise);
+    for (std::size_t n = 0; n < bb.size(); ++n) bb[n] += noise[n];
   }
 
   // Demodulate (and FEC-decode when the scenario runs coded).
@@ -180,7 +188,7 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   const phy::FrameCodec codec(scenario_.fec);
   {
     VAB_STAGE("wave.demod");
-    res.demod = demodulator_.demodulate(rx, codec.coded_size(payload.size()));
+    res.demod = demodulator_.demodulate_baseband(bb, codec.coded_size(payload.size()));
   }
   if (res.demod.sync_found &&
       res.demod.bits.size() == codec.coded_size(payload.size())) {

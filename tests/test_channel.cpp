@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 #include "channel/absorption.hpp"
 #include "channel/noise.hpp"
@@ -15,6 +16,8 @@
 #include "dsp/fft.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/spectrum.hpp"
+#include "phy/modem.hpp"
+#include "sim/scenario.hpp"
 
 namespace vab::channel {
 namespace {
@@ -209,6 +212,55 @@ TEST(Noise, SynthesisEqualsPerBinReference) {
       }
   }
   dsp::simd::reset_isa();
+}
+
+// The baseband synthesis stands in for the front end's view of passband
+// noise: downconvert, 255-tap low-pass, decimate. Over 16 seeds its band
+// powers must match front_end(synthesize_ambient_noise(...)) within the
+// 2.5 dB of SynthesisMatchesModelSpectrum, and its total variance within
+// 10 %, for both shipped noise fields. Eight bands span the decimated rate,
+// the outer two in the filter's transition band, where aliases add.
+TEST(Noise, BasebandSynthesisMatchesFrontEndOfPassband) {
+  sim::Scenario river = sim::vab_river_scenario();
+  sim::Scenario ocean = sim::vab_ocean_scenario();
+  constexpr std::size_t kSeeds = 16;
+  constexpr std::size_t kBands = 8;
+  for (const sim::Scenario* sc : {&river, &ocean}) {
+    const phy::PhyConfig& cfg = sc->phy;
+    const phy::ReaderDemodulator demod(cfg);
+    const std::size_t m = cfg.decimation();
+    const std::size_t n = 4096;
+    // Passband length whose front-end output is exactly n samples.
+    const std::size_t warmup = cfg.lowpass_taps + 8 * m;
+    const std::size_t len = warmup + 1 + (n - 1) * m;
+    rvec bands_pass(kBands, 0.0), bands_base(kBands, 0.0);
+    double var_pass = 0.0, var_base = 0.0;
+    for (std::size_t seed = 0; seed < kSeeds; ++seed) {
+      common::Rng rng_pass(1000 + seed), rng_base(2000 + seed);
+      const rvec pass = synthesize_ambient_noise(len, common::SampleRateHz{cfg.fs_hz},
+                                                 sc->env.noise, rng_pass);
+      cvec via_front_end;
+      demod.front_end(pass, via_front_end);
+      ASSERT_EQ(via_front_end.size(), n);
+      cvec base;
+      synthesize_baseband_noise(n, common::SampleRateHz{cfg.fs_hz},
+                                common::Hz{cfg.carrier_hz}, demod.lowpass_taps(), m,
+                                sc->env.noise, rng_base, base);
+      ASSERT_EQ(base.size(), n);
+      for (auto [x, bands, var] : {std::tuple{via_front_end, &bands_pass, &var_pass},
+                                   std::tuple{base, &bands_base, &var_base}}) {
+        for (const cplx& v : x) *var += std::norm(v);
+        dsp::fft_inplace(x);
+        // Bin k sits at k * fs_bb / n, wrapped: bins [n/2, n) are negative.
+        for (std::size_t k = 0; k < n; ++k)
+          (*bands)[((k + n / 2) % n) * kBands / n] += std::norm(x[k]);
+      }
+    }
+    EXPECT_NEAR(var_base / var_pass, 1.0, 0.10);
+    for (std::size_t b = 0; b < kBands; ++b)
+      EXPECT_NEAR(10.0 * std::log10(bands_base[b] / bands_pass[b]), 0.0, 2.5)
+          << "band " << b << " of " << kBands;
+  }
 }
 
 }  // namespace

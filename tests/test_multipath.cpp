@@ -1,12 +1,18 @@
 // Image-method multipath and the time-domain waveform channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "channel/multipath.hpp"
 #include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "dsp/mixer.hpp"
+#include "sim/scenario.hpp"
 
 namespace vab::channel {
 namespace {
@@ -181,6 +187,130 @@ TEST(WaveformChannel, MultipathCombImpulseResponse) {
   for (double v : y)
     if (std::abs(v) > 1e-4) ++spikes;
   EXPECT_GE(spikes, taps.size());  // fractional delays split across 2 samples
+}
+
+
+// The propagation as the library wrote it before the gather kernel: tap by
+// tap, each tx sample scattered to out[n + d] and out[n + d + 1], with d
+// moving for a surface-bounced tap under surface-wave motion. Fades are drawn
+// from `rng` exactly as the channel draws them. Kept here only, as the
+// reference the gather must equal bit for bit.
+rvec scatter_reference(const WaveformChannelConfig& cfg, common::Rng rng,
+                       const rvec& tx) {
+  std::vector<double> fade(cfg.taps.size(), 1.0);
+  if (cfg.fading_sigma_db > 0.0) {
+    for (auto& f : fade)
+      f = std::pow(10.0, rng.gaussian(0.0, cfg.fading_sigma_db) / 20.0);
+  }
+  const double fs = cfg.fs_hz;
+  const double wave_amp = cfg.surface_wave_amplitude_m;
+  double max_delay = 0.0;
+  for (const auto& t : cfg.taps) max_delay = std::max(max_delay, t.delay_s);
+  const double max_breathe =
+      wave_amp > 0.0 ? 2.0 * wave_amp * 6.0 / cfg.sound_speed_mps : 0.0;
+  const auto extra =
+      static_cast<std::size_t>(std::ceil((max_delay + max_breathe) * fs)) + 2;
+  rvec out(tx.size() + extra, 0.0);
+  for (std::size_t p = 0; p < cfg.taps.size(); ++p) {
+    const auto& tap = cfg.taps[p];
+    const double g = tap.gain * fade[p];
+    const double d0 = tap.delay_s * fs;
+    if (wave_amp > 0.0 && tap.surface_bounces > 0) {
+      const double omega = common::kTwoPi / (cfg.surface_wave_period_s * fs);
+      const double depth_mod = 2.0 * wave_amp * static_cast<double>(tap.surface_bounces) /
+                               cfg.sound_speed_mps * fs;
+      const double phi0 = 2.0 * common::kPi * static_cast<double>(p) / 7.0;
+      for (std::size_t n = 0; n < tx.size(); ++n) {
+        const double d = d0 + depth_mod * std::sin(omega * static_cast<double>(n) + phi0);
+        const auto d_int = static_cast<std::size_t>(d);
+        const double frac = d - static_cast<double>(d_int);
+        out[n + d_int] += g * (1.0 - frac) * tx[n];
+        out[n + d_int + 1] += g * frac * tx[n];
+      }
+      continue;
+    }
+    const auto d_int = static_cast<std::size_t>(d0);
+    const double frac = d0 - static_cast<double>(d_int);
+    for (std::size_t n = 0; n < tx.size(); ++n) {
+      out[n + d_int] += g * (1.0 - frac) * tx[n];
+      out[n + d_int + 1] += g * frac * tx[n];
+    }
+  }
+  return out;
+}
+
+TEST(Channel, GatherTapsMatchScatterReference) {
+  struct Case {
+    std::string name;
+    WaveformChannelConfig cfg;
+  };
+  std::vector<Case> cases;
+  for (const bool ocean : {false, true}) {
+    for (const double range : {25.0, 50.0, 100.0, 200.0, 300.0, 500.0}) {
+      sim::Scenario s = ocean ? sim::vab_ocean_scenario() : sim::vab_river_scenario();
+      s.range_m = range;
+      for (const bool fades : {false, true}) {
+        WaveformChannelConfig cfg;
+        cfg.fs_hz = s.phy.fs_hz;
+        cfg.add_noise = false;
+        cfg.fading_sigma_db = fades ? 3.0 : 0.0;
+        const std::string tag = std::string(ocean ? "ocean " : "river ") +
+                                std::to_string(static_cast<int>(range)) + " m" +
+                                (fades ? " faded" : "");
+        cfg.taps = sim::forward_taps(s);
+        cases.push_back({tag + " forward", cfg});
+        cfg.taps = sim::return_taps(s);
+        cases.push_back({tag + " return", cfg});
+        cfg.taps = sim::blast_taps(s);
+        cases.push_back({tag + " blast", cfg});
+      }
+    }
+  }
+  // Surface-wave motion at the EXT-2 amplitudes: the moving taps keep their
+  // scatter, the static ones between them go through the gather.
+  for (const double amp : {0.1, 0.3}) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.range_m = 300.0;
+    WaveformChannelConfig cfg;
+    cfg.fs_hz = s.phy.fs_hz;
+    cfg.add_noise = false;
+    cfg.fading_sigma_db = 3.0;
+    cfg.sound_speed_mps = s.env.sound_speed();
+    cfg.surface_wave_amplitude_m = amp;
+    cfg.surface_wave_period_s = 5.0;
+    cfg.taps = sim::forward_taps(s);
+    cases.push_back({"river 300 m forward, surface wave " + std::to_string(amp), cfg});
+    cfg.taps = sim::return_taps(s);
+    cases.push_back({"river 300 m return, surface wave " + std::to_string(amp), cfg});
+  }
+  WaveformChannelConfig one;
+  one.fs_hz = 96000.0;
+  one.taps = single_tap(0.7, 123.37 / 96000.0);
+  cases.push_back({"single tap", one});
+  WaveformChannelConfig whole = one;
+  whole.taps = {PathTap{0.0, 1.0, 0, 0}, PathTap{40.0 / 96000.0, -0.3, 1, 0},
+                PathTap{40.25 / 96000.0, 0.2, 1, 1}};
+  cases.push_back({"integer delays (frac == 0)", whole});
+
+  common::Rng gen(17);
+  const rvec tone = dsp::make_tone(18500.0, 96000.0, 9000, 2.0, 0.3);
+  rvec noisy(9000);
+  for (auto& v : noisy) v = gen.gaussian();
+  for (const Case& c : cases) {
+    // A tone and a noise block longer than the cache block, a tx shorter
+    // than the delay spread, a single sample and an empty tx.
+    for (const rvec& tx : {tone, noisy, rvec(noisy.begin(), noisy.begin() + 7),
+                           rvec(1, 0.5), rvec{}}) {
+      common::Rng rng(99);
+      const WaveformChannel ch(c.cfg, rng);
+      rvec got;
+      ch.propagate_clean(tx, got);
+      const rvec want = scatter_reference(c.cfg, common::Rng(99), tx);
+      ASSERT_EQ(got.size(), want.size()) << c.name << " n=" << tx.size();
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+          << c.name << " n=" << tx.size();
+    }
+  }
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "channel/waveform_channel.hpp"
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "net/frame.hpp"
 #include "phy/coding.hpp"
 #include "sim/linkbudget.hpp"
@@ -241,6 +244,76 @@ TEST(LinkBudgetNegative, NonPositiveChipRateThrowsAtConstruction) {
     s.phy.bitrate_bps = bitrate;
     EXPECT_THROW(sim::LinkBudget{s}, std::invalid_argument) << bitrate;
   }
+}
+
+// ------------------------------------------------------ WaveformChannel --
+
+// Under surface-wave motion a tap's delay swings by 2 x amplitude x bounces
+// of path length. The output is sized for at most kMaxSurfaceBounces
+// bounces, and the swing must not carry the delay below zero; either fault
+// would index outside the output, so the constructor rejects it by tap.
+channel::WaveformChannelConfig surface_config(std::vector<channel::PathTap> taps,
+                                              double amplitude_m) {
+  channel::WaveformChannelConfig cfg;
+  cfg.fs_hz = 96000.0;
+  cfg.add_noise = false;
+  cfg.sound_speed_mps = 1500.0;
+  cfg.surface_wave_amplitude_m = amplitude_m;
+  cfg.taps = std::move(taps);
+  return cfg;
+}
+
+std::string construction_error(const channel::WaveformChannelConfig& cfg) {
+  common::Rng rng(1);
+  try {
+    const channel::WaveformChannel ch(cfg, rng);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WaveformChannelNegative, SurfaceTapWithTooManyBouncesThrows) {
+  const int bounces = channel::kMaxSurfaceBounces + 1;
+  const auto cfg = surface_config(
+      {channel::PathTap{0.1, 0.01, 0, 0}, channel::PathTap{0.2, 0.001, bounces, bounces}},
+      0.1);
+  const std::string err = construction_error(cfg);
+  EXPECT_NE(err.find("tap 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("bounces"), std::string::npos) << err;
+  // The same taps on a still surface are static: accepted.
+  EXPECT_EQ(construction_error(surface_config(cfg.taps, 0.0)), "");
+}
+
+TEST(WaveformChannelNegative, SurfacePathShorterThanItsSwingThrows) {
+  // 0.5 m of path against a 2 x 0.3 m x 1 bounce swing.
+  const auto cfg = surface_config(
+      {channel::PathTap{0.5 / 1500.0, 0.1, 1, 0}, channel::PathTap{0.1, 0.01, 2, 1}},
+      0.3);
+  const std::string err = construction_error(cfg);
+  EXPECT_NE(err.find("tap 0"), std::string::npos) << err;
+  EXPECT_NE(err.find("negative delay"), std::string::npos) << err;
+  // A path exactly as long as its swing reaches delay 0 and is accepted.
+  EXPECT_EQ(construction_error(
+                surface_config({channel::PathTap{0.6 / 1500.0, 0.1, 1, 0}}, 0.3)),
+            "");
+}
+
+TEST(WaveformChannelNegative, ShippedSurfaceWaveTapSetsAreAccepted) {
+  // Every tap set a shipped scenario builds (max_order 4-6) at the EXT-2
+  // amplitudes, forward, return and blast legs.
+  for (const bool ocean : {false, true})
+    for (const int order : {4, 5, 6})
+      for (const double range : {25.0, 150.0, 500.0})
+        for (const double amp : {0.1, 0.3}) {
+          sim::Scenario s = ocean ? sim::vab_ocean_scenario() : sim::vab_river_scenario();
+          s.range_m = range;
+          s.env.multipath.max_order = order;
+          for (const auto& taps :
+               {sim::forward_taps(s), sim::return_taps(s), sim::blast_taps(s)})
+            EXPECT_EQ(construction_error(surface_config(taps, amp)), "")
+                << ocean << " order " << order << " range " << range << " amp " << amp;
+        }
 }
 
 }  // namespace

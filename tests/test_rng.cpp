@@ -1,9 +1,10 @@
 // The seeded-draw contract of common::Rng and the batch Gaussian sampler.
 //
 // Every golden depends on these draws, so they are pinned three ways:
-//  - against libstdc++'s std::mt19937_64, uniform_real_distribution and
-//    normal_distribution, output for output (only where the build links
-//    libstdc++: another standard library is free to differ, and our code
+//  - against libstdc++'s std::mt19937_64, uniform_real_distribution,
+//    uniform_int_distribution and normal_distribution, output for output
+//    (only where the build links libstdc++: another standard library is
+//    free to differ, and our code
 //    must not);
 //  - against checked-in hex draw vectors, which hold on any toolchain;
 //  - dsp::simd::fill_gaussian against n sequential gaussian() calls,
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <climits>
 #include <cstdint>
+#include <utility>
 #include <random>
 #include <vector>
 
@@ -97,7 +100,58 @@ TEST(Rng, DrawsMatchCheckedInVectors) {
   dsp::simd::reset_isa();
 }
 
+TEST(Rng, UniformIntMatchesCheckedInVectors) {
+  // Seed 11, four draws per range in this order: a single value, small
+  // ranges, 2^31-1 and 2^32+1 values, 2^63+1 values (rejects about half
+  // its words) and the full 64-bit range (one word passed through).
+  struct Case {
+    std::int64_t lo, hi;
+    std::uint64_t draws[4];
+  };
+  const Case cases[] = {
+      {5, 5, {0x5ULL, 0x5ULL, 0x5ULL, 0x5ULL}},
+      {0, 1, {0x0ULL, 0x0ULL, 0x1ULL, 0x1ULL}},
+      {0, 6, {0x3ULL, 0x6ULL, 0x1ULL, 0x0ULL}},
+      {-3, 1000, {0x375ULL, 0x188ULL, 0xffULL, 0x13aULL}},
+      {0, (std::int64_t{1} << 31) - 2,
+       {0x2ff50667ULL, 0x006e1997ULL, 0x6c5a07f1ULL, 0x789f5bcdULL}},
+      {0, std::int64_t{1} << 32,
+       {0x4ce56ce0ULL, 0xef42b97bULL, 0xc2bddf3aULL, 0xdc86e8aeULL}},
+      {-(std::int64_t{1} << 62), std::int64_t{1} << 62,
+       {0xf7523c35bd90682eULL, 0xcb3f0e5f8614091dULL, 0xff2cabd1f9fbe9b4ULL,
+        0xc60bb8d1e04551e6ULL}},
+      {INT64_MIN, INT64_MAX,
+       {0x791c1846ee1d7dc7ULL, 0x28e4382d7e4092b6ULL, 0xe97517ad24f0f873ULL,
+        0xdca769f3d34da96cULL}},
+  };
+  Rng r(11);
+  for (const Case& c : cases)
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(static_cast<std::uint64_t>(r.uniform_int(c.lo, c.hi)), c.draws[i])
+          << "[" << c.lo << ", " << c.hi << "] @" << i;
+  EXPECT_EQ(r.engine()(), 0x9fc06b7f30c60f3cULL);  // same words consumed
+}
+
 #if defined(__GLIBCXX__)
+TEST(Rng, UniformIntMatchesLibstdcxxOverRanges) {
+  const std::int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0},           {-1, -1},      {0, 1},          {0, 2},
+      {0, 255},         {1, 300},      {-7, 7},         {0, (1LL << 32) - 1},
+      {0, 1LL << 32},   {0, 1LL << 33}, {kMin, -1},     {0, kMax},
+      {-1, kMax},       {kMin, 0},     {kMin / 2, kMax / 2 + 1}, {kMin + 1, kMax},
+      {kMin, kMax}};
+  for (Rng rng : streams()) {
+    std::mt19937_64 eng(rng.seed());
+    for (const auto& [lo, hi] : ranges)
+      for (int i = 0; i < 200; ++i)
+        ASSERT_EQ(rng.uniform_int(lo, hi),
+                  std::uniform_int_distribution<std::int64_t>(lo, hi)(eng))
+            << rng.seed() << " [" << lo << ", " << hi << "] @" << i;
+    EXPECT_EQ(rng.engine()(), eng());
+  }
+}
+
 TEST(Rng, InterleavedDrawsMatchLibstdcxxDistributions) {
   for (Rng rng : streams()) {
     std::mt19937_64 eng(rng.seed());

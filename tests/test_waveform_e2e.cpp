@@ -3,14 +3,24 @@
 // Also calibrates the analytic link budget against the waveform simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "channel/noise.hpp"
+#include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "dsp/mixer.hpp"
+#include "phy/coding.hpp"
+#include "phy/fec.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
+#include "vanatta/array.hpp"
 
 namespace vab {
 namespace {
@@ -222,6 +232,188 @@ TEST(WaveformE2E, SurfaceWavesToleratedAtModerateSwell) {
   const auto res = wsim.run_trial(rng.random_bits(48));
   ASSERT_TRUE(res.demod.sync_found);
   EXPECT_LE(res.bit_errors, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Passband vs baseband noise A/B. The simulator adds the ambient noise after
+// the receiver front end, drawn at the baseband rate. This reference rebuilds
+// run_trial from public calls with the noise drawn at passband and added to
+// the capture before demodulate(), as the simulator did before the seam
+// existed; the channel draws (fades) are the same, so only the noise
+// realization differs.
+struct RefOutcome {
+  bool sync_found = false;
+  bool frame_ok = false;
+  double snr_db = 0.0;
+};
+
+RefOutcome passband_noise_trial(const sim::Scenario& sc, std::size_t payload_bits,
+                                const common::Rng& job_rng, std::size_t t) {
+  common::Rng rng = job_rng.child(t);
+  const bitvec payload = rng.random_bits(payload_bits);
+  const phy::PhyConfig& cfg = sc.phy;
+  const double fs = cfg.fs_hz;
+  const double c = sc.env.sound_speed();
+  const phy::BackscatterModulator modulator(cfg);
+  const phy::ReaderDemodulator demodulator(cfg);
+  const vanatta::VanAttaArray array(sc.node.array);
+  const double theta = sc.node.orientation_rad;
+  const double mod_amp =
+      std::pow(10.0, sim::kElementTargetStrengthDb / 20.0) *
+      std::abs(array.bistatic_response(theta, theta, cfg.carrier_hz, 1) -
+               array.bistatic_response(theta, theta, cfg.carrier_hz, 0)) /
+      2.0;
+  const double static_amp = sc.node.static_reflection_rel * mod_amp;
+  const phy::FrameCodec codec(sc.fec);
+  const bitvec air_bits = codec.encode(payload);
+
+  const auto fwd_taps = sim::forward_taps(sc);
+  const auto ret_taps = sim::return_taps(sc);
+  const double sep = std::max(sc.reader.tx_rx_separation_m, 0.1);
+  double max_delay = sep / c, ret_delay = 0.0, fwd_direct = fwd_taps.front().delay_s;
+  for (const auto& tap : fwd_taps) {
+    max_delay = std::max(max_delay, tap.delay_s);
+    fwd_direct = std::min(fwd_direct, tap.delay_s);
+  }
+  for (const auto& tap : ret_taps) ret_delay = std::max(ret_delay, tap.delay_s);
+  const auto n_tx =
+      modulator.waveform_length(air_bits.size()) +
+      static_cast<std::size_t>(std::ceil((2.0 * max_delay + ret_delay) * fs)) + 64;
+  const rvec tx =
+      dsp::make_tone(cfg.carrier_hz, fs, n_tx,
+                     common::pressure_from_spl(sc.reader.source_level_db) *
+                         std::sqrt(2.0),
+                     0.0);
+
+  channel::WaveformChannelConfig fwd_cfg;
+  fwd_cfg.fs_hz = fs;
+  fwd_cfg.taps = fwd_taps;
+  fwd_cfg.add_noise = false;
+  fwd_cfg.sound_speed_mps = c;
+  fwd_cfg.fading_sigma_db = sc.env.fading_sigma_db / 2.0;
+  fwd_cfg.surface_wave_amplitude_m = sc.env.surface_wave_amplitude_m;
+  fwd_cfg.surface_wave_period_s = sc.env.surface_wave_period_s;
+  rvec incident;
+  channel::WaveformChannel(fwd_cfg, rng).propagate_clean(tx, incident);
+
+  const auto node_start = static_cast<std::size_t>(std::ceil(fwd_direct * fs));
+  const bitvec states = modulator.switch_waveform(air_bits);
+  const bitvec mask = modulator.active_mask(air_bits.size());
+  const bool polarity = sc.node.array.scheme == vanatta::ModulationScheme::kPolarity;
+  rvec reflected(incident.size());
+  for (std::size_t n = 0; n < incident.size(); ++n) {
+    double coef = static_amp;
+    const std::size_t k = n - node_start;
+    if (n >= node_start && k < states.size() && mask[k])
+      coef += mod_amp * (polarity ? (states[k] ? 1.0 : -1.0) : (states[k] ? 2.0 : 0.0));
+    reflected[n] = incident[n] * coef;
+  }
+
+  channel::WaveformChannelConfig ret_cfg = fwd_cfg;
+  ret_cfg.taps = ret_taps;
+  rvec rx;
+  channel::WaveformChannel(ret_cfg, rng).propagate(reflected, rx);
+  channel::WaveformChannelConfig blast_cfg = fwd_cfg;
+  blast_cfg.taps = sim::blast_taps(sc);
+  blast_cfg.fading_sigma_db = 0.0;
+  rvec blast;
+  channel::WaveformChannel(blast_cfg, rng).propagate_clean(tx, blast);
+  if (blast.size() > rx.size()) rx.resize(blast.size(), 0.0);
+  for (std::size_t n = 0; n < blast.size(); ++n) rx[n] += blast[n];
+  const auto head = static_cast<std::size_t>(std::ceil(sep / c * fs)) + 256;
+  const std::size_t tail_end = std::min(rx.size(), n_tx);
+  if (head < tail_end) rx = rvec(rx.begin() + static_cast<std::ptrdiff_t>(head),
+                                 rx.begin() + static_cast<std::ptrdiff_t>(tail_end));
+
+  const rvec noise = channel::synthesize_ambient_noise(
+      rx.size(), common::SampleRateHz{fs}, sc.env.noise, rng);
+  for (std::size_t n = 0; n < rx.size(); ++n) rx[n] += noise[n];
+
+  const std::size_t coded = codec.coded_size(payload.size());
+  const phy::DemodResult demod = demodulator.demodulate(rx, coded);
+  RefOutcome out;
+  out.sync_found = demod.sync_found;
+  out.snr_db = demod.snr_db;
+  if (demod.sync_found && demod.bits.size() == coded) {
+    std::size_t corrected = 0;
+    const bitvec decoded = codec.decode(demod.bits, payload.size(), corrected);
+    out.frame_ok = phy::hamming_distance(decoded, payload) == 0;
+  }
+  return out;
+}
+
+/// Wilson score 95 % interval of k successes in n.
+std::pair<double, double> wilson95(std::size_t k, std::size_t n) {
+  const double z = 1.96, nn = static_cast<double>(n), p = static_cast<double>(k) / nn;
+  const double center = (p + z * z / (2.0 * nn)) / (1.0 + z * z / nn);
+  const double half =
+      z * std::sqrt(p * (1.0 - p) / nn + z * z / (4.0 * nn * nn)) / (1.0 + z * z / nn);
+  return {center - half, center + half};
+}
+
+TEST(WaveformE2E, BasebandNoiseMatchesPassbandReference) {
+  // The four wave_campaign jobs (river 100/300 m, ocean 100 m, river 200 m
+  // FEC), fig_ber_vs_range's waveform check ranges (river 100/200/300 m, no
+  // fading) and two points on its waterfall (400 and 500 m, where frames
+  // fail often), 64-bit payloads, fixed seeds. frames_ok must fall in the
+  // reference's Wilson 95 % interval and mean SNR within 0.5 dB of it.
+  struct Job {
+    std::string name;
+    sim::Scenario scenario;
+  };
+  std::vector<Job> jobs;
+  for (const double r : {100.0, 300.0}) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.range_m = r;
+    jobs.push_back({"river " + std::to_string(static_cast<int>(r)) + " m", s});
+  }
+  sim::Scenario ocean = sim::vab_ocean_scenario();
+  ocean.range_m = 100.0;
+  jobs.push_back({"ocean 100 m", ocean});
+  sim::Scenario fec = sim::vab_river_scenario();
+  fec.range_m = 200.0;
+  fec.fec.enable = true;
+  jobs.push_back({"river 200 m FEC", fec});
+  for (const double r : {100.0, 200.0, 300.0, 400.0, 500.0}) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.range_m = r;
+    s.env.fading_sigma_db = 0.0;
+    jobs.push_back({"E1 river " + std::to_string(static_cast<int>(r)) + " m unfaded", s});
+  }
+
+  constexpr std::size_t kTrials = 48;
+  constexpr std::size_t kBits = 64;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const common::Rng job_rng = common::Rng(26).child(j);
+    std::size_t ok_base = 0, ok_pass = 0, sync_base = 0, sync_pass = 0;
+    double snr_base = 0.0, snr_pass = 0.0;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      const sim::WaveformTrialOutcome b =
+          sim::run_waveform_trial(jobs[j].scenario, kBits, job_rng, t);
+      const RefOutcome p = passband_noise_trial(jobs[j].scenario, kBits, job_rng, t);
+      ok_base += b.frame_ok ? 1 : 0;
+      ok_pass += p.frame_ok ? 1 : 0;
+      if (b.sync_found) {
+        ++sync_base;
+        snr_base += b.snr_db;
+      }
+      if (p.sync_found) {
+        ++sync_pass;
+        snr_pass += p.snr_db;
+      }
+    }
+    const auto [lo, hi] = wilson95(ok_pass, kTrials);
+    const double rate_base = static_cast<double>(ok_base) / kTrials;
+    const std::string what =
+        jobs[j].name + ": " + std::to_string(ok_base) + " vs " + std::to_string(ok_pass);
+    EXPECT_GE(rate_base, lo) << what;
+    EXPECT_LE(rate_base, hi + 1e-12) << what;
+    ASSERT_GT(sync_base, 0u) << jobs[j].name;
+    ASSERT_GT(sync_pass, 0u) << jobs[j].name;
+    EXPECT_NEAR(snr_base / static_cast<double>(sync_base),
+                snr_pass / static_cast<double>(sync_pass), 0.5)
+        << jobs[j].name;
+  }
 }
 
 }  // namespace

@@ -28,13 +28,14 @@ from pathlib import Path
 # end-to-end waveform trial, the fleet simulator's hot path (event queue,
 # spatial grid, budget-fidelity run), the two per-poll costs of a budget
 # poll (link-budget evaluation, report-frame serialize + CRC-checked parse)
-# the whole budget-fidelity poll exchange (query -> report -> ACK), and
-# ambient-noise synthesis with its batch Gaussian sampler.
+# the whole budget-fidelity poll exchange (query -> report -> ACK),
+# ambient-noise synthesis (passband and baseband) with its batch Gaussian
+# sampler, and the static-tap channel gather.
 # This also covers the *Scalar twins of the vectorized kernels, so the
 # reference path is regression-gated alongside the dispatched one.
 WATCH_PATTERN = re.compile(
     r"Correlate|Fft|FirDecimate|Downconvert|WaveformTrial|Fleet|LinkBudget|Frame|Poll|"
-    r"Noise|Gaussian")
+    r"Noise|Gaussian|ApplyTaps")
 
 # Machine-speed proxy: plain streaming FIR, untouched scalar code. Not in the
 # watchlist, so a genuine FFT/correlation regression cannot hide in it.
