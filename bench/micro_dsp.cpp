@@ -111,7 +111,6 @@ void BM_ApplyTaps(benchmark::State& state) {
   channel::WaveformChannelConfig cfg;
   cfg.fs_hz = sc.phy.fs_hz;
   cfg.taps = sim::forward_taps(sc);
-  cfg.add_noise = false;
   common::Rng rng(4);
   const channel::WaveformChannel ch(cfg, rng);
   const rvec tx = dsp::make_tone(sc.phy.carrier_hz, sc.phy.fs_hz, 81569, 1.0, 0.0);

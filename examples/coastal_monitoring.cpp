@@ -1,16 +1,24 @@
 // Coastal monitoring deployment: the application the paper's introduction
-// motivates. A reader buoy inventories a field of battery-free Van Atta
-// sensor nodes over TDMA rounds; we track delivery, goodput and each node's
-// energy ledger over a simulated deployment.
+// motivates. A reader buoy polls a field of battery-free Van Atta sensor
+// nodes on the poll-and-ARQ MAC (query -> report -> ACK), one telemetry
+// cycle per minute; we track delivery, goodput and each node's energy
+// ledger over a simulated deployment.
 //
 //   ./coastal_monitoring [nodes=12] [radius_m=300] [hours=24] [seed=7]
+#include <algorithm>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "core/system.hpp"
+#include "net/app.hpp"
+#include "net/frame.hpp"
+#include "net/inventory.hpp"
+#include "net/mcs/mcs.hpp"
+#include "net/mcs/transport.hpp"
 #include "piezo/bvd.hpp"
 #include "piezo/harvester.hpp"
 #include "sim/linkbudget.hpp"
@@ -20,6 +28,10 @@ int main(int argc, char** argv) {
   using namespace vab;
   const auto cfg = common::Config::from_args(argc, argv);
   const auto n_nodes = cfg.get_count("nodes", 12);
+  // Nodes take MAC addresses 1..nodes; the top address is broadcast.
+  if (n_nodes >= net::kBroadcastAddr)
+    throw std::invalid_argument("config key 'nodes' must be at most 254, got " +
+                                std::to_string(n_nodes));
   const double radius = cfg.get_double("radius_m", 300.0);
   const double hours = cfg.get_double("hours", 24.0);
   common::Rng rng(cfg.get_count("seed", 7));
@@ -28,28 +40,47 @@ int main(int argc, char** argv) {
             << radius << " m of the reader buoy, " << hours << " h deployment\n\n";
 
   // Scatter nodes over the field with arbitrary orientations — Van Atta
-  // retrodirectivity is what makes the random orientation survivable.
-  sim::Scenario scenario = sim::vab_ocean_scenario();
-  std::vector<core::NetworkNode> nodes;
+  // retrodirectivity is what makes the random orientation survivable. Each
+  // node's mean link SNR comes from the budget at its own geometry; every
+  // uplink fades around it.
+  const sim::Scenario scenario = sim::vab_ocean_scenario();
+  const net::mcs::McsLadder ladder = net::mcs::McsLadder::default_ladder();
+  net::mcs::AnalyticMcsConfig tcfg;
+  tcfg.fading_sigma_db = scenario.env.fading_sigma_db;
+  net::mcs::AnalyticMcsTransport transport(ladder, tcfg);
+  std::vector<std::uint8_t> population(n_nodes);
+  std::vector<double> range_m(n_nodes), orientation_rad(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    core::NetworkNode n;
-    n.address = static_cast<std::uint8_t>(i);
-    n.slot = static_cast<std::uint8_t>(i);
-    n.range_m = rng.uniform(0.15 * radius, radius);
-    n.orientation_rad = rng.uniform(-common::kPi / 3.0, common::kPi / 3.0);
-    nodes.push_back(n);
+    population[i] = static_cast<std::uint8_t>(i + 1);
+    range_m[i] = rng.uniform(0.15 * radius, radius);
+    orientation_rad[i] = rng.uniform(-common::kPi / 3.0, common::kPi / 3.0);
+    sim::Scenario s = scenario;
+    s.range_m = range_m[i];
+    s.node.orientation_rad = orientation_rad[i];
+    transport.set_snr_db(
+        population[i],
+        net::mcs::to_reference_scale(
+            sim::LinkBudget(s).evaluate(common::Meters{range_m[i]}).snr_chip_db,
+            scenario.phy.chip_rate()));
   }
 
-  core::NetworkSimulator net(scenario, nodes);
-  // Round cadence: one inventory round per minute of deployment.
-  const auto rounds = static_cast<std::size_t>(hours * 60.0);
-  const auto res = net.run(rounds, 6, rng);
+  // Cadence: one telemetry cycle (one poll per node) per minute of deployment.
+  const auto cycles = static_cast<std::size_t>(hours * 60.0);
+  net::InventoryConfig icfg;
+  icfg.timing.slot_payload_bytes = net::kReadingBytes;
+  const net::TelemetryResult res =
+      net::run_telemetry(population, cycles, icfg, nullptr, rng, &transport);
+  const double round_s =
+      cycles ? res.totals.duration_s / static_cast<double>(cycles) : 0.0;
+  const double delivery = res.totals.polls ? static_cast<double>(res.totals.delivered) /
+                                                 static_cast<double>(res.totals.polls)
+                                           : 0.0;
 
-  std::cout << "rounds: " << res.rounds << " ("
-            << common::Table::num(res.round_duration_s, 2) << " s each)\n";
-  std::cout << "delivery: " << res.packets_delivered << "/" << res.packets_attempted
-            << " (" << common::Table::num(100.0 * res.delivery_rate(), 1) << "%)\n";
-  std::cout << "network goodput: " << common::Table::num(res.goodput_bps, 1)
+  std::cout << "rounds: " << cycles << " (" << common::Table::num(round_s, 2)
+            << " s each)\n";
+  std::cout << "delivery: " << res.totals.delivered << "/" << res.totals.polls << " ("
+            << common::Table::num(100.0 * delivery, 1) << "%)\n";
+  std::cout << "network goodput: " << common::Table::num(res.goodput_bps(), 1)
             << " bps of sensor payload\n\n";
 
   // Per-node view, including the harvesting budget at each node's range.
@@ -59,21 +90,22 @@ int main(int argc, char** argv) {
   const piezo::PowerBudget power{};
   const sim::LinkBudget budget(scenario);
   // Duty cycle per round: the node backscatters one slot per round.
-  const double bs_frac =
-      net.nodes().empty() ? 0.0
-                          : 0.3 / std::max(res.round_duration_s, 1e-9);
+  const double bs_frac = 0.3 / std::max(round_s, 1e-9);
 
   common::Table t({"node", "range_m", "orient_deg", "delivery", "harvest_uW",
                    "load_uW", "battery_free"});
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const double spl =
-        budget.carrier_spl_at_node(common::Meters{nodes[i].range_m}).raw();
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const double spl = budget.carrier_spl_at_node(common::Meters{range_m[i]}).raw();
     const double harvest =
         harvester.harvested_power_w(common::pressure_from_spl(spl));
     const double load = power.average_power_w(0.97 - bs_frac, 0.02, bs_frac, 0.01);
-    t.add_row({std::to_string(i), common::Table::num(nodes[i].range_m, 0),
-               common::Table::num(common::rad_to_deg(nodes[i].orientation_rad), 0),
-               common::Table::num(100.0 * res.per_node_delivery[i], 1) + "%",
+    const double node_delivery =
+        cycles ? static_cast<double>(res.delivered_per_node[i]) /
+                     static_cast<double>(cycles)
+               : 0.0;
+    t.add_row({std::to_string(i), common::Table::num(range_m[i], 0),
+               common::Table::num(common::rad_to_deg(orientation_rad[i]), 0),
+               common::Table::num(100.0 * node_delivery, 1) + "%",
                common::Table::num(harvest * 1e6, 2), common::Table::num(load * 1e6, 2),
                harvest * 0.97 >= load ? "yes" : "no (cap-buffered)"});
   }

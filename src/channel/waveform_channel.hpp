@@ -18,7 +18,9 @@ struct WaveformChannelConfig {
   double fs_hz = 192000.0;
   std::vector<PathTap> taps;          ///< from image_method_taps or custom
   NoiseConditions noise{};
-  bool add_noise = true;
+  /// Adds passband ambient noise in propagate(). Off by default: the
+  /// waveform simulator draws its noise at baseband, after the front end.
+  bool add_noise = false;
   double sound_speed_mps = 1500.0;
   /// Std-dev of slow per-tap log-amplitude fading in dB (0 = static channel).
   double fading_sigma_db = 0.0;

@@ -48,12 +48,6 @@ cplx Rng::complex_gaussian(double variance) {
   return {s * gaussian(), s * gaussian()};
 }
 
-rvec Rng::gaussian_vector(std::size_t n, double stddev) {
-  rvec out(n);
-  for (auto& x : out) x = stddev * gaussian();
-  return out;
-}
-
 bitvec Rng::random_bits(std::size_t n) {
   bitvec out(n);
   for (auto& b : out) b = coin() ? 1 : 0;

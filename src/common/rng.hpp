@@ -171,9 +171,6 @@ class Rng {
   /// Bernoulli with probability p of true.
   bool coin(double p = 0.5) { return uniform() < p; }
 
-  /// Vector of standard normal samples.
-  rvec gaussian_vector(std::size_t n, double stddev = 1.0);
-
   /// Vector of random bits.
   bitvec random_bits(std::size_t n);
 

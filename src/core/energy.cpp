@@ -1,7 +1,7 @@
 #include "core/energy.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace vab::core {
@@ -47,19 +47,6 @@ double StorageCapacitor::voltage() const {
 double StorageCapacitor::usable_energy_j() const {
   const double floor_e = energy_for_voltage(cfg_.brownout_voltage_v);
   return std::max(energy_j_ - floor_e, 0.0);
-}
-
-common::Seconds endurance(const CapacitorConfig& cfg, common::PowerW load,
-                          common::PowerW harvest) {
-  const double load_w = load.raw();
-  const double harvest_w = harvest.raw();
-  if (load_w <= harvest_w)
-    return common::Seconds{std::numeric_limits<double>::infinity()};
-  StorageCapacitor cap(cfg);
-  const double usable = 0.5 * cfg.capacitance_f *
-                        (cfg.max_voltage_v * cfg.max_voltage_v -
-                         cfg.brownout_voltage_v * cfg.brownout_voltage_v);
-  return common::Seconds{usable / (load_w - harvest_w)};
 }
 
 }  // namespace vab::core

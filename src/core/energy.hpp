@@ -50,9 +50,4 @@ class StorageCapacitor {
   bool browned_out_ = false;
 };
 
-/// Endurance: how long a fully-charged capacitor sustains `load` with a
-/// given harvest input (infinite if harvest >= load).
-common::Seconds endurance(const CapacitorConfig& cfg, common::PowerW load,
-                          common::PowerW harvest);
-
 }  // namespace vab::core

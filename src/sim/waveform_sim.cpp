@@ -96,7 +96,6 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   channel::WaveformChannelConfig fwd_cfg;
   fwd_cfg.fs_hz = fs;
   fwd_cfg.taps = fwd_taps;
-  fwd_cfg.add_noise = false;
   fwd_cfg.sound_speed_mps = c;
   fwd_cfg.fading_sigma_db = scenario_.env.fading_sigma_db / 2.0;  // per leg
   fwd_cfg.surface_wave_amplitude_m = scenario_.env.surface_wave_amplitude_m;

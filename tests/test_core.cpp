@@ -1,13 +1,20 @@
-// VabNode / VabReader end-to-end protocol logic and the network simulator.
+// VabNode / VabReader end-to-end protocol logic, and a field of nodes
+// polled on the poll-and-ARQ MAC.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/units.hpp"
 #include "core/node.hpp"
 #include "core/reader.hpp"
-#include "core/system.hpp"
 #include "dsp/iir.hpp"
+#include "net/app.hpp"
+#include "net/inventory.hpp"
+#include "net/mcs/mcs.hpp"
+#include "net/mcs/transport.hpp"
+#include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
 
 namespace vab::core {
@@ -102,50 +109,87 @@ TEST(CoreLoop, UplinkDecodeThroughReader) {
   EXPECT_NEAR(reading->pressure_kpa, 120.5, net::kPressureResolutionKpa);
 }
 
-TEST(Network, DeliveryDegradesWithRange) {
-  sim::Scenario s = sim::vab_river_scenario();
-  std::vector<NetworkNode> near_nodes, far_nodes;
-  for (std::uint8_t i = 0; i < 4; ++i) {
-    near_nodes.push_back({i, 100.0 + 10.0 * i, 0.0, i});
-    far_nodes.push_back({i, 380.0 + 10.0 * i, 0.0, i});
+// One reader polling nodes placed at (range, orientation) on the
+// poll-and-ARQ MAC: the composition E12 and the coastal-monitoring example
+// run. Each node's mean SNR is its own link budget's; every uplink fades
+// around it with the environment's log-normal spread.
+struct FieldNode {
+  double range_m;
+  double orientation_rad;
+};
+
+net::TelemetryResult run_field(const sim::Scenario& base,
+                               const std::vector<FieldNode>& field,
+                               std::size_t cycles, common::Rng& rng) {
+  const net::mcs::McsLadder ladder = net::mcs::McsLadder::default_ladder();
+  net::mcs::AnalyticMcsConfig tcfg;
+  tcfg.fading_sigma_db = base.env.fading_sigma_db;
+  net::mcs::AnalyticMcsTransport transport(ladder, tcfg);
+  std::vector<std::uint8_t> population;
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    population.push_back(static_cast<std::uint8_t>(i + 1));
+    sim::Scenario s = base;
+    s.range_m = field[i].range_m;
+    s.node.orientation_rad = field[i].orientation_rad;
+    transport.set_snr_db(
+        population.back(),
+        net::mcs::to_reference_scale(
+            sim::LinkBudget(s).evaluate(common::Meters{s.range_m}).snr_chip_db,
+            base.phy.chip_rate()));
   }
-  common::Rng rng(1);
-  const auto near_res = NetworkSimulator(s, near_nodes).run(50, 6, rng);
-  common::Rng rng2(2);
-  const auto far_res = NetworkSimulator(s, far_nodes).run(50, 6, rng2);
-  EXPECT_GT(near_res.delivery_rate(), 0.95);
-  EXPECT_LT(far_res.delivery_rate(), near_res.delivery_rate());
+  net::InventoryConfig icfg;
+  icfg.timing.slot_payload_bytes = net::kReadingBytes;
+  return net::run_telemetry(population, cycles, icfg, nullptr, rng, &transport);
 }
 
-TEST(Network, GoodputScalesWithNodeCount) {
+double poll_delivery(const net::TelemetryResult& r) {
+  return static_cast<double>(r.totals.delivered) / static_cast<double>(r.totals.polls);
+}
+
+TEST(Network, DeliveryDegradesWithRange) {
   sim::Scenario s = sim::vab_river_scenario();
-  common::Rng rng(3);
-  std::vector<NetworkNode> one{{0, 100.0, 0.0, 0}};
-  std::vector<NetworkNode> four;
-  for (std::uint8_t i = 0; i < 4; ++i) four.push_back({i, 100.0, 0.0, i});
-  const auto r1 = NetworkSimulator(s, one).run(30, 6, rng);
-  common::Rng rng2(4);
-  const auto r4 = NetworkSimulator(s, four).run(30, 6, rng2);
-  // More nodes: longer rounds but more packets per round; goodput rises
-  // (sub-linearly) because the downlink+guard overhead amortizes.
-  EXPECT_GT(r4.goodput_bps, r1.goodput_bps);
-  EXPECT_GT(r4.round_duration_s, r1.round_duration_s);
+  std::vector<FieldNode> near_nodes, far_nodes;
+  for (int i = 0; i < 4; ++i) {
+    near_nodes.push_back({100.0 + 10.0 * i, 0.0});
+    far_nodes.push_back({380.0 + 10.0 * i, 0.0});
+  }
+  common::Rng rng(1);
+  const auto near_res = run_field(s, near_nodes, 50, rng);
+  common::Rng rng2(2);
+  const auto far_res = run_field(s, far_nodes, 50, rng2);
+  EXPECT_GT(poll_delivery(near_res), 0.95);
+  EXPECT_LT(poll_delivery(far_res), poll_delivery(near_res));
 }
 
 TEST(Network, PerNodeStatsTrackOrientation) {
   sim::Scenario s = sim::vab_river_scenario();
   // Same range; one node badly oriented with a fixed-phase array would fail,
   // but Van Atta keeps both alive.
-  std::vector<NetworkNode> nodes{{0, 250.0, 0.0, 0},
-                                 {1, 250.0, common::deg_to_rad(35.0), 1}};
+  const std::vector<FieldNode> nodes{{250.0, 0.0}, {250.0, common::deg_to_rad(35.0)}};
   common::Rng rng(5);
-  const auto res = NetworkSimulator(s, nodes).run(60, 6, rng);
-  ASSERT_EQ(res.per_node_delivery.size(), 2u);
-  EXPECT_GT(res.per_node_delivery[1], 0.6);
+  const auto res = run_field(s, nodes, 60, rng);
+  ASSERT_EQ(res.delivered_per_node.size(), 2u);
+  EXPECT_GT(static_cast<double>(res.delivered_per_node[1]) / 60.0, 0.6);
 }
 
 TEST(Network, EmptyNodeListRejected) {
-  EXPECT_THROW(NetworkSimulator(sim::vab_river_scenario(), {}), std::invalid_argument);
+  common::Rng rng(6);
+  EXPECT_THROW(net::run_telemetry({}, 1, net::InventoryConfig{}, nullptr, rng),
+               std::invalid_argument);
+}
+
+// The transport adds its fade to the budget's unfaded SNR; that is the
+// old in-budget fade only because the budget's fade enters additively.
+TEST(Network, BudgetFadeIsAdditiveInSnr) {
+  const sim::LinkBudget budget(sim::vab_river_scenario());
+  for (double range : {50.0, 150.0, 300.0, 600.0}) {
+    const common::Meters r{range};
+    for (double fade : {-9.0, -3.0, 0.0, 2.5, 7.0}) {
+      EXPECT_NEAR(budget.evaluate(r, common::Db{fade}).snr_chip_db.raw(),
+                  budget.evaluate(r).snr_chip_db.raw() + fade, 1e-9)
+          << range << " m, fade " << fade << " dB";
+    }
+  }
 }
 
 }  // namespace

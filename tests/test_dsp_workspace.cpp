@@ -83,7 +83,8 @@ TEST(Workspace, MoveOnlyLeaseTransfersOwnership) {
 // The acceptance criterion of the perf PR: after one warm-up trial, the
 // Monte-Carlo steady state performs zero arena allocations. grow_bytes() is
 // the per-thread byte counter behind the obs metric, so asserting it flat
-// here pins the "zero steady-state allocations in the trial loop" guarantee.
+// here pins that the arena stops growing; heap allocations outside the
+// arena are not counted.
 TEST(Workspace, WaveformTrialLoopAllocatesNothingSteadyState) {
   sim::Scenario sc;
   sc.range_m = 100.0;

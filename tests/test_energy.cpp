@@ -1,8 +1,6 @@
 // Storage-capacitor dynamics.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/energy.hpp"
 
 namespace vab {
@@ -41,19 +39,6 @@ TEST(Capacitor, DrawUntilBrownout) {
   // Recharging above threshold clears the brownout.
   cap.charge(common::PowerW{1.0}, common::Seconds{1.0});
   EXPECT_FALSE(cap.browned_out());
-}
-
-TEST(Capacitor, EnduranceFormula) {
-  core::CapacitorConfig cfg;
-  cfg.capacitance_f = 0.1;
-  cfg.max_voltage_v = 2.7;
-  cfg.brownout_voltage_v = 1.8;
-  // Usable energy = 0.5*0.1*(2.7^2-1.8^2) = 0.2025 J; at net 10 uW drain:
-  const double t =
-      core::endurance(cfg, common::PowerW{15e-6}, common::PowerW{5e-6}).raw();
-  EXPECT_NEAR(t, 0.5 * 0.1 * (2.7 * 2.7 - 1.8 * 1.8) / 10e-6, 1.0);
-  EXPECT_TRUE(std::isinf(
-      core::endurance(cfg, common::PowerW{5e-6}, common::PowerW{10e-6}).raw()));
 }
 
 TEST(Capacitor, ValidatesConfig) {

@@ -484,6 +484,7 @@ TEST(ZeroFaultIdentity, WaveformChannelMatchesNullInjector) {
   cfg.fs_hz = 96000.0;
   cfg.taps = channel::single_tap(0.01, 0.005);
   cfg.fading_sigma_db = 2.0;
+  cfg.add_noise = true;
   rvec tx(4096);
   for (std::size_t i = 0; i < tx.size(); ++i)
     tx[i] = std::sin(0.07 * static_cast<double>(i));

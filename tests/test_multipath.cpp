@@ -160,6 +160,7 @@ TEST(WaveformChannel, NoiseAdditionRaisesFloor) {
   cfg.fs_hz = 96000.0;
   cfg.taps = single_tap(1e-9, 0.0);
   cfg.noise.site_floor_db = 70.0;
+  cfg.add_noise = true;
   WaveformChannel ch(cfg, rng);
   const rvec x(4096, 0.0);
   rvec y;

@@ -123,7 +123,7 @@ UNIT_SUFFIX_RE = re.compile(r"_(?:db|hz|m|s)$")
 
 DRAW_METHODS = (
     "uniform", "uniform_int", "gaussian", "complex_gaussian", "coin",
-    "random_bits", "gaussian_vector", "engine", "raw_state",
+    "random_bits", "engine", "raw_state",
 )
 
 #: Free functions that draw from the Rng passed as their first argument.
