@@ -7,11 +7,13 @@
 #include "channel/noise.hpp"
 #include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/simd/simd.hpp"
+#include "dsp/step_signal.hpp"
 #include "dsp/workspace.hpp"
 #include "net/frame.hpp"
 #include "net/inventory.hpp"
@@ -124,6 +126,52 @@ void BM_ApplyTaps(benchmark::State& state) {
                           static_cast<std::int64_t>(tx.size()));
 }
 BENCHMARK(BM_ApplyTaps);
+
+// The envelope front end on a river 300 m capture: the carrier through the
+// forward taps, a 64-bit FM0 frame's chip runs, the return taps and the
+// blast, then the run-summed downconversion + decimating FIR.
+void BM_EnvelopeFrontEnd(benchmark::State& state) {
+  sim::Scenario sc = sim::vab_river_scenario();
+  sc.range_m = 300.0;
+  const phy::PhyConfig& phy = sc.phy;
+  common::Rng rng(5);
+  channel::WaveformChannelConfig cfg;
+  cfg.fs_hz = phy.fs_hz;
+  cfg.taps = sim::forward_taps(sc);
+  dsp::StepSignal tx;
+  tx.reset(common::kTwoPi * phy.carrier_hz / phy.fs_hz, 81569);
+  tx.starts = {0};
+  tx.values = {cplx{1e4, 0.0}};
+  dsp::StepSignal incident, reflected, ret, blast, rx, capture;
+  channel::WaveformChannel(cfg, rng).propagate_envelope(tx, phy.decimation(), incident);
+  const phy::BackscatterModulator mod(phy);
+  std::vector<phy::SwitchRun> runs;
+  mod.switch_runs(rng.random_bits(64), runs);
+  std::vector<std::size_t> starts{0};
+  rvec gains{0.1};
+  for (const auto& r : runs) {
+    starts.push_back(r.start + 6500);
+    gains.push_back(r.active ? (r.state ? 1.1 : -0.9) : 0.1);
+  }
+  dsp::modulate(incident, starts, gains, reflected);
+  cfg.taps = sim::return_taps(sc);
+  channel::WaveformChannel(cfg, rng).propagate_envelope(reflected, phy.decimation(), ret);
+  cfg.taps = sim::blast_taps(sc);
+  channel::WaveformChannel(cfg, rng).propagate_envelope(tx, phy.decimation(), blast);
+  dsp::add(ret, blast, rx);
+  dsp::window(rx, 320, tx.length, capture);
+  const phy::ReaderDemodulator demod(phy);
+  cvec out;
+  for (auto _ : state) {
+    demod.front_end(capture, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["runs"] = static_cast<double>(capture.runs());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_EnvelopeFrontEnd);
 
 // The per-bin draws of a 131,072-point synthesis: nfft - 2 normals through
 // the dispatched batch sampler.

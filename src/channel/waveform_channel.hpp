@@ -1,7 +1,7 @@
 // Time-domain propagation: applies a tap set (delays + gains) to a passband
 // waveform, optionally with slow fading and surface-wave motion, and adds
-// Wenz ambient noise. This is the substrate the end-to-end waveform
-// simulator runs on.
+// Wenz ambient noise. The end-to-end waveform simulator runs the same legs
+// on the carrier envelope of its signals (propagate_envelope).
 #pragma once
 
 #include <vector>
@@ -10,6 +10,7 @@
 #include "channel/noise.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "dsp/step_signal.hpp"
 #include "fault/fault.hpp"
 
 namespace vab::channel {
@@ -56,6 +57,20 @@ class WaveformChannel {
   /// `propagate` without the fault hook and the ambient noise.
   void propagate_clean(const rvec& tx, rvec& out) const;
 
+  /// `propagate` on the envelope of a carrier-borne signal (no ambient
+  /// noise: the waveform simulator draws it at baseband). A static tap of
+  /// gain g and delay d + f samples is the linear-interpolation gather of
+  /// `propagate_clean` seen at the carrier: two copies of the input runs,
+  /// g(1 - f) e^{-j omega d} at shift d and g f e^{-j omega (d + 1)} at shift
+  /// d + 1, so the output equals the passband result's envelope up to
+  /// rounding. Taps moving under surface waves hold their delay for
+  /// `moving_hold` input samples at a time (the one approximation here). The
+  /// fault hook's dip is drawn over out.length samples, the length
+  /// `propagate` would return, and applied to the envelope. Throws
+  /// std::invalid_argument when the config asks for passband noise.
+  void propagate_envelope(const dsp::StepSignal& tx, std::size_t moving_hold,
+                          dsp::StepSignal& out) const;
+
   const std::vector<PathTap>& taps() const { return cfg_.taps; }
   double max_delay_s() const;
 
@@ -64,6 +79,10 @@ class WaveformChannel {
   /// scatters each tx sample to its moving delay, a static one is added as
   /// the gather adds it.
   void propagate_surface(const rvec& tx, rvec& out) const;
+
+  /// Samples `propagate_clean` adds past the input: the largest delay plus
+  /// the surface-wave breathing, and two samples of interpolation slack.
+  std::size_t output_extra() const;
 
   WaveformChannelConfig cfg_;
   common::Rng* rng_;

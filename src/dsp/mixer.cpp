@@ -55,9 +55,9 @@ struct ToneEntry {
   cvec samples;
 };
 
-/// First n samples of e^{j(2 pi freq t / fs + phase)}, or nullptr when n
-/// exceeds the cache cap (callers then fall back to a fresh Nco loop).
-const cvec* tone_table(double freq_hz, double fs_hz, double phase_rad,
+}  // namespace
+
+const cvec* cached_tone(double freq_hz, double fs_hz, double phase_rad,
                        std::size_t n) {
   if (n > kToneCacheMaxSamples) return nullptr;
   static thread_local std::array<ToneEntry, kToneCacheEntries> entries;
@@ -91,8 +91,6 @@ const cvec* tone_table(double freq_hz, double fs_hz, double phase_rad,
   return &e.samples;
 }
 
-}  // namespace
-
 rvec make_tone(double freq_hz, double fs_hz, std::size_t n, double amplitude,
                double phase_rad) {
   rvec out;
@@ -102,7 +100,7 @@ rvec make_tone(double freq_hz, double fs_hz, std::size_t n, double amplitude,
 
 void make_tone(double freq_hz, double fs_hz, std::size_t n, double amplitude,
                double phase_rad, rvec& out) {
-  if (const cvec* tone = tone_table(freq_hz, fs_hz, phase_rad, n)) {
+  if (const cvec* tone = cached_tone(freq_hz, fs_hz, phase_rad, n)) {
     const cplx* t = tone->data();
     out.resize(n);
     for (std::size_t i = 0; i < n; ++i) out[i] = amplitude * t[i].real();
@@ -121,7 +119,7 @@ cvec downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad) 
 
 void downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad,
                  cvec& out) {
-  if (const cvec* tone = tone_table(-freq_hz, fs_hz, -phase_rad, x.size())) {
+  if (const cvec* tone = cached_tone(-freq_hz, fs_hz, -phase_rad, x.size())) {
     const cplx* t = tone->data();
     out.resize(x.size());
     for (std::size_t i = 0; i < x.size(); ++i)
@@ -134,7 +132,7 @@ void downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad,
 }
 
 rvec upconvert(const cvec& x, double freq_hz, double fs_hz, double phase_rad) {
-  if (const cvec* tone = tone_table(freq_hz, fs_hz, phase_rad, x.size())) {
+  if (const cvec* tone = cached_tone(freq_hz, fs_hz, phase_rad, x.size())) {
     const cplx* t = tone->data();
     rvec out(x.size());
     for (std::size_t i = 0; i < x.size(); ++i)

@@ -25,6 +25,12 @@ class Nco {
   double phase_;
 };
 
+/// The first n samples of e^{j(2 pi f i / fs + phase)} exactly as the mixers
+/// below multiply by them: from a per-thread oscillator cache, valid until
+/// the next call into this file on the same thread. nullptr when n is over
+/// the cache's cap; compute the rotations directly then.
+const cvec* cached_tone(double freq_hz, double fs_hz, double phase_rad, std::size_t n);
+
 /// Generates a real tone of length n.
 rvec make_tone(double freq_hz, double fs_hz, std::size_t n, double amplitude = 1.0,
                double phase_rad = 0.0);

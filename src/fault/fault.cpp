@@ -107,18 +107,26 @@ double FaultInjector::clock_skew_s(double slot_s) {
   return rng_.uniform(-plan_.clock_skew_rel, plan_.clock_skew_rel) * slot_s;
 }
 
-bool FaultInjector::apply_snr_dip(rvec& samples) {
-  if (plan_.snr_dip_prob <= 0.0 || samples.empty()) return false;
-  if (!rng_.coin(plan_.snr_dip_prob)) return false;
+std::optional<SnrDip> FaultInjector::draw_snr_dip(std::size_t n) {
+  if (plan_.snr_dip_prob <= 0.0 || n == 0) return std::nullopt;
+  if (!rng_.coin(plan_.snr_dip_prob)) return std::nullopt;
   VAB_SPAN("fault.snr_dip");
   const double frac = std::clamp(plan_.snr_dip_duration_frac, 0.0, 1.0);
-  const auto len = std::max<std::size_t>(
-      1, static_cast<std::size_t>(frac * static_cast<double>(samples.size())));
-  const auto start = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(samples.size() - len)));
-  const double gain = std::pow(10.0, -plan_.snr_dip_db / 20.0);
-  for (std::size_t i = start; i < start + len; ++i) samples[i] *= gain;
+  SnrDip dip;
+  dip.len =
+      std::max<std::size_t>(1, static_cast<std::size_t>(frac * static_cast<double>(n)));
+  dip.start = static_cast<std::size_t>(
+      rng_.uniform_int(0, static_cast<std::int64_t>(n - dip.len)));
+  dip.gain = std::pow(10.0, -plan_.snr_dip_db / 20.0);
   FaultMetrics::get().snr_dips.inc();
+  return dip;
+}
+
+bool FaultInjector::apply_snr_dip(rvec& samples) {
+  const auto dip = draw_snr_dip(samples.size());
+  if (!dip) return false;
+  for (std::size_t i = dip->start; i < dip->start + dip->len; ++i)
+    samples[i] *= dip->gain;
   return true;
 }
 

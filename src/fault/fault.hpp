@@ -18,7 +18,9 @@
 // thread-count-invariant.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -69,6 +71,13 @@ struct FaultPlan {
 /// What the channel did to a frame handed to `corrupt_frame`.
 enum class FrameFate : std::uint8_t { kIntact, kDropped, kTruncated, kCorrupted };
 
+/// One SNR dip window: `gain` on samples [start, start + len).
+struct SnrDip {
+  std::size_t start = 0;
+  std::size_t len = 0;
+  double gain = 1.0;
+};
+
 /// Executes a FaultPlan. Stateful (Gilbert–Elliott state, RNG stream) and
 /// deliberately *not* thread-safe: one injector per simulated run.
 class FaultInjector {
@@ -97,8 +106,13 @@ class FaultInjector {
   /// slot window is counted as a miss by the reader MAC.
   double clock_skew_s(double slot_s);
 
-  /// Attenuates a contiguous window of `samples` by `snr_dip_db` with
-  /// probability `snr_dip_prob` (shadowing: a vessel crossing the path).
+  /// Draws whether an `n`-sample waveform suffers a dip (probability
+  /// `snr_dip_prob`: shadowing, a vessel crossing the path) and where: a
+  /// window of `snr_dip_duration_frac` x n samples attenuated by
+  /// `snr_dip_db`. Makes the draws `apply_snr_dip` makes on n samples.
+  std::optional<SnrDip> draw_snr_dip(std::size_t n);
+
+  /// Attenuates `samples` by the window `draw_snr_dip(samples.size())` drew.
   /// Returns true when a dip was applied.
   bool apply_snr_dip(rvec& samples);
 

@@ -66,10 +66,9 @@ bitvec BackscatterModulator::switch_waveform(const bitvec& payload_bits) const {
   return wave;
 }
 
-void BackscatterModulator::switch_waveform(const bitvec& payload_bits,
-                                           bitvec& wave) const {
-  auto chips_l = dsp::Workspace::local().take_b(0);
-  bitvec& chips = *chips_l;
+void BackscatterModulator::chip_sequence(const bitvec& payload_bits,
+                                         bitvec& chips) const {
+  chips.clear();
   chips.insert(chips.end(), kIdleChips, 0);  // absorptive idle (harvesting)
   for (std::size_t i = 0; i < kSettleChips; ++i)
     chips.push_back(static_cast<std::uint8_t>(i & 1u));  // alternating pilot
@@ -78,7 +77,13 @@ void BackscatterModulator::switch_waveform(const bitvec& payload_bits,
   const bitvec data_chips = encode_uplink(payload_bits, cfg_.uplink_code);
   chips.insert(chips.end(), data_chips.begin(), data_chips.end());
   chips.insert(chips.end(), kIdleChips, 0);
+}
 
+void BackscatterModulator::switch_waveform(const bitvec& payload_bits,
+                                           bitvec& wave) const {
+  auto chips_l = dsp::Workspace::local().take_b(0);
+  bitvec& chips = *chips_l;
+  chip_sequence(payload_bits, chips);
   const double spc = cfg_.fs_hz / cfg_.chip_rate_hz();
   const auto n =
       static_cast<std::size_t>(std::ceil(static_cast<double>(chips.size()) * spc));
@@ -86,6 +91,30 @@ void BackscatterModulator::switch_waveform(const bitvec& payload_bits,
   for (std::size_t i = 0; i < n; ++i) {
     const auto c = static_cast<std::size_t>(static_cast<double>(i) / spc);
     wave[i] = chips[std::min(c, chips.size() - 1)];
+  }
+}
+
+void BackscatterModulator::switch_runs(const bitvec& payload_bits,
+                                       std::vector<SwitchRun>& runs) const {
+  auto chips_l = dsp::Workspace::local().take_b(0);
+  bitvec& chips = *chips_l;
+  chip_sequence(payload_bits, chips);
+  const std::size_t active_end =
+      kIdleChips + kSettleChips + fm0_preamble_chips().size() +
+      cfg_.chips_per_bit() * payload_bits.size();
+  const double spc = cfg_.fs_hz / cfg_.chip_rate_hz();
+  const auto chip_of = [spc](std::size_t i) {
+    return static_cast<std::size_t>(static_cast<double>(i) / spc);
+  };
+  runs.clear();
+  runs.reserve(chips.size());
+  for (std::size_t c = 0; c < chips.size(); ++c) {
+    // First sample whose chip index reaches c: start from ceil(c * spc) and
+    // settle on the per-sample rule's rounding.
+    auto i = static_cast<std::size_t>(std::ceil(static_cast<double>(c) * spc));
+    while (i > 0 && chip_of(i - 1) >= c) --i;
+    while (chip_of(i) < c) ++i;
+    runs.push_back({i, chips[c], c >= kIdleChips && c < active_end});
   }
 }
 
@@ -119,6 +148,34 @@ ReaderDemodulator::ReaderDemodulator(PhyConfig cfg) : cfg_(cfg) {
   const double cutoff = 2.5 * cfg_.chip_rate_hz();
   lowpass_taps_ = dsp::design_lowpass(cutoff, cfg_.fs_hz, cfg_.lowpass_taps,
                                       dsp::WindowType::kKaiser, 12.0);
+  // Prefix sums H[i] = sum_{k<i} h[k] and T[i] = sum_{k<i} h[k] e^{2j omega k}
+  // for the envelope front end, stored by residue of i mod decimation() so
+  // that the outputs a step meets read one contiguous row. The e^{2j omega k}
+  // come from the cached e^{-2j omega k} table the front end rotates by.
+  const std::size_t taps = lowpass_taps_.size();
+  const std::size_t m = cfg_.decimation();
+  const cvec* rot = dsp::cached_tone(-2.0 * cfg_.carrier_hz, cfg_.fs_hz, 0.0, taps);
+  const double omega = common::kTwoPi * cfg_.carrier_hz / cfg_.fs_hz;
+  rvec h_prefix(taps + 1, 0.0);
+  cvec t_prefix(taps + 1, cplx{});
+  for (std::size_t k = 0; k < taps; ++k) {
+    const double h = lowpass_taps_[k];
+    const cplx e = rot ? std::conj((*rot)[k])
+                       : std::polar(1.0, 2.0 * omega * static_cast<double>(k));
+    h_prefix[k + 1] = h_prefix[k] + h;
+    t_prefix[k + 1] = t_prefix[k] + h * e;
+  }
+  step_h_all_ = h_prefix[taps];
+  step_t_all_ = t_prefix[taps];
+  step_rows_.assign(1, 0);
+  for (std::size_t row = 0; row < m; ++row) {
+    for (std::size_t i = row; i < taps; i += m) {
+      step_h_.push_back(h_prefix[i]);
+      step_tr_.push_back(t_prefix[i].real());
+      step_ti_.push_back(t_prefix[i].imag());
+    }
+    step_rows_.push_back(step_h_.size());
+  }
 
   // Baseband sync reference at the (possibly fractional) samples-per-chip
   // rate. The reference spans the settle pilot plus the Barker preamble: the
@@ -164,6 +221,109 @@ void ReaderDemodulator::front_end(const rvec& passband, cvec& out) const {
   // notch for thousands of samples.
   const std::size_t warmup = cfg_.lowpass_taps + 8 * m;
   dsp::fir_filter_decimate(lowpass_taps_, bb, m, warmup, out);
+}
+
+namespace {
+/// o1 += Δ h and o2 += conj(Δ) t over n outputs, real and imaginary parts
+/// in separate arrays. The main loop's trip count is a multiple of 4, which
+/// lets the compiler vectorize it at -O2 without a scalar epilogue.
+void scatter_step(double dr, double di, const double* __restrict h,
+                  const double* __restrict tr, const double* __restrict ti,
+                  double* __restrict o1r, double* __restrict o1i, double* __restrict o2r,
+                  double* __restrict o2i, std::size_t n) {
+  const std::size_t n4 = n & ~std::size_t{3};
+  std::size_t q = 0;
+  for (; q < n4; ++q) {
+    o1r[q] += dr * h[q];
+    o1i[q] += di * h[q];
+    o2r[q] += dr * tr[q] + di * ti[q];
+    o2i[q] += dr * ti[q] - di * tr[q];
+  }
+  for (; q < n; ++q) {
+    o1r[q] += dr * h[q];
+    o1i[q] += di * h[q];
+    o2r[q] += dr * tr[q] + di * ti[q];
+    o2i[q] += dr * ti[q] - di * tr[q];
+  }
+}
+}  // namespace
+
+void ReaderDemodulator::front_end(const dsp::StepSignal& capture, cvec& out) const {
+  VAB_STAGE("demod.baseband");
+  const double omega = common::kTwoPi * cfg_.carrier_hz / cfg_.fs_hz;
+  if (capture.omega != omega)
+    throw std::invalid_argument("front_end: capture carrier is not the demodulator's");
+  const std::size_t m = cfg_.decimation();
+  const std::size_t taps = lowpass_taps_.size();
+  const std::size_t offset = cfg_.lowpass_taps + 8 * m;  // front_end's warm-up
+  if (offset >= capture.length) {
+    out.clear();
+    return;
+  }
+  const std::size_t n_out = (capture.length - offset - 1) / m + 1;
+  // Output j (sample n = offset + j m) sums h[k] v(n - k) over the window.
+  // In steps of v: every step at p <= n - L + 1 has left the window and adds
+  // up to the envelope v(n - L + 1), which meets all L taps (H[L], T[L]);
+  // a step Δ at p inside it meets taps [0, n - p]: Δ H[n - p + 1]. Each step
+  // is scattered to the outputs it is inside of along one residue row of
+  // the prefix tables, a contiguous loop.
+  auto s1r_l = dsp::Workspace::local().take_r(n_out);
+  auto s1i_l = dsp::Workspace::local().take_r(n_out);
+  auto s2r_l = dsp::Workspace::local().take_r(n_out);
+  auto s2i_l = dsp::Workspace::local().take_r(n_out);
+  double* s1r = s1r_l->data();
+  double* s1i = s1i_l->data();
+  double* s2r = s2r_l->data();
+  double* s2i = s2i_l->data();
+  cplx prev{};
+  std::size_t j0 = 0, n0 = offset;  // first output at or past the step
+  for (std::size_t i = 0; i < capture.runs(); ++i) {
+    const std::size_t p = capture.starts[i];
+    const double dr = capture.values[i].real() - prev.real();
+    const double di = capture.values[i].imag() - prev.imag();
+    prev = capture.values[i];
+    while (n0 < p) {
+      n0 += m;
+      ++j0;
+    }
+    if (j0 >= n_out) break;
+    const std::size_t idx0 = n0 - p + 1;  // >= 1
+    if (idx0 >= taps) continue;           // already whole-window at output 0
+    // Row and column of idx0; past output 0, idx0 <= m (no division).
+    const std::size_t row = idx0 < m ? idx0 : idx0 % m;
+    const std::size_t q0 = step_rows_[row] + (idx0 < m ? 0 : idx0 / m);
+    const std::size_t count = std::min(step_rows_[row + 1] - q0, n_out - j0);
+    const double* h = step_h_.data() + q0;
+    const double* tr = step_tr_.data() + q0;
+    const double* ti = step_ti_.data() + q0;
+    scatter_step(dr, di, h, tr, ti, s1r + j0, s1i + j0, s2r + j0, s2i + j0, count);
+  }
+
+  // e^{-2j omega n}, as the oscillator cache holds it (the constructor took
+  // T's rotations from the same table).
+  const cvec* rot =
+      dsp::cached_tone(-2.0 * cfg_.carrier_hz, cfg_.fs_hz, 0.0, capture.length);
+  const double h_all = step_h_all_;
+  const cplx t_all = step_t_all_;
+  out.resize(n_out);
+  std::size_t r = 0;  // run holding the window's first sample
+  for (std::size_t j = 0; j < n_out; ++j) {
+    const std::size_t n = offset + j * m;
+    cplx base{};
+    if (n + 1 >= taps) {
+      const std::size_t w0 = n + 1 - taps;
+      while (r < capture.runs() && capture.run_end(r) <= w0) ++r;
+      if (r < capture.runs() && capture.starts[r] <= w0) base = capture.values[r];
+    }
+    const double a1r = s1r[j] + base.real() * h_all;
+    const double a1i = s1i[j] + base.imag() * h_all;
+    const double a2r = s2r[j] + (base.real() * t_all.real() + base.imag() * t_all.imag());
+    const double a2i = s2i[j] + (base.real() * t_all.imag() - base.imag() * t_all.real());
+    const cplx e =
+        rot ? (*rot)[n] : std::polar(1.0, -2.0 * omega * static_cast<double>(n));
+    out[j] = cplx{0.5 * (a1r + (e.real() * a2r - e.imag() * a2i)),
+                  0.5 * (a1i + (e.real() * a2i + e.imag() * a2r))};
+  }
 }
 
 namespace {

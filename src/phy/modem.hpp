@@ -9,10 +9,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "common/units.hpp"
+#include "dsp/step_signal.hpp"
 #include "phy/sic.hpp"
 
 namespace vab::phy {
@@ -61,6 +64,13 @@ struct PhyConfig {
   common::Hz chip_rate() const { return common::Hz{chip_rate_hz()}; }
 };
 
+/// One run of `BackscatterModulator::switch_waveform`'s output.
+struct SwitchRun {
+  std::size_t start = 0;   ///< first sample of the run
+  std::uint8_t state = 0;  ///< switch state on the run
+  bool active = false;     ///< active_mask on the run
+};
+
 /// Node-side modulator: produces the per-sample switch state (0/1 at fs)
 /// for a frame = [idle pad][preamble chips][FM0-coded payload][idle pad].
 class BackscatterModulator {
@@ -81,6 +91,12 @@ class BackscatterModulator {
   /// Out-parameter form of `active_mask`.
   void active_mask(std::size_t n_payload_bits, bitvec& mask) const;
 
+  /// `switch_waveform` and `active_mask` as runs, one per chip: run i covers
+  /// samples [start_i, start_{i+1}), the last one up to `waveform_length`.
+  /// The starts follow the per-sample rule (sample i is in chip
+  /// size_t(i / samples-per-chip)), so the runs expand to both exactly.
+  void switch_runs(const bitvec& payload_bits, std::vector<SwitchRun>& runs) const;
+
   /// Number of passband samples `switch_waveform` returns for a payload.
   std::size_t waveform_length(std::size_t n_payload_bits) const;
 
@@ -95,6 +111,9 @@ class BackscatterModulator {
   const PhyConfig& config() const { return cfg_; }
 
  private:
+  /// Idle pad, settle pilot, preamble, line-coded payload, idle pad.
+  void chip_sequence(const bitvec& payload_bits, bitvec& chips) const;
+
   PhyConfig cfg_;
 };
 
@@ -125,6 +144,19 @@ class ReaderDemodulator {
   /// drawn at baseband instead (channel::synthesize_baseband_noise).
   void front_end(const rvec& passband, cvec& out) const;
 
+  /// `front_end` on a capture given as its envelope at this carrier: the
+  /// same outputs up to rounding, summed over the runs in each 255-sample
+  /// window. Downconverting Re{v e^{j omega i}} gives v/2 plus the image
+  /// conj(v)/2 e^{-2j omega i}, so an output at sample n is
+  ///   sum over runs of v (H[hi] - H[lo]) / 2
+  ///              + e^{-2j omega n} conj(v) (T[hi] - T[lo]) / 2,
+  /// with H and T the prefix sums of h[k] and h[k] e^{2j omega k}. The image
+  /// stays: the low-pass rejects it only under a constant envelope, and
+  /// instantaneous chip edges leak it at -29 dB of the backscatter swing.
+  /// Throws std::invalid_argument when the capture's carrier is not this
+  /// demodulator's.
+  void front_end(const dsp::StepSignal& capture, cvec& out) const;
+
   /// The rest of the chain on `front_end` output: self-interference
   /// cancellation (in place on `bb`), sync, chip integration, equalizer and
   /// line decode.
@@ -147,6 +179,14 @@ class ReaderDemodulator {
   // Designed/derived once at construction so per-frame demodulation does not
   // redo filter design or reference synthesis.
   rvec lowpass_taps_;  ///< anti-alias FIR prototype
+  // Envelope front end: the prefix sums H and T over i < lowpass taps, row
+  // r of each holding i = r, r + m, r + 2m, ... (m = decimation()).
+  rvec step_h_;
+  rvec step_tr_;
+  rvec step_ti_;
+  std::vector<std::size_t> step_rows_;  ///< row r is [step_rows_[r], step_rows_[r+1])
+  double step_h_all_ = 0.0;             ///< H over all taps
+  cplx step_t_all_;                     ///< T over all taps
   rvec pre_levels_;    ///< settle pilot + preamble chip levels
   cvec sync_ref_;      ///< zero-meaned baseband-rate sync reference
 };

@@ -5,10 +5,9 @@
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "dsp/correlate.hpp"
+#include "dsp/step_signal.hpp"
 #include "dsp/workspace.hpp"
 #include "obs/obs.hpp"
-#include "dsp/mixer.hpp"
 #include "phy/coding.hpp"
 #include "phy/fec.hpp"
 
@@ -30,33 +29,35 @@ WaveformSimulator::WaveformSimulator(Scenario scenario, common::Rng& rng)
   static_amp_lin_ = scenario_.node.static_reflection_rel * mod_amp_lin_;
 }
 
-void WaveformSimulator::node_reflection_sequence(const bitvec& payload,
-                                                 std::size_t n_samples,
-                                                 std::size_t start_offset,
-                                                 rvec& coef) const {
-  auto states_l = dsp::Workspace::local().take_b(0);
-  auto mask_l = dsp::Workspace::local().take_b(0);
-  bitvec& states = *states_l;
-  bitvec& mask = *mask_l;
-  modulator_.switch_waveform(payload, states);
-  modulator_.active_mask(payload.size(), mask);
+void WaveformSimulator::reflection_gains(const bitvec& payload,
+                                         std::size_t start_offset,
+                                         std::vector<std::size_t>& starts,
+                                         rvec& gains) const {
+  std::vector<phy::SwitchRun> runs;
+  modulator_.switch_runs(payload, runs);
   const bool polarity =
       scenario_.node.array.scheme == vanatta::ModulationScheme::kPolarity;
-
-  // Per-state signed levels such that the differential amplitude is
-  // mod_amp_lin_: polarity toggles +/-1, on-off toggles 0/2 around mean 1.
-  coef.assign(n_samples, static_amp_lin_);
-  for (std::size_t n = start_offset; n < n_samples; ++n) {
-    const std::size_t k = n - start_offset;
-    if (k >= states.size() || !mask[k]) continue;  // idle: absorptive
-    double level;
-    if (polarity) {
-      level = states[k] ? 1.0 : -1.0;
-    } else {
-      level = states[k] ? 2.0 : 0.0;
+  starts.assign(1, 0);
+  gains.assign(1, static_amp_lin_);  // idle: absorptive
+  const auto set = [&](std::size_t n, double g) {
+    if (starts.back() == n) {
+      gains.back() = g;
+    } else if (g != gains.back()) {
+      starts.push_back(n);
+      gains.push_back(g);
     }
-    coef[n] += mod_amp_lin_ * level;
+  };
+  for (const phy::SwitchRun& run : runs) {
+    // Per-state signed levels such that the differential amplitude is
+    // mod_amp_lin_: polarity toggles +/-1, on-off toggles 0/2 around mean 1.
+    double g = static_amp_lin_;
+    if (run.active) {
+      const double level = polarity ? (run.state ? 1.0 : -1.0) : (run.state ? 2.0 : 0.0);
+      g += mod_amp_lin_ * level;
+    }
+    set(start_offset + run.start, g);
   }
+  // The frame ends on idle chips, so the last gain holds past the frame.
 }
 
 WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
@@ -88,9 +89,14 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
 
   const double spl = scenario_.reader.source_level_db;
   const double amp = common::pressure_from_spl(spl) * std::sqrt(2.0);  // peak from rms
-  auto tx_l = dsp::Workspace::local().take_r(0);
-  rvec& tx = *tx_l;
-  dsp::make_tone(phy.carrier_hz, fs, n_tx, amp, 0.0, tx);
+  // The projector's tone: one run of its amplitude at the carrier.
+  dsp::StepSignal tx;
+  tx.reset(common::kTwoPi * phy.carrier_hz / fs, n_tx);
+  tx.starts.push_back(0);
+  tx.values.push_back(cplx{amp, 0.0});
+  // Surface-wave taps move their delay every sample; the envelope legs hold
+  // it for one baseband sample's worth of passband samples.
+  const std::size_t moving_tap_hold = phy.decimation();
 
   // Forward propagation (clean: the node is an analog reflector).
   channel::WaveformChannelConfig fwd_cfg;
@@ -101,11 +107,10 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   fwd_cfg.surface_wave_amplitude_m = scenario_.env.surface_wave_amplitude_m;
   fwd_cfg.surface_wave_period_s = scenario_.env.surface_wave_period_s;
   channel::WaveformChannel fwd(fwd_cfg, *rng_);
-  auto incident_l = dsp::Workspace::local().take_r(0);
-  rvec& incident = *incident_l;
+  dsp::StepSignal incident;
   {
     VAB_STAGE("wave.channel.forward");
-    fwd.propagate_clean(tx, incident);
+    fwd.propagate_envelope(tx, moving_tap_hold, incident);
   }
 
   // Node reflection: the node starts its frame once the carrier reaches it
@@ -113,15 +118,13 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   double fwd_direct_delay = fwd_taps.front().delay_s;
   for (const auto& t : fwd_taps) fwd_direct_delay = std::min(fwd_direct_delay, t.delay_s);
   const auto node_start = static_cast<std::size_t>(std::ceil(fwd_direct_delay * fs));
-  auto reflected_l = dsp::Workspace::local().take_r(incident.size());
-  rvec& reflected = *reflected_l;
+  dsp::StepSignal reflected;
   {
     VAB_STAGE("wave.reflect");
-    auto coef_l = dsp::Workspace::local().take_r(0);
-    rvec& coef = *coef_l;
-    node_reflection_sequence(air_bits, incident.size(), node_start, coef);
-    for (std::size_t n = 0; n < incident.size(); ++n)
-      reflected[n] = incident[n] * coef[n];
+    std::vector<std::size_t> starts;
+    rvec gains;
+    reflection_gains(air_bits, node_start, starts, gains);
+    dsp::modulate(incident, starts, gains, reflected);
   }
 
   // Return propagation. The fault hook (SNR dips) bites on this leg only:
@@ -130,11 +133,10 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   ret_cfg.taps = ret_taps;
   ret_cfg.fault = fault_ ? &*fault_ : nullptr;
   channel::WaveformChannel ret(ret_cfg, *rng_);
-  auto rx_l = dsp::Workspace::local().take_r(0);
-  rvec& rx = *rx_l;
+  dsp::StepSignal ret_rx;
   {
     VAB_STAGE("wave.channel.return");
-    ret.propagate(reflected, rx);  // add_noise is off: clean + injected dips
+    ret.propagate_envelope(reflected, moving_tap_hold, ret_rx);
   }
 
   // Direct projector blast.
@@ -142,25 +144,24 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   blast_cfg.taps = blast_tap_set;
   blast_cfg.fading_sigma_db = 0.0;
   channel::WaveformChannel blast(blast_cfg, *rng_);
-  auto blast_l = dsp::Workspace::local().take_r(0);
-  rvec& blast_rx = *blast_l;
+  dsp::StepSignal blast_rx;
   {
     VAB_STAGE("wave.channel.blast");
-    blast.propagate_clean(tx, blast_rx);
+    blast.propagate_envelope(tx, moving_tap_hold, blast_rx);
   }
-  if (blast_rx.size() > rx.size()) rx.resize(blast_rx.size(), 0.0);
-  for (std::size_t n = 0; n < blast_rx.size(); ++n) rx[n] += blast_rx[n];
+  dsp::StepSignal rx;
+  dsp::add(ret_rx, blast_rx, rx);
 
   // The reader captures only while the projector output is steady: starting
   // the capture on the blast turn-on (or ending it on turn-off) would slam a
   // ~90 dB step into the AC-coupled receive chain and ring over the frame.
   const auto head = static_cast<std::size_t>(std::ceil(sep / c * fs)) + 256;
-  const std::size_t tail_end = std::min(rx.size(), n_tx);
+  const std::size_t tail_end = std::min(rx.length, n_tx);
+  dsp::StepSignal capture;
   if (head < tail_end) {
-    // In-place trim to [head, tail_end): no reallocation, same values as the
-    // historical copy-construction.
-    rx.erase(rx.begin(), rx.begin() + static_cast<std::ptrdiff_t>(head));
-    rx.resize(tail_end - head);
+    dsp::window(rx, head, tail_end, capture);
+  } else {
+    capture = std::move(rx);
   }
 
   // Receiver front end, then the ambient noise at the hydrophone. The path
@@ -169,7 +170,7 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   // anti-alias filter.
   auto bb_l = dsp::Workspace::local().take_c(0);
   cvec& bb = *bb_l;
-  demodulator_.front_end(rx, bb);
+  demodulator_.front_end(capture, bb);
   {
     VAB_STAGE("wave.noise");
     auto noise_l = dsp::Workspace::local().take_c(0);

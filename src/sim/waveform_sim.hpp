@@ -7,11 +7,15 @@
 //
 // This exercises every DSP block under the real impairments (multipath ISI,
 // carrier blast, Wenz noise, fading, surface motion) and is the ground truth
-// the analytic link budget is calibrated against.
+// the analytic link budget is calibrated against. Every signal up to the
+// receiver's front end is the carrier times a piecewise-constant envelope
+// (dsp::StepSignal), so the trial carries the runs of that envelope, not
+// passband samples; the result equals the passband chain up to rounding.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
@@ -40,11 +44,12 @@ class WaveformSimulator {
   const Scenario& scenario() const { return scenario_; }
 
  private:
-  /// `start_offset` delays the frame: the node begins its transmission only
-  /// after the carrier reaches it (carrier-detect trigger). Writes the
-  /// per-sample reflection coefficient into `coef` (resized to n_samples).
-  void node_reflection_sequence(const bitvec& payload, std::size_t n_samples,
-                                std::size_t start_offset, rvec& coef) const;
+  /// The node's reflection coefficient as a step gain for dsp::modulate:
+  /// the static leak, plus the array's modulated amplitude on each active
+  /// chip from `start_offset` on (the node begins its frame once the carrier
+  /// reaches it: carrier-detect trigger).
+  void reflection_gains(const bitvec& payload, std::size_t start_offset,
+                        std::vector<std::size_t>& starts, rvec& gains) const;
 
   Scenario scenario_;
   common::Rng* rng_;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,9 +14,11 @@
 #include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "fault/fault.hpp"
 #include "dsp/mixer.hpp"
 #include "phy/coding.hpp"
 #include "phy/fec.hpp"
+#include "phy/modem.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/scenario.hpp"
@@ -235,20 +238,25 @@ TEST(WaveformE2E, SurfaceWavesToleratedAtModerateSwell) {
 }
 
 // ---------------------------------------------------------------------------
-// Passband vs baseband noise A/B. The simulator adds the ambient noise after
-// the receiver front end, drawn at the baseband rate. This reference rebuilds
-// run_trial from public calls with the noise drawn at passband and added to
-// the capture before demodulate(), as the simulator did before the seam
-// existed; the channel draws (fades) are the same, so only the noise
-// realization differs.
+// Reference trials: run_trial rebuilt test-side from public calls on the
+// passband sample grid. The tone, all three channel legs (with the fault
+// hook on the return leg), the per-sample reflection and the demodulator's
+// passband front end run on arrays of samples; the ambient noise is drawn
+// either at baseband after the front end, as the simulator draws it, or at
+// passband into the capture before demodulate(), as it was drawn before the
+// front-end seam existed. The channel draws (fades, dips) are the
+// simulator's in both.
+enum class NoiseAt { kBaseband, kPassband };
+
 struct RefOutcome {
   bool sync_found = false;
   bool frame_ok = false;
+  std::size_t bit_errors = 0;
   double snr_db = 0.0;
 };
 
-RefOutcome passband_noise_trial(const sim::Scenario& sc, std::size_t payload_bits,
-                                const common::Rng& job_rng, std::size_t t) {
+RefOutcome reference_trial(const sim::Scenario& sc, std::size_t payload_bits,
+                           const common::Rng& job_rng, std::size_t t, NoiseAt noise_at) {
   common::Rng rng = job_rng.child(t);
   const bitvec payload = rng.random_bits(payload_bits);
   const phy::PhyConfig& cfg = sc.phy;
@@ -266,6 +274,8 @@ RefOutcome passband_noise_trial(const sim::Scenario& sc, std::size_t payload_bit
   const double static_amp = sc.node.static_reflection_rel * mod_amp;
   const phy::FrameCodec codec(sc.fec);
   const bitvec air_bits = codec.encode(payload);
+  std::optional<fault::FaultInjector> injector;
+  if (!sc.fault.empty()) injector.emplace(sc.fault);
 
   const auto fwd_taps = sim::forward_taps(sc);
   const auto ret_taps = sim::return_taps(sc);
@@ -311,11 +321,13 @@ RefOutcome passband_noise_trial(const sim::Scenario& sc, std::size_t payload_bit
 
   channel::WaveformChannelConfig ret_cfg = fwd_cfg;
   ret_cfg.taps = ret_taps;
+  ret_cfg.fault = injector ? &*injector : nullptr;
   rvec rx;
   channel::WaveformChannel(ret_cfg, rng).propagate(reflected, rx);
   channel::WaveformChannelConfig blast_cfg = fwd_cfg;
   blast_cfg.taps = sim::blast_taps(sc);
   blast_cfg.fading_sigma_db = 0.0;
+  blast_cfg.fault = nullptr;
   rvec blast;
   channel::WaveformChannel(blast_cfg, rng).propagate_clean(tx, blast);
   if (blast.size() > rx.size()) rx.resize(blast.size(), 0.0);
@@ -325,20 +337,34 @@ RefOutcome passband_noise_trial(const sim::Scenario& sc, std::size_t payload_bit
   if (head < tail_end) rx = rvec(rx.begin() + static_cast<std::ptrdiff_t>(head),
                                  rx.begin() + static_cast<std::ptrdiff_t>(tail_end));
 
-  const rvec noise = channel::synthesize_ambient_noise(
-      rx.size(), common::SampleRateHz{fs}, sc.env.noise, rng);
-  for (std::size_t n = 0; n < rx.size(); ++n) rx[n] += noise[n];
-
   const std::size_t coded = codec.coded_size(payload.size());
-  const phy::DemodResult demod = demodulator.demodulate(rx, coded);
+  phy::DemodResult demod;
+  if (noise_at == NoiseAt::kPassband) {
+    const rvec noise = channel::synthesize_ambient_noise(
+        rx.size(), common::SampleRateHz{fs}, sc.env.noise, rng);
+    for (std::size_t n = 0; n < rx.size(); ++n) rx[n] += noise[n];
+    demod = demodulator.demodulate(rx, coded);
+  } else {
+    cvec bb;
+    demodulator.front_end(rx, bb);
+    cvec noise;
+    channel::synthesize_baseband_noise(bb.size(), common::SampleRateHz{fs},
+                                       common::Hz{cfg.carrier_hz},
+                                       demodulator.lowpass_taps(), cfg.decimation(),
+                                       sc.env.noise, rng, noise);
+    for (std::size_t n = 0; n < bb.size(); ++n) bb[n] += noise[n];
+    demod = demodulator.demodulate_baseband(bb, coded);
+  }
   RefOutcome out;
   out.sync_found = demod.sync_found;
   out.snr_db = demod.snr_db;
+  out.bit_errors = payload.size();
   if (demod.sync_found && demod.bits.size() == coded) {
     std::size_t corrected = 0;
     const bitvec decoded = codec.decode(demod.bits, payload.size(), corrected);
-    out.frame_ok = phy::hamming_distance(decoded, payload) == 0;
+    out.bit_errors = phy::hamming_distance(decoded, payload);
   }
+  out.frame_ok = out.sync_found && out.bit_errors == 0;
   return out;
 }
 
@@ -390,7 +416,8 @@ TEST(WaveformE2E, BasebandNoiseMatchesPassbandReference) {
     for (std::size_t t = 0; t < kTrials; ++t) {
       const sim::WaveformTrialOutcome b =
           sim::run_waveform_trial(jobs[j].scenario, kBits, job_rng, t);
-      const RefOutcome p = passband_noise_trial(jobs[j].scenario, kBits, job_rng, t);
+      const RefOutcome p =
+          reference_trial(jobs[j].scenario, kBits, job_rng, t, NoiseAt::kPassband);
       ok_base += b.frame_ok ? 1 : 0;
       ok_pass += p.frame_ok ? 1 : 0;
       if (b.sync_found) {
@@ -413,6 +440,135 @@ TEST(WaveformE2E, BasebandNoiseMatchesPassbandReference) {
     EXPECT_NEAR(snr_base / static_cast<double>(sync_base),
                 snr_pass / static_cast<double>(sync_pass), 0.5)
         << jobs[j].name;
+  }
+}
+
+TEST(WaveformE2E, EnvelopeTrialMatchesPassbandReference) {
+  // The simulator carries each trial as a piecewise-constant envelope; the
+  // reference runs the same trial on passband samples with the noise drawn
+  // at baseband. Every step of the envelope path is exact up to rounding, so
+  // every trial must decode identically and give the same SNR to 1e-6 dB.
+  struct Job {
+    std::string name;
+    sim::Scenario scenario;
+    std::size_t bits;
+  };
+  std::vector<Job> jobs;
+  const auto river = [](double r) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.range_m = r;
+    return s;
+  };
+  // The four wave_campaign jobs.
+  jobs.push_back({"river 100 m", river(100.0), 64});
+  jobs.push_back({"river 300 m", river(300.0), 64});
+  sim::Scenario ocean = sim::vab_ocean_scenario();
+  ocean.range_m = 100.0;
+  jobs.push_back({"ocean 100 m", ocean, 64});
+  sim::Scenario fec = river(200.0);
+  fec.fec.enable = true;
+  jobs.push_back({"river 200 m FEC", fec, 64});
+  // fig_ber_vs_range's waveform check ranges (no fading).
+  for (const double r : {100.0, 200.0, 300.0}) {
+    sim::Scenario s = river(r);
+    s.env.fading_sigma_db = 0.0;
+    const std::string name =
+        "E1 river " + std::to_string(static_cast<int>(r)) + " m unfaded";
+    jobs.push_back({name, s, 64});
+  }
+  sim::Scenario ocean_far = sim::vab_ocean_scenario();
+  ocean_far.range_m = 250.0;
+  jobs.push_back({"ocean 250 m", ocean_far, 64});
+  sim::Scenario miller = river(150.0);
+  miller.phy.uplink_code = phy::UplinkCode::kMiller2;
+  jobs.push_back({"river 150 m Miller-2", miller, 64});
+  for (const double r : {8.0, 30.0}) {
+    sim::Scenario pab = sim::pab_river_scenario();
+    pab.range_m = r;
+    jobs.push_back({"PAB on-off " + std::to_string(static_cast<int>(r)) + " m", pab, 32});
+  }
+  sim::Scenario hostile = sim::hostile_river_scenario();
+  hostile.range_m = 150.0;
+  hostile.fault.snr_dip_prob = 0.5;  // dips in about half the trials
+  jobs.push_back({"hostile river 150 m", hostile, 64});
+  jobs.push_back({"river 250 m 96-bit", river(250.0), 96});
+  sim::Scenario fast = river(100.0);
+  fast.phy.bitrate_bps = 2000.0;
+  jobs.push_back({"river 100 m 2000 bps", fast, 96});
+
+  constexpr std::size_t kTrials = 12;
+  std::size_t synced = 0, failed = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const common::Rng job_rng = common::Rng(28).child(j);
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      const sim::WaveformTrialOutcome e =
+          sim::run_waveform_trial(jobs[j].scenario, jobs[j].bits, job_rng, t);
+      const RefOutcome p =
+          reference_trial(jobs[j].scenario, jobs[j].bits, job_rng, t, NoiseAt::kBaseband);
+      const std::string what = jobs[j].name + ", trial " + std::to_string(t);
+      ASSERT_EQ(e.sync_found, p.sync_found) << what;
+      EXPECT_EQ(e.bit_errors, p.bit_errors) << what;
+      EXPECT_EQ(e.frame_ok, p.frame_ok) << what;
+      if (p.sync_found) {
+        EXPECT_NEAR(e.snr_db, p.snr_db, 1e-6) << what;
+      }
+      synced += p.sync_found ? 1 : 0;
+      failed += p.frame_ok ? 0 : 1;
+    }
+  }
+  // The mix must hold decoded frames and failed ones, or equal outcomes
+  // would show little.
+  EXPECT_GT(synced, jobs.size() * kTrials / 2);
+  EXPECT_GT(failed, 0u);
+}
+
+TEST(WaveformE2E, MovingTapHoldMatchesPassbandReference) {
+  // Surface-wave taps move their delay every passband sample; the envelope
+  // legs hold it for one baseband sample at a time. On EXT-2's conditions
+  // (ocean 150 m, 0.1 and 0.3 m swell, 3 and 10 m/s wind) frames_ok must
+  // fall in the passband reference's Wilson 95 % interval and mean SNR
+  // within 0.5 dB of it.
+  constexpr std::size_t kTrials = 24;
+  for (const double wave : {0.1, 0.3}) {
+    for (const double wind : {3.0, 10.0}) {
+      sim::Scenario s = sim::vab_ocean_scenario();
+      s.range_m = 150.0;
+      s.env.fading_sigma_db = 0.0;
+      s.env.noise.wind_speed_mps = wind;
+      s.env.multipath.surface_loss_db = 2.0 + wave * 8.0;
+      s.env.surface_wave_amplitude_m = wave;
+      s.env.surface_wave_period_s = 5.0;
+      const common::Rng job_rng =
+          common::Rng(22).child(static_cast<std::uint64_t>(wave * 100 + wind));
+      std::size_t ok_env = 0, ok_ref = 0, sync_env = 0, sync_ref = 0;
+      double snr_env = 0.0, snr_ref = 0.0;
+      for (std::size_t t = 0; t < kTrials; ++t) {
+        const sim::WaveformTrialOutcome e = sim::run_waveform_trial(s, 64, job_rng, t);
+        const RefOutcome p = reference_trial(s, 64, job_rng, t, NoiseAt::kBaseband);
+        ok_env += e.frame_ok ? 1 : 0;
+        ok_ref += p.frame_ok ? 1 : 0;
+        if (e.sync_found) {
+          ++sync_env;
+          snr_env += e.snr_db;
+        }
+        if (p.sync_found) {
+          ++sync_ref;
+          snr_ref += p.snr_db;
+        }
+      }
+      const std::string what = "wave " + std::to_string(wave) + " m, wind " +
+                               std::to_string(wind) + ": " + std::to_string(ok_env) +
+                               " vs " + std::to_string(ok_ref);
+      const auto [lo, hi] = wilson95(ok_ref, kTrials);
+      const double rate = static_cast<double>(ok_env) / kTrials;
+      EXPECT_GE(rate, lo) << what;
+      EXPECT_LE(rate, hi + 1e-12) << what;
+      ASSERT_GT(sync_env, 0u) << what;
+      ASSERT_GT(sync_ref, 0u) << what;
+      EXPECT_NEAR(snr_env / static_cast<double>(sync_env),
+                  snr_ref / static_cast<double>(sync_ref), 0.5)
+          << what;
+    }
   }
 }
 

@@ -30,12 +30,13 @@ from pathlib import Path
 # poll (link-budget evaluation, report-frame serialize + CRC-checked parse)
 # the whole budget-fidelity poll exchange (query -> report -> ACK),
 # ambient-noise synthesis (passband and baseband) with its batch Gaussian
-# sampler, and the static-tap channel gather.
+# sampler, the static-tap channel gather, and the run-summed front end the
+# waveform trial runs on its carrier envelope.
 # This also covers the *Scalar twins of the vectorized kernels, so the
 # reference path is regression-gated alongside the dispatched one.
 WATCH_PATTERN = re.compile(
     r"Correlate|Fft|FirDecimate|Downconvert|WaveformTrial|Fleet|LinkBudget|Frame|Poll|"
-    r"Noise|Gaussian|ApplyTaps")
+    r"Noise|Gaussian|ApplyTaps|EnvelopeFrontEnd")
 
 # Machine-speed proxy: plain streaming FIR, untouched scalar code. Not in the
 # watchlist, so a genuine FFT/correlation regression cannot hide in it.
