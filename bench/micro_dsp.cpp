@@ -277,23 +277,6 @@ void BM_FftScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FftScalar)->Arg(8192)->Arg(65536);
 
-void BM_FirDecimateScalar(benchmark::State& state) {
-  const ScalarForced guard;
-  common::Rng rng(9);
-  const rvec taps = dsp::design_lowpass(2500.0, 192000.0, 255,
-                                        dsp::WindowType::kKaiser, 12.0);
-  cvec x(131072);
-  for (auto& v : x) v = rng.complex_gaussian();
-  cvec y;
-  for (auto _ : state) {
-    dsp::fir_filter_decimate(taps, x, 24, 447, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(x.size()));
-}
-BENCHMARK(BM_FirDecimateScalar);
-
 void BM_GaussianFillScalar(benchmark::State& state) {
   const ScalarForced guard;
   common::Rng rng(3);

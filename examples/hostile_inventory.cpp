@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     population[i] = static_cast<std::uint8_t>(i + 1);
 
   // Burst loss tuned to the requested mean, plus mild wake misses and bit
-  // flips — roughly the hostile_river_scenario() impairment mix.
+  // flips.
   fault::FaultPlan plan;
   plan.seed = 0x40571E;
   plan.burst.p_bad_to_good = 0.3;

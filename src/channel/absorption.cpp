@@ -6,16 +6,10 @@
 namespace vab::channel {
 
 namespace {
-// Interior math stays on raw doubles in the models' native dB/km-of-kHz
+// Interior math stays on raw doubles in the model's native dB/km-of-kHz
 // scale; the typed API wraps at the boundary. The loss expressions below
 // reproduce the historical `per_km * range_m / 1000` association exactly so
 // every seeded output is bit-identical.
-double thorp_db_per_km(double f_khz) {
-  if (f_khz <= 0.0) throw std::invalid_argument("frequency must be > 0");
-  const double f2 = f_khz * f_khz;
-  return 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003;
-}
-
 double francois_garrison_db_per_km(double f_khz, const WaterProperties& w) {
   if (f_khz <= 0.0) throw std::invalid_argument("frequency must be > 0");
   const double T = w.temperature_c;
@@ -51,14 +45,6 @@ double francois_garrison_db_per_km(double f_khz, const WaterProperties& w) {
          A3 * P3 * ff;
 }
 }  // namespace
-
-common::DbPerM thorp_absorption(common::Hz f) {
-  return common::DbPerM::per_km(thorp_db_per_km(f.raw() / 1000.0));
-}
-
-common::DbPerM francois_garrison_absorption(common::Hz f, const WaterProperties& w) {
-  return common::DbPerM::per_km(francois_garrison_db_per_km(f.raw() / 1000.0, w));
-}
 
 Absorption::Absorption(common::Hz f, const WaterProperties& w)
     : db_per_km_(francois_garrison_db_per_km(f.raw() / 1000.0, w)) {}

@@ -1,10 +1,7 @@
-// Seawater / freshwater acoustic absorption models.
-//
-// Thorp (1967) is the classic deep-water fit used in link budgets around
-// 10-100 kHz; Francois & Garrison (1982) is the full model with boric acid,
-// magnesium sulfate and viscous terms, parameterized by temperature,
-// salinity, depth and pH. River profiles use low salinity, which suppresses
-// the chemical relaxation terms.
+// Seawater / freshwater acoustic absorption: Francois & Garrison (1982),
+// the full model with boric acid, magnesium sulfate and viscous terms,
+// parameterized by temperature, salinity, depth and pH. River profiles use
+// low salinity, which suppresses the chemical relaxation terms.
 #pragma once
 
 #include "common/units.hpp"
@@ -17,12 +14,6 @@ struct WaterProperties {
   double depth_m = 10.0;        ///< mean path depth
   double ph = 8.0;
 };
-
-/// Thorp absorption coefficient at frequency `f`.
-common::DbPerM thorp_absorption(common::Hz f);
-
-/// Francois-Garrison absorption coefficient at `f`.
-common::DbPerM francois_garrison_absorption(common::Hz f, const WaterProperties& w);
 
 /// Absorption loss using Francois-Garrison.
 common::Db absorption_loss(common::Hz f, common::Meters range, const WaterProperties& w);

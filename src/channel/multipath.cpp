@@ -94,27 +94,4 @@ std::vector<PathTap> image_method_taps(common::Meters range,
   return unique;
 }
 
-double rms_delay_spread(const std::vector<PathTap>& taps) {
-  if (taps.empty()) return 0.0;
-  double p_total = 0.0, t_mean = 0.0;
-  for (const auto& t : taps) {
-    const double p = t.gain * t.gain;
-    p_total += p;
-    t_mean += p * t.delay_s;
-  }
-  if (p_total <= 0.0) return 0.0;
-  t_mean /= p_total;
-  double var = 0.0;
-  for (const auto& t : taps) {
-    const double p = t.gain * t.gain;
-    var += p * (t.delay_s - t_mean) * (t.delay_s - t_mean);
-  }
-  return std::sqrt(var / p_total);
-}
-
-double coherence_bandwidth_hz(const std::vector<PathTap>& taps) {
-  const double spread = rms_delay_spread(taps);
-  return spread > 0.0 ? 1.0 / (5.0 * spread) : 1e12;
-}
-
 }  // namespace vab::channel

@@ -55,10 +55,4 @@ std::vector<PathTap> image_method_taps(common::Meters range,
                                        double sound_speed_mps,
                                        const MultipathConfig& cfg);
 
-/// RMS delay spread of a tap set (second moment of the power-delay profile).
-double rms_delay_spread(const std::vector<PathTap>& taps);
-
-/// Coherence bandwidth estimate, 1 / (5 * rms delay spread).
-double coherence_bandwidth_hz(const std::vector<PathTap>& taps);
-
 }  // namespace vab::channel

@@ -169,32 +169,9 @@ const rvec& sigma_table(std::size_t nfft, double fs_hz, const NoiseConditions& c
 }
 }  // namespace
 
-common::Db turbulence_nsd(common::Hz f) { return common::Db{turbulence_nsd_db(f.raw())}; }
-
-common::Db shipping_nsd(common::Hz f, double shipping_factor) {
-  return common::Db{shipping_nsd_db(f.raw(), shipping_factor)};
-}
-
-common::Db wind_nsd(common::Hz f, double wind_speed_mps) {
-  return common::Db{wind_nsd_db(f.raw(), wind_speed_mps)};
-}
-
-common::Db thermal_nsd(common::Hz f) { return common::Db{thermal_nsd_db(f.raw())}; }
-
-common::Db ambient_nsd(common::Hz f, const NoiseConditions& cond) {
-  return common::Db{ambient_nsd_db(f.raw(), cond)};
-}
-
 common::Db noise_level(common::Hz f, common::Hz bw, const NoiseConditions& cond) {
   if (bw.raw() <= 0.0) throw std::invalid_argument("bandwidth must be > 0");
   return common::Db{ambient_nsd_db(f.raw(), cond) + 10.0 * std::log10(bw.raw())};
-}
-
-rvec synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
-                              const NoiseConditions& cond, common::Rng& rng) {
-  rvec out;
-  synthesize_ambient_noise(n, fs, cond, rng, out);
-  return out;
 }
 
 void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,

@@ -23,28 +23,17 @@ struct NoiseConditions {
   double site_floor_db = -1000.0;
 };
 
-/// Wenz noise spectral density components at `f` (dB re 1 uPa^2/Hz).
-common::Db turbulence_nsd(common::Hz f);
-common::Db shipping_nsd(common::Hz f, double shipping_factor);
-common::Db wind_nsd(common::Hz f, double wind_speed_mps);
-common::Db thermal_nsd(common::Hz f);
-
-/// Total Wenz noise spectral density (power sum of components + site floor).
-common::Db ambient_nsd(common::Hz f, const NoiseConditions& cond);
-
-/// Noise level in dB re 1 uPa over bandwidth `bw` centered at `f` (NSD
-/// assumed flat over the band — true for our narrow signals).
+/// Noise level in dB re 1 uPa over bandwidth `bw` centered at `f`: the
+/// total Wenz noise spectral density (power sum of the four components and
+/// the site floor) plus 10 log10(bw), the NSD assumed flat over the band —
+/// true for our narrow signals.
 common::Db noise_level(common::Hz f, common::Hz bw, const NoiseConditions& cond);
 
 /// Synthesizes `n` samples of real ambient noise (pressure in Pa) at sample
 /// rate `fs` whose PSD follows the Wenz model: white Gaussian noise shaped
-/// in the frequency domain.
-rvec synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
-                              const NoiseConditions& cond, common::Rng& rng);
-
-/// Out-parameter form: same samples for the same Rng state, but the spectrum
-/// scratch comes from the thread-local dsp::Workspace and the inverse FFT
-/// runs in place, so steady-state synthesis does not allocate.
+/// in the frequency domain. The spectrum scratch comes from the thread-local
+/// dsp::Workspace and the inverse FFT runs in place, so steady-state
+/// synthesis does not allocate.
 void synthesize_ambient_noise(std::size_t n, common::SampleRateHz fs,
                               const NoiseConditions& cond, common::Rng& rng, rvec& out);
 

@@ -288,8 +288,4 @@ void WaveformChannel::propagate(const rvec& tx, rvec& out) const {
   }
 }
 
-std::vector<PathTap> single_tap(double gain, double delay_s) {
-  return {PathTap{delay_s, gain, 0, 0}};
-}
-
 }  // namespace vab::channel

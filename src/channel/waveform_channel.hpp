@@ -89,8 +89,4 @@ class WaveformChannel {
   std::vector<double> fade_;  ///< per-tap linear fading factors for this run
 };
 
-/// Convenience: builds a single-tap line-of-sight channel with given one-way
-/// amplitude gain and delay.
-std::vector<PathTap> single_tap(double gain, double delay_s);
-
 }  // namespace vab::channel

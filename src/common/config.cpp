@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace vab::common {
@@ -26,23 +25,6 @@ Config Config::from_args(int argc, const char* const* argv) {
     if (eq == std::string::npos)
       throw std::invalid_argument("expected key=value, got '" + tok + "'");
     cfg.set(trim(tok.substr(0, eq)), trim(tok.substr(eq + 1)));
-  }
-  return cfg;
-}
-
-Config Config::from_string(const std::string& text) {
-  Config cfg;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("config line missing '=': " + line);
-    cfg.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
   }
   return cfg;
 }

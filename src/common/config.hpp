@@ -19,9 +19,6 @@ class Config {
   /// Parses `key=value` tokens; tokens without '=' raise.
   static Config from_args(int argc, const char* const* argv);
 
-  /// Parses an ini-like string: one `key=value` per line, '#' comments.
-  static Config from_string(const std::string& text);
-
   void set(const std::string& key, const std::string& value);
 
   bool has(const std::string& key) const;

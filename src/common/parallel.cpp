@@ -193,8 +193,6 @@ void set_thread_count(unsigned n) {
   obs::set_manifest("threads", std::to_string(thread_count()));
 }
 
-bool in_parallel_worker() { return t_in_worker; }
-
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body) {
   if (end <= begin) return;

@@ -41,9 +41,6 @@ unsigned thread_count();
 /// Overrides the thread count; 0 restores automatic (VAB_THREADS/hardware).
 void set_thread_count(unsigned n);
 
-/// True when called from inside a pool worker thread.
-bool in_parallel_worker();
-
 /// Runs body(i) for every i in [begin, end), fanned out over the pool.
 /// The first exception thrown by any body is rethrown on the caller after
 /// the whole loop has quiesced; remaining work is abandoned best-effort.

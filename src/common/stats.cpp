@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace vab::common {
@@ -12,17 +11,6 @@ double mean(const rvec& v) {
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
 }
-
-double variance(const rvec& v) {
-  const double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
-}
-
-double stddev(const rvec& v) { return std::sqrt(variance(v)); }
-
-double median(rvec v) { return percentile(std::move(v), 50.0); }
 
 double percentile(rvec v, double p) {
   if (v.empty()) throw std::invalid_argument("percentile of empty vector");
@@ -40,27 +28,6 @@ double max_value(const rvec& v) {
   return *std::max_element(v.begin(), v.end());
 }
 
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double wilson_half_width(std::size_t errors, std::size_t trials, double z) {
-  if (trials == 0) return 1.0;
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(errors) / n;
-  const double z2 = z * z;
-  return z / (1.0 + z2 / n) * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
-}
-
 rvec linspace(double lo, double hi, std::size_t n) {
   if (n == 0) return {};
   if (n == 1) return {lo};
@@ -68,14 +35,6 @@ rvec linspace(double lo, double hi, std::size_t n) {
   const double step = (hi - lo) / static_cast<double>(n - 1);
   for (std::size_t i = 0; i < n; ++i) out[i] = lo + step * static_cast<double>(i);
   return out;
-}
-
-rvec logspace(double lo, double hi, std::size_t n) {
-  if (lo <= 0.0 || hi <= 0.0)
-    throw std::invalid_argument("logspace needs positive bounds");
-  rvec exps = linspace(std::log10(lo), std::log10(hi), n);
-  for (auto& e : exps) e = std::pow(10.0, e);
-  return exps;
 }
 
 }  // namespace vab::common

@@ -125,12 +125,6 @@ void sliding_correlate(const cvec& sig, const cvec& ref, cvec& out) {
   }
 }
 
-cvec sliding_correlate(const cvec& sig, const cvec& ref) {
-  cvec out;
-  sliding_correlate(sig, ref, out);
-  return out;
-}
-
 cvec sliding_correlate_naive(const cvec& sig, const cvec& ref) {
   if (sig.size() < ref.size() || ref.empty()) return {};
   cvec out;
@@ -167,12 +161,6 @@ void normalized_correlate(const cvec& sig, const cvec& ref, rvec& out) {
   }
 }
 
-rvec normalized_correlate(const cvec& sig, const cvec& ref) {
-  rvec out;
-  normalized_correlate(sig, ref, out);
-  return out;
-}
-
 std::optional<CorrelationPeak> find_peak(const cvec& sig, const cvec& ref,
                                          double threshold) {
   auto corr_l = Workspace::local().take_r(0);
@@ -190,19 +178,5 @@ std::optional<CorrelationPeak> find_peak(const cvec& sig, const cvec& ref,
 }
 
 double energy(const cvec& x) { return sum_norms(x.data(), x.size()); }
-
-double energy(const rvec& x) {
-  double acc = 0.0;
-  for (const double v : x) acc += v * v;
-  return acc;
-}
-
-double rms(const rvec& x) {
-  return x.empty() ? 0.0 : std::sqrt(energy(x) / static_cast<double>(x.size()));
-}
-
-double rms(const cvec& x) {
-  return x.empty() ? 0.0 : std::sqrt(energy(x) / static_cast<double>(x.size()));
-}
 
 }  // namespace vab::dsp

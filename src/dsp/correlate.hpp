@@ -18,20 +18,16 @@
 namespace vab::dsp {
 
 /// Sliding dot product of `sig` against `ref` (valid region only):
-/// out[k] = sum_n sig[k+n] * conj(ref[n]), k in [0, sig.size()-ref.size()].
-cvec sliding_correlate(const cvec& sig, const cvec& ref);
-
-/// Same contract, writing into `out` (resized to the valid length) without
-/// allocating when `out` already has capacity.
+/// out[k] = sum_n sig[k+n] * conj(ref[n]), k in [0, sig.size()-ref.size()],
+/// written into `out` (resized to the valid length) without allocating when
+/// `out` already has capacity.
 void sliding_correlate(const cvec& sig, const cvec& ref, cvec& out);
 
 /// Direct O(N·M) time-domain reference implementation of the same contract.
 cvec sliding_correlate_naive(const cvec& sig, const cvec& ref);
 
-/// Normalized sliding correlation in [0, 1]: |dot| / (|sig_window| * |ref|).
-rvec normalized_correlate(const cvec& sig, const cvec& ref);
-
-/// Out-parameter form of `normalized_correlate`.
+/// Normalized sliding correlation in [0, 1]: |dot| / (|sig_window| * |ref|),
+/// written into `out`.
 void normalized_correlate(const cvec& sig, const cvec& ref, rvec& out);
 
 struct CorrelationPeak {
@@ -50,10 +46,5 @@ std::optional<CorrelationPeak> find_peak(const cvec& sig, const cvec& ref,
 
 /// Energy of a signal (sum of |x|^2).
 double energy(const cvec& x);
-double energy(const rvec& x);
-
-/// RMS value.
-double rms(const rvec& x);
-double rms(const cvec& x);
 
 }  // namespace vab::dsp

@@ -7,7 +7,6 @@
 
 #include "common/units.hpp"
 #include "dsp/simd/simd.hpp"
-#include "dsp/workspace.hpp"
 #include "obs/metrics.hpp"
 
 namespace vab::dsp {
@@ -102,69 +101,12 @@ const FftPlan& fft_plan(std::size_t n) {
 }
 
 void fft_inplace(cvec& x) { fft_plan(x.size()).forward(x.data()); }
-void ifft_inplace(cvec& x) { fft_plan(x.size()).inverse(x.data()); }
 
 cvec fft(const cvec& x) {
   cvec y = x;
   y.resize(next_pow2(std::max<std::size_t>(1, x.size())), cplx{0.0, 0.0});
   fft_inplace(y);
   return y;
-}
-
-cvec ifft(const cvec& x) {
-  cvec y = x;
-  ifft_inplace(y);
-  return y;
-}
-
-void fft_real(const rvec& x, cvec& out) {
-  const std::size_t n = next_pow2(std::max<std::size_t>(1, x.size()));
-  if (n == 1) {
-    out.assign(1, cplx{x.empty() ? 0.0 : x[0], 0.0});
-    return;
-  }
-  if (n == 2) {
-    const double a = x.empty() ? 0.0 : x[0];
-    const double b = x.size() > 1 ? x[1] : 0.0;
-    out.assign(2, cplx{});
-    out[0] = cplx{a + b, 0.0};
-    out[1] = cplx{a - b, 0.0};
-    return;
-  }
-  // Pack even/odd samples into a half-size complex signal z[m] =
-  // x[2m] + j x[2m+1], transform, then split the spectrum:
-  //   X[k] = E[k] + e^{-j 2 pi k / n} O[k],  k = 0..h-1,
-  // with E/O recovered from Z and its reflected conjugate. The upper half
-  // follows from Hermitian symmetry of a real signal's spectrum.
-  const std::size_t h = n / 2;
-  auto z = Workspace::local().take_c(h);
-  cvec& zb = *z;
-  for (std::size_t m = 0; m < h; ++m) {
-    const double re = 2 * m < x.size() ? x[2 * m] : 0.0;
-    const double im = 2 * m + 1 < x.size() ? x[2 * m + 1] : 0.0;
-    zb[m] = cplx{re, im};
-  }
-  fft_plan(h).forward(zb.data());
-
-  out.assign(n, cplx{});
-  const double step = -common::kTwoPi / static_cast<double>(n);
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t kr = (h - k) & (h - 1);  // reflected index mod h
-    const cplx zr = std::conj(zb[kr]);
-    const cplx even = 0.5 * (zb[k] + zr);
-    const cplx odd = cplx{0.0, -0.5} * (zb[k] - zr);
-    const double ang = step * static_cast<double>(k);
-    out[k] = even + cplx{std::cos(ang), std::sin(ang)} * odd;
-  }
-  // Nyquist bin: the split formula at k=h with twiddle -1.
-  out[h] = cplx{zb[0].real() - zb[0].imag(), 0.0};
-  for (std::size_t k = 1; k < h; ++k) out[n - k] = std::conj(out[k]);
-}
-
-cvec fft_real(const rvec& x) {
-  cvec out;
-  fft_real(x, out);
-  return out;
 }
 
 }  // namespace vab::dsp

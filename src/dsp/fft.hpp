@@ -72,22 +72,7 @@ const FftPlan& fft_plan(std::size_t n);
 /// In-place forward FFT; `x.size()` must be a power of two.
 void fft_inplace(cvec& x);
 
-/// In-place inverse FFT (includes 1/N normalization).
-void ifft_inplace(cvec& x);
-
 /// Out-of-place forward FFT, zero-padding to the next power of two.
 cvec fft(const cvec& x);
-
-/// Out-of-place inverse FFT; `x.size()` must be a power of two.
-cvec ifft(const cvec& x);
-
-/// FFT of a real signal (returns full complex spectrum, padded to pow2).
-/// Computed with the half-size real-packing trick: an N-point real FFT costs
-/// one N/2-point complex FFT plus an O(N) unpack.
-cvec fft_real(const rvec& x);
-
-/// Half-size real FFT into a caller-provided buffer: `out` is resized to
-/// next_pow2(x.size()) and holds the full Hermitian spectrum.
-void fft_real(const rvec& x, cvec& out);
 
 }  // namespace vab::dsp

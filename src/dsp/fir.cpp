@@ -1,10 +1,10 @@
 #include "dsp/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "dsp/simd/simd.hpp"
 
 namespace vab::dsp {
 
@@ -48,8 +48,6 @@ FirFilter::FirFilter(rvec taps) : taps_(std::move(taps)) {
   state_.assign(taps_.size(), cplx{});
 }
 
-double FirFilter::process(double x) { return process(cplx{x, 0.0}).real(); }
-
 cplx FirFilter::process(cplx x) {
   state_[pos_] = x;
   cplx acc{};
@@ -62,31 +60,15 @@ cplx FirFilter::process(cplx x) {
   return acc;
 }
 
-rvec FirFilter::process(const rvec& x) {
-  rvec y;
-  process(x, y);
-  return y;
-}
-
 cvec FirFilter::process(const cvec& x) {
   cvec y;
   process(x, y);
   return y;
 }
 
-void FirFilter::process(const rvec& x, rvec& y) {
-  y.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = process(x[i]);
-}
-
 void FirFilter::process(const cvec& x, cvec& y) {
   y.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = process(x[i]);
-}
-
-void FirFilter::reset() {
-  state_.assign(taps_.size(), cplx{});
-  pos_ = 0;
 }
 
 void fir_filter_decimate(const rvec& taps, const cvec& x, std::size_t m,
@@ -99,29 +81,39 @@ void fir_filter_decimate(const rvec& taps, const cvec& x, std::size_t m,
   }
   const std::size_t n_out = (x.size() - offset - 1) / m + 1;
   out.resize(n_out);
-  // Ramp-up outputs whose window clips against the implicit zero history
-  // before x[0] stay on the guarded loop; same accumulation order as the
-  // streaming path (taps ascending, signal walking backwards).
-  std::size_t j = 0;
-  for (; j < n_out && offset + j * m + 1 < taps.size(); ++j) {
+  // Every output sums in the streaming path's order: taps ascending, signal
+  // walking backwards. A window that reaches before x[0] stops there, which
+  // is the implicit zero history.
+  const std::size_t n_taps = taps.size();
+  const auto one = [&](std::size_t j) {
     const std::size_t i = offset + j * m;
-    const std::size_t k_end = std::min(taps.size(), i + 1);
+    const std::size_t k_end = std::min(n_taps, i + 1);
     cplx acc{};
     for (std::size_t k = 0; k < k_end; ++k) acc += taps[k] * x[i - k];
     out[j] = acc;
+  };
+  std::size_t j = 0;
+  for (; j < n_out && offset + j * m + 1 < n_taps; ++j) one(j);
+  // Full windows four outputs at a time: each tap is loaded once for all
+  // four, and four independent add chains hide the FP-add latency a single
+  // accumulator serializes on. Each output's own sum order is unchanged.
+  for (; j + 4 <= n_out; j += 4) {
+    const cplx* b = x.data() + offset + j * m;
+    cplx a0{}, a1{}, a2{}, a3{};
+    for (std::size_t k = 0; k < n_taps; ++k) {
+      const double t = taps[k];
+      const cplx* r = b - k;
+      a0 += t * r[0];
+      a1 += t * r[m];
+      a2 += t * r[2 * m];
+      a3 += t * r[3 * m];
+    }
+    out[j] = a0;
+    out[j + 1] = a1;
+    out[j + 2] = a2;
+    out[j + 3] = a3;
   }
-  // Full-window outputs go through the batch kernel (bit-identical to the
-  // loop above by the simd layer's contract).
-  simd::fir_decimate(taps.data(), taps.size(), x.data(), offset + j * m, m,
-                     out.data() + j, n_out - j);
-}
-
-double fir_response_at(const rvec& taps, double f_hz, double fs_hz) {
-  const double w = common::kTwoPi * f_hz / fs_hz;
-  cplx acc{};
-  for (std::size_t n = 0; n < taps.size(); ++n)
-    acc += taps[n] * std::exp(cplx{0.0, -w * static_cast<double>(n)});
-  return std::abs(acc);
+  for (; j < n_out; ++j) one(j);
 }
 
 }  // namespace vab::dsp

@@ -14,34 +14,27 @@ rvec design_lowpass(double cutoff_hz, double fs_hz, std::size_t taps,
                     WindowType window = WindowType::kHamming,
                     double kaiser_beta = 8.6);
 
-/// Streaming FIR filter over real or complex samples. Keeps state across
-/// calls so long signals can be processed in chunks.
+/// Streaming FIR filter over complex samples. Keeps state across calls so
+/// long signals can be processed in chunks.
 class FirFilter {
  public:
   explicit FirFilter(rvec taps);
 
-  double process(double x);
   cplx process(cplx x);
 
-  rvec process(const rvec& x);
   cvec process(const cvec& x);
 
   /// Block filtering into a caller-provided buffer (resized to x.size());
   /// allocation-free when `y` already has capacity.
-  void process(const rvec& x, rvec& y);
   void process(const cvec& x, cvec& y);
 
-  void reset();
   const rvec& taps() const { return taps_; }
 
  private:
   rvec taps_;
-  cvec state_;       // circular delay line (complex covers both cases)
+  cvec state_;  // circular delay line
   std::size_t pos_ = 0;
 };
-
-/// Frequency response magnitude of an FIR at `f_hz` (fs `fs_hz`).
-double fir_response_at(const rvec& taps, double f_hz, double fs_hz);
 
 /// Filter-then-decimate computing only the kept outputs: out[j] equals the
 /// streaming FirFilter output at sample `offset + j*m` (zero initial state),

@@ -131,18 +131,4 @@ void downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad,
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * nco.next();
 }
 
-rvec upconvert(const cvec& x, double freq_hz, double fs_hz, double phase_rad) {
-  if (const cvec* tone = cached_tone(freq_hz, fs_hz, phase_rad, x.size())) {
-    const cplx* t = tone->data();
-    rvec out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-      out[i] = x[i].real() * t[i].real() - x[i].imag() * t[i].imag();
-    return out;
-  }
-  Nco nco(freq_hz, fs_hz, phase_rad);
-  rvec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] * nco.next()).real();
-  return out;
-}
-
 }  // namespace vab::dsp

@@ -47,8 +47,4 @@ cvec downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad =
 void downconvert(const rvec& x, double freq_hz, double fs_hz, double phase_rad,
                  cvec& out);
 
-/// Upconversion of complex baseband to a real passband signal:
-/// y[n] = Re{ x[n] * e^{+j 2 pi f n / fs} }.
-rvec upconvert(const cvec& x, double freq_hz, double fs_hz, double phase_rad = 0.0);
-
 }  // namespace vab::dsp

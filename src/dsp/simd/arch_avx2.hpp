@@ -39,23 +39,15 @@ namespace vab::dsp::simd {
 struct Avx2Arch {
   static constexpr std::size_t kLanes = 2;
   using V = __m256d;  // [re0, im0, re1, im1]
-  using R = __m256d;  // broadcast real factor
 
-  static V zero() { return _mm256_setzero_pd(); }
   static V load(const cplx* p) {
     return _mm256_loadu_pd(reinterpret_cast<const double*>(p));
-  }
-  static V load_stride(const cplx* p, std::size_t m) {
-    return _mm256_set_m128d(_mm_loadu_pd(reinterpret_cast<const double*>(p + m)),
-                            _mm_loadu_pd(reinterpret_cast<const double*>(p)));
   }
   static void store(cplx* p, V v) {
     _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
   }
-  static R broadcast_real(double s) { return _mm256_set1_pd(s); }
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
-  static V mul_real(V a, R s) { return _mm256_mul_pd(s, a); }
   static V cmul(V a, V b) {
     const V t1 = _mm256_mul_pd(a, _mm256_movedup_pd(b));        // [ac, bc]
     const V t2 = _mm256_mul_pd(_mm256_permute_pd(a, 0x5),       // [b, a]

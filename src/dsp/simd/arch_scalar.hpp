@@ -27,17 +27,12 @@ namespace vab::dsp::simd {
 
 struct ScalarArch {
   static constexpr std::size_t kLanes = 1;
-  using V = cplx;    // one complex lane
-  using R = double;  // broadcast real factor
+  using V = cplx;  // one complex lane
 
-  static V zero() { return cplx{}; }
   static V load(const cplx* p) { return *p; }
-  static V load_stride(const cplx* p, std::size_t /*m*/) { return *p; }
   static void store(cplx* p, V v) { *p = v; }
-  static R broadcast_real(double s) { return s; }
   static V add(V a, V b) { return cplx{a.real() + b.real(), a.imag() + b.imag()}; }
   static V sub(V a, V b) { return cplx{a.real() - b.real(), a.imag() - b.imag()}; }
-  static V mul_real(V a, R s) { return cplx{s * a.real(), s * a.imag()}; }
   static V cmul(V a, V b) {
     return cplx{a.real() * b.real() - a.imag() * b.imag(),
                 a.imag() * b.real() + a.real() * b.imag()};

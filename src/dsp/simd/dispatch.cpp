@@ -46,14 +46,6 @@ Isa auto_isa() {
 
 }  // namespace
 
-Isa compiled_isa() {
-#if defined(VAB_SIMD_COMPILED_AVX2)
-  return Isa::kAvx2;
-#else
-  return Isa::kScalar;
-#endif
-}
-
 Isa active_isa() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<Isa>(forced);
@@ -80,16 +72,6 @@ bool force_isa(Isa isa) {
 void reset_isa() {
   g_forced.store(-1, std::memory_order_relaxed);
   record_isa(auto_isa());
-}
-
-void fir_decimate(const double* taps, std::size_t n_taps, const cplx* x,
-                  std::size_t i_first, std::size_t m, cplx* out,
-                  std::size_t n_out) {
-  if (active_isa() == Isa::kAvx2) {
-    detail::fir_decimate_avx2(taps, n_taps, x, i_first, m, out, n_out);
-  } else {
-    detail::fir_decimate_scalar(taps, n_taps, x, i_first, m, out, n_out);
-  }
 }
 
 void fft_stages(cplx* x, std::size_t n, const cplx* twiddle) {

@@ -12,9 +12,6 @@
 namespace vab::dsp::simd::detail {
 
 #define VAB_SIMD_KERNELS(suffix)                                               \
-  void fir_decimate_##suffix(const double* taps, std::size_t n_taps,           \
-                             const cplx* x, std::size_t i_first,               \
-                             std::size_t m, cplx* out, std::size_t n_out);     \
   void fft_stages_##suffix(cplx* x, std::size_t n, const cplx* twiddle);      \
   void fill_gaussian_##suffix(common::RngRawState st, double* out,             \
                               std::size_t n);

@@ -1,16 +1,16 @@
-// Hand-vectorized batch kernels for the three hot loops whose vector path
-// moves end-to-end throughput (radix-2 FFT stages, decimating FIR and the
-// Gaussian draws of noise synthesis), dispatched at runtime between AVX2 and
-// the width-1 scalar reference.
+// Hand-vectorized batch kernels for the two hot loops whose vector path
+// moves end-to-end throughput (radix-2 FFT stages and the Gaussian draws of
+// noise synthesis), dispatched at runtime between AVX2 and the width-1
+// scalar reference.
 //
 // Bit-identity contract: each kernel vectorizes across *independent outputs*
-// (FFT butterflies within a stage, decimated FIR outputs, engine words and
-// polar candidate pairs), never across a reduction axis, so each SIMD lane
-// executes exactly the scalar sequence of IEEE-754 operations for its
-// output. Remainder tails reuse the same kernel templates instantiated at
-// width 1 (arch_scalar.hpp). Seeded results are therefore bit-identical with
-// AVX2 and with dispatch forced to scalar; the path is on by default and
-// gated by tests/test_simd_kernels.cpp and tests/test_rng.cpp.
+// (FFT butterflies within a stage, engine words and polar candidate pairs),
+// never across a reduction axis, so each SIMD lane executes exactly the
+// scalar sequence of IEEE-754 operations for its output. Remainder tails
+// reuse the same kernel templates instantiated at width 1 (arch_scalar.hpp).
+// Seeded results are therefore bit-identical with AVX2 and with dispatch
+// forced to scalar; the path is on by default and gated by
+// tests/test_simd_kernels.cpp and tests/test_rng.cpp.
 #pragma once
 
 #include <cstddef>
@@ -22,13 +22,10 @@ namespace vab::dsp::simd {
 
 enum class Isa { kScalar, kAvx2 };
 
-/// Widest instruction set compiled into this binary: AVX2 when the target is
-/// x86-64 and the compiler accepts -mavx2, scalar otherwise.
-Isa compiled_isa();
-
-/// Instruction set the kernels currently dispatch to: `compiled_isa()`
-/// downgraded by a runtime CPU check, or whatever `force_isa` selected. The
-/// resolved name is recorded in the obs run manifest under "simd_isa".
+/// Instruction set the kernels currently dispatch to: AVX2 when it is
+/// compiled in (x86-64, compiler accepts -mavx2) and the CPU supports it,
+/// else scalar, or whatever `force_isa` selected. The resolved name is
+/// recorded in the obs run manifest under "simd_isa".
 Isa active_isa();
 
 const char* isa_name(Isa isa);
@@ -40,14 +37,6 @@ bool force_isa(Isa isa);
 
 /// Returns to automatic resolution (the CPU check).
 void reset_isa();
-
-/// out[j] = sum_{k < n_taps} taps[k] * x[i_first + j*m - k], j in [0, n_out).
-/// Full-window outputs only: the caller guarantees i_first + 1 >= n_taps
-/// (ramp-up outputs that read the implicit zero history stay on the caller's
-/// guarded loop).
-void fir_decimate(const double* taps, std::size_t n_taps, const cplx* x,
-                  std::size_t i_first, std::size_t m, cplx* out,
-                  std::size_t n_out);
 
 /// All Danielson-Lanczos stages of a radix-2 DIT FFT over `n` (a power of
 /// two) already bit-reversed samples; `twiddle` is the FftPlan per-stage

@@ -2,7 +2,7 @@
 // unit built with -mavx2 (never -mfma), plus -ffp-contract=off. When the
 // build does not target x86-64 AVX2 the same symbols are emitted as scalar
 // forwards so dispatch.cpp links either way (they are then unreachable:
-// compiled_isa() never reports kAvx2).
+// dispatch never resolves to kAvx2).
 #include "dsp/simd/arch_avx2.hpp"
 #include "dsp/simd/kernels.hpp"
 

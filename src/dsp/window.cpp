@@ -1,7 +1,7 @@
 #include "dsp/window.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/units.hpp"
 
@@ -17,19 +17,6 @@ double bessel_i0(double x) {
     if (term < 1e-16 * sum) break;
   }
   return sum;
-}
-
-double kaiser_beta_for_attenuation(double atten_db) {
-  if (atten_db > 50.0) return 0.1102 * (atten_db - 8.7);
-  if (atten_db >= 21.0)
-    return 0.5842 * std::pow(atten_db - 21.0, 0.4) + 0.07886 * (atten_db - 21.0);
-  return 0.0;
-}
-
-std::size_t kaiser_order(double atten_db, double transition_norm) {
-  if (transition_norm <= 0.0) throw std::invalid_argument("transition width must be > 0");
-  const double n = (atten_db - 7.95) / (14.36 * transition_norm);
-  return static_cast<std::size_t>(std::ceil(std::max(n, 8.0)));
 }
 
 rvec make_window(WindowType type, std::size_t n, double kaiser_beta) {

@@ -15,11 +15,4 @@ rvec make_window(WindowType type, std::size_t n, double kaiser_beta = 8.6);
 /// Zeroth-order modified Bessel function of the first kind (for Kaiser).
 double bessel_i0(double x);
 
-/// Kaiser beta for a target stop-band attenuation in dB (Kaiser's formula).
-double kaiser_beta_for_attenuation(double atten_db);
-
-/// Estimated Kaiser FIR order for given attenuation and normalized
-/// transition width (fraction of the sample rate).
-std::size_t kaiser_order(double atten_db, double transition_norm);
-
 }  // namespace vab::dsp

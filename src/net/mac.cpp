@@ -209,9 +209,4 @@ void ReaderMac::observe_link(std::uint8_t addr, std::optional<common::SnrDb> snr
   }
 }
 
-const mcs::RateController* ReaderMac::controller(std::uint8_t addr) const {
-  const auto it = controllers_.find(addr);
-  return it == controllers_.end() ? nullptr : &it->second;
-}
-
 }  // namespace vab::net

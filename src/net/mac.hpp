@@ -171,8 +171,6 @@ class ReaderMac {
   const std::map<std::size_t, std::size_t>& rung_polls() const {
     return rung_polls_;
   }
-  /// Read-only view of a node's controller (nullptr before first contact).
-  const mcs::RateController* controller(std::uint8_t addr) const;
 
  private:
   struct ArqState {

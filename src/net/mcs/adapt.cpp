@@ -81,13 +81,4 @@ int RateController::try_step() {
   return dir;
 }
 
-void RateController::reset() {
-  rung_ = std::min(cfg_.start_rung, ladder_->size() - 1);
-  snr_ewma_.reset();
-  delivery_ewma_ = kTargetDelivery;
-  have_outcome_ = false;
-  polls_ = 0;
-  polls_at_change_ = 0;
-}
-
 }  // namespace vab::net::mcs

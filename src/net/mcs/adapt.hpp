@@ -59,10 +59,6 @@ class RateController {
   /// as a result, 0 otherwise.
   int observe(std::optional<common::SnrDb> snr_ref, bool delivered);
 
-  /// Forgets link state (node demoted to re-discovery): rung returns to
-  /// start_rung, EWMAs and dwell reset.
-  void reset();
-
   std::size_t rung() const { return rung_; }
   std::size_t polls() const { return polls_; }
   std::size_t steps_up() const { return steps_up_; }

@@ -122,12 +122,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  before_value();
-  out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::raw(std::string_view fragment) {
   before_value();
   out_ += fragment;

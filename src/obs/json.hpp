@@ -41,7 +41,6 @@ class JsonWriter {
   JsonWriter& value(unsigned v) { return value(static_cast<std::uint64_t>(v)); }
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   /// Emits a raw pre-serialized JSON fragment as the next value.
   JsonWriter& raw(std::string_view fragment);

@@ -58,7 +58,6 @@ struct CounterFamily::Impl {
   std::size_t max_series;
   Counter overflow;
   Counter dropped_ctr;
-  std::uint64_t dropped = 0;
 
   Impl(Registry& r, std::string n, std::size_t cap)
       : reg(&r),
@@ -78,25 +77,12 @@ Counter CounterFamily::with(const LabelSet& labels) const {
   auto it = impl_->series.find(suffix);
   if (it != impl_->series.end()) return it->second;
   if (impl_->series.size() >= impl_->max_series) {
-    ++impl_->dropped;
     impl_->dropped_ctr.inc();
     return impl_->overflow;
   }
   Counter c = impl_->reg->counter(impl_->name + suffix);
   impl_->series.emplace(suffix, c);
   return c;
-}
-
-Counter CounterFamily::overflow() const { return impl_->overflow; }
-
-std::size_t CounterFamily::series_count() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->series.size();
-}
-
-std::uint64_t CounterFamily::dropped() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->dropped;
 }
 
 }  // namespace vab::obs

@@ -55,15 +55,6 @@ class CounterFamily {
   /// otherwise the overflow series (and the drop counter ticks).
   Counter with(const LabelSet& labels) const;
 
-  /// The shared "name{overflow}" series.
-  Counter overflow() const;
-
-  /// Distinct label sets admitted (excludes the overflow series).
-  std::size_t series_count() const;
-
-  /// `with()` resolutions routed to the overflow series so far.
-  std::uint64_t dropped() const;
-
  private:
   struct Impl;
   std::shared_ptr<Impl> impl_;

@@ -34,9 +34,6 @@ ManifestState& state() {
 
 }  // namespace
 
-const char* library_version() { return VAB_VERSION; }
-const char* build_type() { return VAB_BUILD_TYPE; }
-
 void set_manifest(const std::string& key, const std::string& value) {
   ManifestState& s = state();
   std::lock_guard<std::mutex> lk(s.mu);

@@ -9,12 +9,6 @@
 
 namespace vab::obs {
 
-/// Library version string baked in at compile time (VAB_VERSION).
-const char* library_version();
-
-/// CMake build type baked in at compile time (VAB_BUILD_TYPE).
-const char* build_type();
-
 /// Sets (or overwrites) one manifest entry. Thread-safe.
 void set_manifest(const std::string& key, const std::string& value);
 

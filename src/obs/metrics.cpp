@@ -171,20 +171,6 @@ void Histogram::record(std::uint64_t v) const {
   shard.cells[def->slot + def->n_cells - 1].fetch_add(v, std::memory_order_relaxed);
 }
 
-std::size_t Registry::size() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->defs.size();
-}
-
-std::uint64_t Registry::counter_value(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  const auto it = impl_->by_name.find(name);
-  if (it == impl_->by_name.end()) return 0;
-  const MetricDef& d = *impl_->defs[it->second];
-  if (d.kind != Kind::kCounter) return 0;
-  return impl_->sum_cell(d.slot);
-}
-
 std::string Registry::snapshot_json(bool with_manifest) const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   JsonWriter w;

@@ -96,13 +96,6 @@ class Registry {
   /// legitimately differs between runs).
   std::string snapshot_json(bool with_manifest = true) const;
 
-  /// Number of registered metrics (tests).
-  std::size_t size() const;
-
-  /// Current cross-shard sum of counter `name`; 0 when the name is not a
-  /// registered counter. Snapshot-consistency caveats of snapshot_json apply.
-  std::uint64_t counter_value(const std::string& name) const;
-
  private:
   friend class Counter;
   friend class Gauge;

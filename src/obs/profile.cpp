@@ -126,17 +126,6 @@ std::string profile_json(const ProfileSummary& p) {
   return w.take();
 }
 
-std::string profile_folded(const ProfileSummary& p) {
-  std::string out;
-  for (const auto& [path, self_ns] : p.folded) {
-    out += path;
-    out += ' ';
-    out += std::to_string(self_ns);
-    out += '\n';
-  }
-  return out;
-}
-
 bool write_profile(const std::string& path) {
   std::ofstream f(path);
   if (!f) return false;

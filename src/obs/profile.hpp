@@ -59,9 +59,6 @@ ProfileSummary profile_from_trace();
 /// Stage names alphabetical, folded entries sorted by stack path.
 std::string profile_json(const ProfileSummary& p);
 
-/// flamegraph.pl input: one "stack;path self_ns" line per folded entry.
-std::string profile_folded(const ProfileSummary& p);
-
 /// Writes profile_json(profile_from_trace()) to `path`; false when the file
 /// cannot be opened.
 bool write_profile(const std::string& path);

@@ -103,8 +103,6 @@ std::uint64_t now_ns() {
                                         .count());
 }
 
-std::uint32_t current_tid() { return local_thread().tid; }
-
 void set_thread_name(const char* name) {
   TlsThread& t = local_thread();
   t.pending_name = name;
@@ -237,16 +235,6 @@ bool write_trace(const std::string& path) {
   if (!f) return false;
   f << trace_json() << "\n";
   return static_cast<bool>(f);
-}
-
-std::size_t trace_event_count() {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  std::size_t n = 0;
-  for (const auto& ring : s.rings)
-    n += static_cast<std::size_t>(std::min<std::uint64_t>(
-        ring->count.load(std::memory_order_acquire), kRingCapacity));
-  return n;
 }
 
 void clear_trace() {

@@ -25,10 +25,6 @@ namespace vab::obs {
 /// Monotonic nanoseconds since process start (steady_clock based).
 std::uint64_t now_ns();
 
-/// Stable per-thread id: 0 for the thread that initialized the library
-/// (main, in practice), then 1, 2, ... in first-use order.
-std::uint32_t current_tid();
-
 /// Names the calling thread in trace exports (string literal required).
 void set_thread_name(const char* name);
 
@@ -96,9 +92,6 @@ std::string trace_json();
 
 /// Writes trace_json() to `path`; false when the file cannot be opened.
 bool write_trace(const std::string& path);
-
-/// Number of span events currently buffered across all threads (tests).
-std::size_t trace_event_count();
 
 /// Drops all buffered events (tests). Not safe while spans are being
 /// recorded concurrently.

@@ -8,14 +8,6 @@ double q_function(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
 
 double ber_bpsk(double ebn0) { return q_function(std::sqrt(std::max(2.0 * ebn0, 0.0))); }
 
-double ber_ook_coherent(double ebn0) {
-  return q_function(std::sqrt(std::max(ebn0, 0.0)));
-}
-
-double ber_ook_noncoherent(double ebn0) {
-  return 0.5 * std::exp(-std::max(ebn0, 0.0) / 2.0);
-}
-
 double ber_fm0(double snr_chip) {
   // An FM0 bit decision coherently combines its two chips, doubling the
   // effective SNR of the antipodal comparison.

@@ -10,13 +10,6 @@ double q_function(double x);
 /// Coherent antipodal (BPSK-like) BER at a given Eb/N0 (linear).
 double ber_bpsk(double ebn0_linear);
 
-/// Coherent on-off keying BER at a given Eb/N0 (linear): half the distance
-/// of antipodal signaling, i.e. Q(sqrt(Eb/N0)).
-double ber_ook_coherent(double ebn0_linear);
-
-/// Noncoherent OOK (envelope detection) BER.
-double ber_ook_noncoherent(double ebn0_linear);
-
 /// FM0 bit error rate from the underlying chip-pair decision at chip SNR
 /// `snr_chip_linear` (each bit combines two coherent chips).
 double ber_fm0(double snr_chip_linear);

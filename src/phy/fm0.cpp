@@ -20,15 +20,6 @@ bitvec fm0_encode(const bitvec& bits, std::uint8_t initial_level) {
   return chips;
 }
 
-bitvec fm0_decode(const bitvec& chips) {
-  if (chips.size() % 2 != 0) throw std::invalid_argument("chip count must be even");
-  bitvec bits;
-  bits.reserve(chips.size() / 2);
-  for (std::size_t i = 0; i < chips.size(); i += 2)
-    bits.push_back(chips[i] == chips[i + 1] ? 1 : 0);
-  return bits;
-}
-
 bitvec fm0_decode_soft(const rvec& chip_soft) {
   if (chip_soft.size() % 2 != 0) throw std::invalid_argument("chip count must be even");
   bitvec bits;

@@ -15,9 +15,6 @@ namespace vab::phy {
 /// starts from level 1 (or `initial_level`).
 bitvec fm0_encode(const bitvec& bits, std::uint8_t initial_level = 1);
 
-/// Hard-decision decode from chips. `chips.size()` must be even.
-bitvec fm0_decode(const bitvec& chips);
-
 /// Soft decode from per-chip amplitudes (sign carries the level): for each
 /// bit, |c1 + c2| vs |c1 - c2| decides 1 vs 0. Phase-ambiguity tolerant.
 bitvec fm0_decode_soft(const rvec& chip_soft);

@@ -35,16 +35,6 @@ bitvec miller_encode(const bitvec& bits, unsigned m) {
   return chips;
 }
 
-bitvec miller_decode(const bitvec& chips, unsigned m) {
-  validate_m(m);
-  const std::size_t cpb = miller_chips_per_bit(m);
-  if (chips.size() % cpb != 0)
-    throw std::invalid_argument("chip count not a multiple of 2*M");
-  rvec soft(chips.size());
-  for (std::size_t i = 0; i < chips.size(); ++i) soft[i] = chips[i] ? 1.0 : -1.0;
-  return miller_decode_soft(soft, m);
-}
-
 bitvec miller_decode_soft(const rvec& chip_soft, unsigned m) {
   validate_m(m);
   const std::size_t cpb = miller_chips_per_bit(m);

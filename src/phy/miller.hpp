@@ -19,9 +19,6 @@ namespace vab::phy {
 /// bit, values 0/1). M must be 2, 4 or 8.
 bitvec miller_encode(const bitvec& bits, unsigned m);
 
-/// Hard-decision decode; `chips.size()` must be a multiple of 2*M.
-bitvec miller_decode(const bitvec& chips, unsigned m);
-
 /// Soft decode from per-chip amplitudes (signs carry the levels). Coherent
 /// within each bit, tolerant of a global sign flip.
 bitvec miller_decode_soft(const rvec& chip_soft, unsigned m);

@@ -200,12 +200,6 @@ ReaderDemodulator::ReaderDemodulator(PhyConfig cfg) : cfg_(cfg) {
   }
 }
 
-cvec ReaderDemodulator::to_baseband(const rvec& passband, double* suppression_db) const {
-  cvec out;
-  to_baseband(passband, out, suppression_db);
-  return out;
-}
-
 void ReaderDemodulator::front_end(const rvec& passband, cvec& out) const {
   VAB_STAGE("demod.baseband");
   // Downconvert, then anti-alias + decimate in one decimated FIR pass: only

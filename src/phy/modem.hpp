@@ -162,10 +162,8 @@ class ReaderDemodulator {
   /// line decode.
   DemodResult demodulate_baseband(cvec& bb, std::size_t expected_bits) const;
 
-  /// Exposes the baseband (post-SIC) signal for diagnostics/benches.
-  cvec to_baseband(const rvec& passband, double* suppression_db = nullptr) const;
-
-  /// Out-parameter form: `front_end`, then the canceller.
+  /// The baseband (post-SIC) signal, for diagnostics and benches:
+  /// `front_end`, then the canceller.
   void to_baseband(const rvec& passband, cvec& out,
                    double* suppression_db = nullptr) const;
 

@@ -30,13 +30,6 @@ rvec pie_encode_envelope(const bitvec& bits, double fs_hz) {
   return env;
 }
 
-double pie_duration_s(std::size_t n_bits) {
-  const double pw = kPiePwRatio * kPieTariS;
-  // Worst case: all ones.
-  return (2.0 + kPieDelimiterTaris + 2.0) * kPieTariS +
-         static_cast<double>(n_bits) * (kPieOneRatio * kPieTariS + pw);
-}
-
 std::optional<bitvec> pie_decode_envelope(const rvec& envelope, double fs_hz) {
   if (envelope.empty()) return std::nullopt;
   const double high = *std::max_element(envelope.begin(), envelope.end());

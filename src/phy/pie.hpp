@@ -28,7 +28,4 @@ rvec pie_encode_envelope(const bitvec& bits, double fs_hz);
 /// nullopt if no delimiter is found.
 std::optional<bitvec> pie_decode_envelope(const rvec& envelope, double fs_hz);
 
-/// Duration in seconds of the encoded envelope for `n_bits`.
-double pie_duration_s(std::size_t n_bits);
-
 }  // namespace vab::phy

@@ -52,36 +52,4 @@ double BvdModel::series_resonance_hz() const {
   return 1.0 / (common::kTwoPi * std::sqrt(p_.lm_henries * p_.cm_farads));
 }
 
-double BvdModel::parallel_resonance_hz() const {
-  const double c_series = p_.c0_farads * p_.cm_farads / (p_.c0_farads + p_.cm_farads);
-  return 1.0 / (common::kTwoPi * std::sqrt(p_.lm_henries * c_series));
-}
-
-double BvdModel::k_eff() const {
-  const double fs = series_resonance_hz();
-  const double fp = parallel_resonance_hz();
-  return std::sqrt((fp * fp - fs * fs) / (fp * fp));
-}
-
-double BvdModel::q_m() const {
-  return common::kTwoPi * series_resonance_hz() * p_.lm_henries / p_.rm_ohms;
-}
-
-double BvdModel::electroacoustic_efficiency(double f_hz, cplx z_source) const {
-  const cplx z_in = impedance(f_hz);
-  const double matched = power_transfer_efficiency(z_in, z_source);
-  // Of the power entering the transducer, the share burned in the motional
-  // branch (vs circulating in C0, which is lossless) is Re(Zm-branch power).
-  // Current divider between C0 and the motional branch:
-  const double w = common::kTwoPi * f_hz;
-  const cplx zm = motional_impedance(f_hz);
-  const cplx z0 = impedance_capacitor(p_.c0_farads, w);
-  const cplx i_ratio = z0 / (z0 + zm);  // fraction of input current into branch
-  // Power into motional branch relative to total dissipated power: C0 is
-  // purely reactive so all real power lands in Rm; the ratio is 1. The
-  // matched-power fraction already accounts for the reactive circulation.
-  (void)i_ratio;
-  return matched * p_.eta_acoustic;
-}
-
 }  // namespace vab::piezo

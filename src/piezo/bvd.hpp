@@ -39,24 +39,9 @@ class BvdModel {
   /// purely resistive.
   double series_resonance_hz() const;
 
-  /// Parallel (anti-) resonance frequency.
-  double parallel_resonance_hz() const;
-
-  /// Effective electromechanical coupling from the two resonances.
-  double k_eff() const;
-
-  /// Mechanical quality factor.
-  double q_m() const;
-
   /// Fraction of power dissipated in the motional branch that is radiated
   /// acoustically (vs lost to internal damping).
   double eta_acoustic() const { return p_.eta_acoustic; }
-
-  /// Fraction of the available electrical power from a source with impedance
-  /// `z_source` that ends up as radiated acoustic power at `f_hz`.
-  /// (Power delivered to the transducer x fraction into the motional branch
-  /// x eta_acoustic.)
-  double electroacoustic_efficiency(double f_hz, cplx z_source) const;
 
   const BvdParams& params() const { return p_; }
 

@@ -14,24 +14,9 @@ cplx TwoPort::input_impedance(cplx z_load) const {
   return (a * z_load + b) / (c * z_load + d);
 }
 
-cplx TwoPort::voltage_gain(cplx z_load) const {
-  // V1 = A V2 + B I2, I2 = V2 / z_load  =>  V2/V1 = 1 / (A + B/z_load).
-  return 1.0 / (a + b / z_load);
-}
-
 TwoPort series_element(cplx z) { return TwoPort{{1.0, 0.0}, z, {}, {1.0, 0.0}}; }
 
 TwoPort shunt_element(cplx y) { return TwoPort{{1.0, 0.0}, {}, y, {1.0, 0.0}}; }
-
-TwoPort transmission_line(double theta_rad, double z0, double loss_db) {
-  if (z0 <= 0.0) throw std::invalid_argument("line impedance must be > 0");
-  // Propagation constant gamma*l = alpha*l + j*beta*l; alpha from total loss.
-  const double alpha_l = loss_db * std::log(10.0) / 20.0;  // nepers
-  const cplx gl{alpha_l, theta_rad};
-  const cplx ch = std::cosh(gl);
-  const cplx sh = std::sinh(gl);
-  return TwoPort{ch, z0 * sh, sh / z0, ch};
-}
 
 cplx impedance_inductor(double l, double w) { return cplx{0.0, w * l}; }
 

@@ -16,9 +16,6 @@ struct TwoPort {
 
   /// Input impedance looking into port 1 with `z_load` on port 2.
   cplx input_impedance(cplx z_load) const;
-
-  /// Voltage transfer V2/V1 with `z_load` on port 2.
-  cplx voltage_gain(cplx z_load) const;
 };
 
 /// Series impedance element.
@@ -26,10 +23,6 @@ TwoPort series_element(cplx z);
 
 /// Shunt (parallel-to-ground) admittance element.
 TwoPort shunt_element(cplx y);
-
-/// Lossy transmission line of electrical length `theta_rad` with
-/// characteristic impedance `z0` and total attenuation `loss_db`.
-TwoPort transmission_line(double theta_rad, double z0, double loss_db = 0.0);
 
 /// Impedance of ideal elements at angular frequency w.
 cplx impedance_inductor(double l_henries, double w);

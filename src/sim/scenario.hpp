@@ -86,10 +86,6 @@ std::vector<channel::PathTap> blast_taps(const Scenario& s);
 Scenario vab_river_scenario();
 /// Same node in the ocean profile (experiment E4).
 Scenario vab_ocean_scenario();
-/// River deployment under a hostile channel: Gilbert–Elliott burst loss at
-/// ~20% mean, duty-cycle wake misses, occasional shadowing dips — the
-/// impairment-sweep workload (experiment EXT-5).
-Scenario hostile_river_scenario();
 /// Prior-art single-element backscatter baseline (PAB): one unmatched
 /// element, on-off keying — the 15x comparison point (experiment E5).
 Scenario pab_river_scenario();

@@ -16,17 +16,6 @@ std::vector<PatternPoint> monostatic_sweep(const VanAttaArray& array, const rvec
   return out;
 }
 
-std::vector<PatternPoint> bistatic_sweep(const VanAttaArray& array, double theta_in,
-                                         const rvec& thetas, double f_hz) {
-  std::vector<PatternPoint> out;
-  out.reserve(thetas.size());
-  for (double th : thetas) {
-    const double p = std::norm(array.bistatic_response(theta_in, th, f_hz, 1));
-    out.push_back({th, 10.0 * std::log10(std::max(p, 1e-30))});
-  }
-  return out;
-}
-
 double retro_fov_deg(const VanAttaArray& array, double f_hz, double drop_db,
                      double max_angle_deg, std::size_t steps) {
   const rvec thetas = common::linspace(common::deg_to_rad(-max_angle_deg),

@@ -16,11 +16,6 @@ struct PatternPoint {
 std::vector<PatternPoint> monostatic_sweep(const VanAttaArray& array, const rvec& thetas,
                                            double f_hz);
 
-/// Bistatic cut: fixed incidence `theta_in`, observation swept over
-/// `thetas` — shows where a non-retro array sends the energy instead.
-std::vector<PatternPoint> bistatic_sweep(const VanAttaArray& array, double theta_in,
-                                         const rvec& thetas, double f_hz);
-
 /// Angular span (degrees) over which the monostatic gain stays within
 /// `drop_db` of its peak — the "field of view" the paper reports.
 double retro_fov_deg(const VanAttaArray& array, double f_hz, double drop_db = 3.0,

@@ -93,10 +93,4 @@ double PlanarVanAttaArray::monostatic_gain_db(const Direction& d, double f_hz) c
   return 10.0 * std::log10(std::max(p, 1e-30));
 }
 
-double PlanarVanAttaArray::modulation_amplitude(const Direction& d, double f_hz) const {
-  const cplx r1 = bistatic_response(d, d, f_hz, 1);
-  const cplx r0 = bistatic_response(d, d, f_hz, 0);
-  return std::abs(r1 - r0) / 2.0;
-}
-
 }  // namespace vab::vanatta

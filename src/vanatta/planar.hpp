@@ -50,9 +50,6 @@ class PlanarVanAttaArray {
   /// Monostatic (retro) power gain in dB relative to a single ideal element.
   double monostatic_gain_db(const Direction& d, double f_hz) const;
 
-  /// |resp(1) - resp(0)| / 2 toward the monostatic direction.
-  double modulation_amplitude(const Direction& d, double f_hz) const;
-
   std::size_t size() const { return cfg_.rows * cfg_.cols; }
   std::size_t partner(std::size_t i) const;
   const PlanarVanAttaConfig& config() const { return cfg_; }

@@ -10,6 +10,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "support/common.hpp"
 
 namespace vab::common {
 namespace {
@@ -117,10 +118,16 @@ TEST(Rng, ChildIsPureAndDoesNotAdvanceParent) {
 
 TEST(Rng, GaussianMoments) {
   Rng rng(3);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) s.add(rng.gaussian());
-  EXPECT_NEAR(s.mean(), 0.0, 0.03);
-  EXPECT_NEAR(s.stddev(), 1.0, 0.03);
+  const int n = 20000;
+  double sum = 0.0, sum2 = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.gaussian();
+    sum += x;
+    sum2 += x * x;
+  }
+  const double m = sum / n;
+  EXPECT_NEAR(m, 0.0, 0.03);
+  EXPECT_NEAR(std::sqrt(sum2 / n - m * m), 1.0, 0.03);
 }
 
 TEST(Rng, ComplexGaussianVariance) {
@@ -133,23 +140,9 @@ TEST(Rng, ComplexGaussianVariance) {
 
 TEST(Stats, PercentileAndMedian) {
   rvec v{5, 1, 4, 2, 3};
-  EXPECT_DOUBLE_EQ(median(v), 3.0);
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-}
-
-TEST(Stats, RunningMatchesBatch) {
-  Rng rng(5);
-  rvec v;
-  RunningStats s;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-2.0, 5.0);
-    v.push_back(x);
-    s.add(x);
-  }
-  EXPECT_NEAR(s.mean(), mean(v), 1e-12);
-  EXPECT_NEAR(s.variance(), variance(v), 1e-9);
 }
 
 TEST(Stats, WilsonWidthShrinksWithTrials) {
@@ -161,9 +154,6 @@ TEST(Stats, SpacingHelpers) {
   const rvec lin = linspace(0.0, 10.0, 11);
   EXPECT_EQ(lin.size(), 11u);
   EXPECT_DOUBLE_EQ(lin[3], 3.0);
-  const rvec lg = logspace(1.0, 1000.0, 4);
-  EXPECT_NEAR(lg[1], 10.0, 1e-9);
-  EXPECT_NEAR(lg[2], 100.0, 1e-9);
 }
 
 TEST(Table, AlignmentAndCsv) {
@@ -188,15 +178,10 @@ TEST(Config, ParsesArgsAndTypes) {
 TEST(Config, RejectsMalformed) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(Config::from_args(2, argv), std::invalid_argument);
-  Config c = Config::from_string("a=notanumber\n# comment\nb = 2\n");
+  const char* argv2[] = {"prog", "a=notanumber", "b=2"};
+  const Config c = Config::from_args(3, argv2);
   EXPECT_EQ(c.get_count("b", 0), 2u);
   EXPECT_THROW(c.get_double("a", 0.0), std::invalid_argument);
-}
-
-TEST(Config, FromStringComments) {
-  const Config c = Config::from_string("x=3.5 # trailing\n\n  y=hello\n");
-  EXPECT_DOUBLE_EQ(c.get_double("x", 0.0), 3.5);
-  EXPECT_EQ(c.get_string("y", ""), "hello");
 }
 
 TEST(Linalg, SolvesKnownSystem) {

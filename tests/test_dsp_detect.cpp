@@ -7,7 +7,7 @@
 #include "common/units.hpp"
 #include "dsp/correlate.hpp"
 #include "dsp/mixer.hpp"
-#include "dsp/spectrum.hpp"
+#include "support/dsp.hpp"
 
 namespace vab::dsp {
 namespace {

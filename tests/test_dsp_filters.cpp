@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -10,6 +11,7 @@
 #include "dsp/mixer.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/window.hpp"
+#include "support/dsp.hpp"
 
 namespace vab::dsp {
 namespace {
@@ -47,25 +49,54 @@ TEST(Fir, KaiserDeepStopband) {
   EXPECT_LT(fir_response_at(h, 37000.0, fs), 3e-5);
 }
 
-TEST(Fir, StreamingMatchesBatchAndResets) {
+TEST(Fir, StreamingMatchesBatch) {
   common::Rng rng(1);
   const rvec h = design_lowpass(4000.0, 48000.0, 31);
   FirFilter f1(h), f2(h);
-  rvec x(200);
-  for (auto& v : x) v = rng.gaussian();
-  const rvec batch = f1.process(x);
+  cvec x(200);
+  for (auto& v : x) v = rng.complex_gaussian();
+  const cvec batch = f1.process(x);
   // Chunked processing must match.
-  rvec chunked;
+  cvec chunked;
   for (std::size_t i = 0; i < x.size(); i += 17) {
-    const rvec part(x.begin() + static_cast<std::ptrdiff_t>(i),
+    const cvec part(x.begin() + static_cast<std::ptrdiff_t>(i),
                     x.begin() + static_cast<std::ptrdiff_t>(std::min(i + 17, x.size())));
-    const rvec y = f2.process(part);
+    const cvec y = f2.process(part);
     chunked.insert(chunked.end(), y.begin(), y.end());
   }
   ASSERT_EQ(batch.size(), chunked.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) EXPECT_NEAR(batch[i], chunked[i], 1e-12);
-  f2.reset();
-  EXPECT_NEAR(f2.process(1.0), h[0], 1e-12);
+  for (std::size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(batch[i], chunked[i]);
+  // A fresh filter starts from zero history: an impulse reads out the taps.
+  FirFilter f3(h);
+  EXPECT_EQ(f3.process(cplx{1.0, 0.0}), cplx(h[0], 0.0));
+}
+
+TEST(Fir, DecimateEqualsEveryMthStreamingOutput) {
+  // Lengths and offsets that cover the clipped ramp-up windows, the
+  // four-output blocks and the remainder after them.
+  common::Rng rng(3);
+  for (const std::size_t n : {1, 2, 7, 100, 257, 1000}) {
+    cvec x(n);
+    for (auto& v : x) v = rng.complex_gaussian();
+    for (const std::size_t n_taps : {1, 5, 255}) {
+      rvec taps(n_taps);
+      for (auto& t : taps) t = rng.gaussian();
+      FirFilter fir(taps);
+      const cvec full = fir.process(x);
+      for (const std::size_t m : {1, 3, 24}) {
+        for (const std::size_t offset : {0, 1, 300}) {
+          cvec out;
+          fir_filter_decimate(taps, x, m, offset, out);
+          cvec want;
+          for (std::size_t i = offset; i < n; i += m) want.push_back(full[i]);
+          ASSERT_EQ(out.size(), want.size());
+          const std::size_t bytes = out.size() * sizeof(cplx);
+          EXPECT_TRUE(out.empty() || std::memcmp(out.data(), want.data(), bytes) == 0)
+              << "n=" << n << " taps=" << n_taps << " m=" << m << " offset=" << offset;
+        }
+      }
+    }
+  }
 }
 
 TEST(Fir, InvalidDesignThrows) {
@@ -109,7 +140,11 @@ TEST(Mixer, UpDownRoundTripRecoversBaseband) {
   cvec bbin(4000);
   for (std::size_t i = 0; i < bbin.size(); ++i)
     bbin[i] = cplx{std::cos(0.002 * static_cast<double>(i)), 0.3};
-  const rvec pass = upconvert(bbin, 18500.0, fs);
+  // Passband Re{x[n] e^{+j 2 pi f n / fs}}, the mixer's upconversion.
+  rvec pass(bbin.size());
+  for (std::size_t i = 0; i < bbin.size(); ++i)
+    pass[i] = (bbin[i] * std::polar(1.0, common::kTwoPi * 18500.0 *
+                                             static_cast<double>(i) / fs)).real();
   cvec bbout = downconvert(pass, 18500.0, fs);
   FirFilter lp(design_lowpass(3000.0, fs, 127));
   bbout = lp.process(bbout);

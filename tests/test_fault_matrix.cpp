@@ -28,6 +28,8 @@
 #include "net/mcs/transport.hpp"
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
+#include "support/channel.hpp"
+#include "support/sim.hpp"
 
 namespace vab {
 namespace {

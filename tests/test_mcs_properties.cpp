@@ -345,17 +345,6 @@ TEST(RateControllerProperties, MinDwellSpacesConsecutiveSteps) {
   EXPECT_TRUE(have_step);
 }
 
-TEST(RateControllerProperties, ResetRestoresStartState) {
-  AdaptConfig cfg;
-  RateController ctl(ladder(), cfg);
-  for (int i = 0; i < 100; ++i) ctl.observe(common::SnrDb{30.0}, true);
-  ASSERT_NE(ctl.rung(), cfg.start_rung);
-  ctl.reset();
-  EXPECT_EQ(ctl.rung(), cfg.start_rung);
-  EXPECT_EQ(ctl.polls(), 0u);
-  EXPECT_FALSE(ctl.has_snr());
-}
-
 TEST(RateControllerProperties, OutcomePathStepsDownOnLossStreak) {
   AdaptConfig cfg;
   RateController ctl(ladder(), cfg);

@@ -13,6 +13,7 @@
 #include "common/units.hpp"
 #include "dsp/mixer.hpp"
 #include "sim/scenario.hpp"
+#include "support/channel.hpp"
 
 namespace vab::channel {
 namespace {
@@ -97,31 +98,6 @@ TEST(ImageMethod, ValidatesInputs) {
   EXPECT_THROW(image_method_taps(common::Meters{50.0}, common::Meters{30.0},
                         common::Meters{7.0}, 1500.0, shallow()),
                std::invalid_argument);
-}
-
-TEST(DelaySpread, ZeroForSinglePath) {
-  EXPECT_DOUBLE_EQ(rms_delay_spread({PathTap{0.1, 1.0, 0, 0}}), 0.0);
-}
-
-TEST(DelaySpread, TwoEqualPaths) {
-  std::vector<PathTap> taps{{0.0, 1.0, 0, 0}, {1e-3, 1.0, 0, 0}};
-  EXPECT_NEAR(rms_delay_spread(taps), 0.5e-3, 1e-9);
-  EXPECT_NEAR(coherence_bandwidth_hz(taps), 1.0 / (5.0 * 0.5e-3), 1.0);
-}
-
-TEST(DelaySpread, GrowsWithShallowerWater) {
-  MultipathConfig deep = shallow();
-  deep.water_depth_m = 50.0;
-  MultipathConfig shal = shallow();
-  shal.water_depth_m = 6.0;
-  const auto t_deep = image_method_taps(common::Meters{100.0}, common::Meters{3.0},
-                        common::Meters{7.0}, 1500.0, deep);
-  const auto t_shal = image_method_taps(common::Meters{100.0}, common::Meters{3.0},
-                        common::Meters{3.0}, 1500.0, shal);
-  // Shallower water: bounce paths are closer in length to the direct path
-  // but more numerous and stronger relative to it at the same order count.
-  EXPECT_GT(rms_delay_spread(t_deep), 0.0);
-  EXPECT_GT(rms_delay_spread(t_shal), 0.0);
 }
 
 TEST(WaveformChannel, SingleTapDelaysAndScales) {

@@ -34,27 +34,12 @@ TEST(ConfigNegative, ArgWithEmptyKeyThrows) {
   EXPECT_THROW(Config::from_args(2, argv), std::invalid_argument);
 }
 
-TEST(ConfigNegative, LineMissingEqualsThrows) {
-  EXPECT_THROW(Config::from_string("trials 200\n"), std::invalid_argument);
-}
-
-TEST(ConfigNegative, EmptyKeyInStringThrows) {
-  EXPECT_THROW(Config::from_string("= 5\n"), std::invalid_argument);
-}
-
-TEST(ConfigNegative, CommentsAndBlankLinesAreSkipped) {
-  const Config cfg = Config::from_string("# header\n\n  trials = 7 # inline\n");
-  EXPECT_EQ(cfg.get_count("trials", 0), 7u);
-}
-
 TEST(ConfigNegative, DuplicateKeysLastWins) {
   // Documented override semantics: `prog base.cfg threads=1 threads=8`
   // must resolve to the rightmost value, not raise.
   const char* argv[] = {"prog", "threads=1", "threads=8"};
   const Config cfg = Config::from_args(3, argv);
   EXPECT_EQ(cfg.get_count("threads", 0), 8u);
-  const Config cfg2 = Config::from_string("seed=1\nseed=42\n");
-  EXPECT_EQ(cfg2.get_count("seed", 0), 42u);
 }
 
 TEST(ConfigNegative, NonNumericDoubleThrows) {

@@ -22,9 +22,11 @@
 #include "obs/obs.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
+#include "support/obs.hpp"
 
 namespace {
 
+using vab::obs::counter_value;
 using vab::obs::JsonWriter;
 using vab::obs::Registry;
 
@@ -310,16 +312,16 @@ TEST_F(ObsTraceTest, DisabledTracingRecordsNothing) {
 TEST_F(ObsTraceTest, RingWrapKeepsNewestAndReportsDrops) {
   constexpr std::size_t kOver = 40000;  // > per-thread ring capacity (32768)
   const std::uint64_t dropped_before =
-      Registry::global().counter_value("obs.trace.dropped");
+      counter_value(Registry::global(), "obs.trace.dropped");
   for (std::size_t i = 0; i < kOver; ++i)
     vab::obs::record_complete_event("wrap-span", "test", i, i + 1);
-  EXPECT_LE(vab::obs::trace_event_count(), std::size_t{32768});
+  EXPECT_LE(vab::obs::collect_trace_spans(nullptr).size(), std::size_t{32768});
   const std::string json = vab::obs::trace_json();
   EXPECT_NE(json.find("\"droppedEvents\":" + std::to_string(kOver - 32768)),
             std::string::npos);
   // Overwrites are observable as they happen (the live counter) and the
   // export is explicitly marked as truncated.
-  EXPECT_EQ(Registry::global().counter_value("obs.trace.dropped") - dropped_before,
+  EXPECT_EQ(counter_value(Registry::global(), "obs.trace.dropped") - dropped_before,
             std::uint64_t{kOver - 32768});
   EXPECT_NE(json.find("\"truncated\":true"), std::string::npos);
 }

@@ -7,6 +7,7 @@
 #include "net/frame.hpp"
 #include "phy/ber.hpp"
 #include "phy/coding.hpp"
+#include "support/phy.hpp"
 
 namespace vab::phy {
 namespace {

@@ -9,6 +9,7 @@
 #include "phy/fec.hpp"
 #include "phy/fm0.hpp"
 #include "phy/miller.hpp"
+#include "support/phy.hpp"
 
 namespace vab::phy {
 namespace {

@@ -8,6 +8,7 @@
 #include "phy/fm0.hpp"
 #include "phy/pie.hpp"
 #include "phy/sic.hpp"
+#include "support/phy.hpp"
 
 namespace vab::phy {
 namespace {
@@ -117,12 +118,6 @@ TEST(Pie, SurvivesAmplitudeScalingAndNoise) {
 TEST(Pie, NoDelimiterNoDecode) {
   EXPECT_FALSE(pie_decode_envelope(rvec(1000, 1.0), 8000.0).has_value());
   EXPECT_FALSE(pie_decode_envelope(rvec{}, 8000.0).has_value());
-}
-
-TEST(Pie, DurationEstimateCoversWaveform) {
-  const bitvec bits(32, 1);  // worst case
-  const rvec env = pie_encode_envelope(bits, 8000.0);
-  EXPECT_LE(static_cast<double>(env.size()) / 8000.0, pie_duration_s(32) + 1e-6);
 }
 
 TEST(Sic, RemovesConstantCarrier) {

@@ -218,7 +218,8 @@ TEST(Modem, DemodulateEqualsFrontEndThenBaseband) {
     // to_baseband = front_end, then the canceller (demodulate_baseband left
     // the cancelled signal in `split`).
     double suppression = 0.0;
-    const cvec post_sic = demod.to_baseband(x, &suppression);
+    cvec post_sic;
+    demod.to_baseband(x, post_sic, &suppression);
     EXPECT_TRUE(same_bits(post_sic, split));
     EXPECT_TRUE(same_bits(suppression, want.sic_suppression_db));
     phy::SelfInterferenceCanceller sic(cfg.sic, cfg.chip_rate_hz(), cfg.fs_baseband_hz());

@@ -91,7 +91,11 @@ TEST(Planar, ReciprocityHolds) {
 
 TEST(Planar, PolarityModulationAmplitude) {
   const PlanarVanAttaArray a(ideal(4, 4));
-  EXPECT_NEAR(a.modulation_amplitude(dir(25, 15), 18500.0), 16.0, 1e-9);
+  // Half the swing between the two switch states, toward the interrogator.
+  const Direction d = dir(25, 15);
+  const cplx r1 = a.bistatic_response(d, d, 18500.0, 1);
+  const cplx r0 = a.bistatic_response(d, d, 18500.0, 0);
+  EXPECT_NEAR(std::abs(r1 - r0) / 2.0, 16.0, 1e-9);
 }
 
 TEST(Planar, EndfireSuppressedByPattern) {

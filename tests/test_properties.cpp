@@ -24,6 +24,7 @@
 #include "piezo/matching.hpp"
 #include "sim/linkbudget.hpp"
 #include "sim/scenario.hpp"
+#include "support/phy.hpp"
 #include "vanatta/array.hpp"
 
 namespace vab {

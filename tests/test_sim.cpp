@@ -15,6 +15,7 @@
 #include "sim/montecarlo.hpp"
 #include "phy/ber.hpp"
 #include "sim/scenario.hpp"
+#include "support/sim.hpp"
 
 namespace vab::sim {
 namespace {

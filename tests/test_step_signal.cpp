@@ -16,6 +16,7 @@
 #include "fault/fault.hpp"
 #include "phy/modem.hpp"
 #include "sim/scenario.hpp"
+#include "support/channel.hpp"
 
 namespace vab {
 namespace {

@@ -74,13 +74,14 @@ TEST(VanAtta, BistaticPeakAtMirrorForFixedArray) {
   const VanAttaArray f(ideal_config(8, ArrayMode::kFixedPhase));
   const double theta_in = common::deg_to_rad(25.0);
   const rvec thetas = common::linspace(-common::kPi / 2.2, common::kPi / 2.2, 721);
-  const auto cut = bistatic_sweep(f, theta_in, thetas, 18500.0);
-  double best_theta = 0.0, best = -1e9;
-  for (const auto& p : cut)
-    if (p.gain_db > best) {
-      best = p.gain_db;
-      best_theta = p.theta_rad;
+  double best_theta = 0.0, best = -1.0;
+  for (const double th : thetas) {
+    const double p = std::norm(f.bistatic_response(theta_in, th, 18500.0, 1));
+    if (p > best) {
+      best = p;
+      best_theta = th;
     }
+  }
   EXPECT_NEAR(best_theta, -theta_in, common::deg_to_rad(2.0));
 }
 

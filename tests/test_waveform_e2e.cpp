@@ -23,6 +23,8 @@
 #include "sim/montecarlo.hpp"
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
+#include "support/common.hpp"
+#include "support/sim.hpp"
 #include "vanatta/array.hpp"
 
 namespace vab {
@@ -340,8 +342,9 @@ RefOutcome reference_trial(const sim::Scenario& sc, std::size_t payload_bits,
   const std::size_t coded = codec.coded_size(payload.size());
   phy::DemodResult demod;
   if (noise_at == NoiseAt::kPassband) {
-    const rvec noise = channel::synthesize_ambient_noise(
-        rx.size(), common::SampleRateHz{fs}, sc.env.noise, rng);
+    rvec noise;
+    channel::synthesize_ambient_noise(rx.size(), common::SampleRateHz{fs}, sc.env.noise,
+                                      rng, noise);
     for (std::size_t n = 0; n < rx.size(); ++n) rx[n] += noise[n];
     demod = demodulator.demodulate(rx, coded);
   } else {
@@ -372,8 +375,7 @@ RefOutcome reference_trial(const sim::Scenario& sc, std::size_t payload_bits,
 std::pair<double, double> wilson95(std::size_t k, std::size_t n) {
   const double z = 1.96, nn = static_cast<double>(n), p = static_cast<double>(k) / nn;
   const double center = (p + z * z / (2.0 * nn)) / (1.0 + z * z / nn);
-  const double half =
-      z * std::sqrt(p * (1.0 - p) / nn + z * z / (4.0 * nn * nn)) / (1.0 + z * z / nn);
+  const double half = common::wilson_half_width(k, n, z);
   return {center - half, center + half};
 }
 

@@ -32,8 +32,10 @@ from pathlib import Path
 # ambient-noise synthesis (passband and baseband) with its batch Gaussian
 # sampler, the static-tap channel gather, and the run-summed front end the
 # waveform trial runs on its carrier envelope.
-# This also covers the *Scalar twins of the vectorized kernels, so the
-# reference path is regression-gated alongside the dispatched one.
+# This also covers the *Scalar twins of the two vectorized kernels (FFT
+# stages, Gaussian fill) and of the trial, so the reference path is
+# regression-gated alongside the dispatched one. The decimating FIR has no
+# vector path and no twin: BM_FirDecimate times its one scalar loop.
 WATCH_PATTERN = re.compile(
     r"Correlate|Fft|FirDecimate|Downconvert|WaveformTrial|Fleet|LinkBudget|Frame|Poll|"
     r"Noise|Gaussian|ApplyTaps|EnvelopeFrontEnd")
