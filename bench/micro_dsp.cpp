@@ -186,51 +186,23 @@ void BM_GaussianFill(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianFill)->Arg(131070);
 
-// Sync-length correlation: the demodulator slides a ~360-sample preamble
-// reference over a ~16k-sample baseband capture. Naive vs FFT overlap-save.
-cvec corr_signal(std::size_t n, unsigned seed) {
-  common::Rng rng(seed);
-  cvec x(n);
-  for (auto& v : x) v = rng.complex_gaussian();
-  return x;
-}
-
-void BM_SlidingCorrelateNaive(benchmark::State& state) {
-  const cvec sig = corr_signal(static_cast<std::size_t>(state.range(0)), 5);
-  const cvec ref = corr_signal(static_cast<std::size_t>(state.range(1)), 6);
+// Preamble sync: the demodulator's find_peak over a 6,769-sample baseband
+// capture (6,410 lags) against the 500-bps sync reference (360 samples, 40
+// steps), the shape of a wave_campaign trial's capture.
+void BM_StepCorrelateSync(benchmark::State& state) {
+  const phy::ReaderDemodulator demod{phy::PhyConfig{}};
+  const dsp::StepSignal& ref = demod.sync_reference();
+  common::Rng rng(5);
+  cvec sig(6769);
+  for (auto& v : sig) v = rng.complex_gaussian();
   for (auto _ : state) {
-    cvec y = dsp::sliding_correlate_naive(sig, ref);
-    benchmark::DoNotOptimize(y.data());
+    auto peak = dsp::find_peak(sig, ref, 0.0);
+    benchmark::DoNotOptimize(peak);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+                          static_cast<std::int64_t>(sig.size() - ref.length + 1));
 }
-BENCHMARK(BM_SlidingCorrelateNaive)->Args({16384, 360});
-
-void BM_SlidingCorrelateFft(benchmark::State& state) {
-  const cvec sig = corr_signal(static_cast<std::size_t>(state.range(0)), 5);
-  const cvec ref = corr_signal(static_cast<std::size_t>(state.range(1)), 6);
-  cvec y;
-  for (auto _ : state) {
-    dsp::sliding_correlate(sig, ref, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_SlidingCorrelateFft)->Args({16384, 360});
-
-void BM_NormalizedCorrelate(benchmark::State& state) {
-  const cvec sig = corr_signal(16384, 7);
-  const cvec ref = corr_signal(360, 8);
-  rvec y;
-  for (auto _ : state) {
-    dsp::normalized_correlate(sig, ref, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16384);
-}
-BENCHMARK(BM_NormalizedCorrelate);
+BENCHMARK(BM_StepCorrelateSync);
 
 void BM_FirDecimate(benchmark::State& state) {
   common::Rng rng(9);

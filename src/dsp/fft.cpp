@@ -23,12 +23,6 @@ std::size_t next_pow2(std::size_t n) {
 
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-void cmul_inplace(cplx* a, const cplx* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    a[i] = cplx{a[i].real() * b[i].real() - a[i].imag() * b[i].imag(),
-                a[i].imag() * b[i].real() + a[i].real() * b[i].imag()};
-}
-
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   if (!is_pow2(n)) throw std::invalid_argument("fft size must be a power of two");
   // The bit-reversal table holds 32-bit indices (half the plan's footprint

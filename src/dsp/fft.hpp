@@ -1,4 +1,4 @@
-// Planned radix-2 FFT and FFT-based convolution/correlation.
+// Planned radix-2 FFT.
 //
 // Self-contained (no external FFT dependency): iterative in-place
 // decimation-in-time, O(n log n) for power-of-two sizes. All transforms run
@@ -9,8 +9,7 @@
 // to the historical direct implementation: the tables are filled with the
 // exact same recurrence the unplanned code evaluated inline.
 //
-// Non-power-of-two inputs are handled by the convolution helpers via
-// zero-padding.
+// `fft` zero-pads a non-power-of-two input to the next power of two.
 #pragma once
 
 #include <cstddef>
@@ -26,12 +25,6 @@ std::size_t next_pow2(std::size_t n);
 
 /// True if n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
-
-/// a[i] *= b[i], i in [0, n): the spectral product of the FFT convolution
-/// and correlation paths. Written as the explicit (ac - bd, bc + ad)
-/// product, not std::complex operator* with its per-product NaN check; the
-/// bits agree for finite values.
-void cmul_inplace(cplx* a, const cplx* b, std::size_t n);
 
 /// Precomputed transform of one power-of-two size: bit-reversal permutation
 /// plus per-stage twiddle tables for both directions. Plans are immutable

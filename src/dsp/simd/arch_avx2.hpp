@@ -11,8 +11,9 @@
 //
 // Avx2DrawArch is the Gaussian batch sampler's lane set: four engine words
 // or four doubles per vector, a lane-parallel transcription of
-// ScalarDrawArch. The MT twist and tempering are shifts, ANDs and XORs. The
-// u64 -> double conversion, which AVX2 lacks, splits each word: hi * 2^32
+// ScalarDrawArch (whose double ops the correlator's step sums share). The
+// MT twist and tempering are shifts, ANDs and XORs. The u64 -> double
+// conversion, which AVX2 lacks, splits each word: hi * 2^32
 // and lo are exact doubles, so their one sum rounds the word exactly as the
 // scalar cvtsi2sd sequence does. Scaling by 2^-64 is exact.
 //
@@ -154,6 +155,8 @@ struct Avx2DrawArch {
   static D polar_mult(D log_r2, D r2) {
     return _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_r2), r2));
   }
+  static D set1(double v) { return _mm256_set1_pd(v); }
+  static D add(D a, D b) { return _mm256_add_pd(a, b); }
   static D mul(D a, D b) { return _mm256_mul_pd(a, b); }
   static D unit_normal(D v) { return _mm256_add_pd(v, _mm256_setzero_pd()); }
   static void store_interleaved(double* out, D first, D second) {

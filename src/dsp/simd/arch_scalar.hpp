@@ -13,7 +13,8 @@
 // ScalarDrawArch is the same idea for the Gaussian batch sampler: one
 // 64-bit engine word or one double per lane, each op the exact expression
 // common::Rng evaluates per draw (it calls the engine's own twist_word,
-// temper and canonical_double).
+// temper and canonical_double). Its double ops (set1, add, mul) also carry
+// the correlator's step sums.
 #pragma once
 
 #include <cmath>
@@ -72,6 +73,8 @@ struct ScalarDrawArch {
   }
   /// sqrt(-2 log(r2) / r2) from the already computed log(r2).
   static D polar_mult(D log_r2, D r2) { return std::sqrt(-2.0 * log_r2 / r2); }
+  static D set1(double v) { return v; }
+  static D add(D a, D b) { return a + b; }
   static D mul(D a, D b) { return a * b; }
   /// normal_distribution's "* stddev + mean" at (1, 0): "+ 0.0" maps -0.0
   /// to +0.0 and leaves every other value as it is.

@@ -90,4 +90,13 @@ void fill_gaussian(common::Rng& rng, double* out, std::size_t n) {
   }
 }
 
+void step_sum(const double* x, const std::size_t* off, const double* w,
+              std::size_t steps, double* out, std::size_t n) {
+  if (active_isa() == Isa::kAvx2) {
+    detail::step_sum_avx2(x, off, w, steps, out, n);
+  } else {
+    detail::step_sum_scalar(x, off, w, steps, out, n);
+  }
+}
+
 }  // namespace vab::dsp::simd

@@ -187,6 +187,50 @@ void fill_gaussian_k(common::RngRawState st, double* out, std::size_t n) {
   }
 }
 
+/// out[i] = sum over s < steps of w[s] * x[off[s] + i], i in [0, n), summed
+/// in s order from 0.0 with a separate multiply and add per term. Eight
+/// vectors of outputs share each broadcast weight: eight independent add
+/// chains keep the adder busy across its latency. The tail runs the same
+/// sequence one output at a time.
+template <class A>
+void step_sum_k(const double* x, const std::size_t* off, const double* w,
+                std::size_t steps, double* out, std::size_t n) {
+  using S = ScalarDrawArch;
+  using D = typename A::D;
+  constexpr std::size_t kL = A::kLanes, kAcc = 8;
+  std::size_t i = 0;
+  for (; i + kAcc * kL <= n; i += kAcc * kL) {
+    D a0 = A::set1(0.0), a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0, a6 = a0, a7 = a0;
+    for (std::size_t s = 0; s < steps; ++s) {
+      const D ws = A::set1(w[s]);
+      const double* p = x + off[s] + i;
+      a0 = A::add(a0, A::mul(ws, A::load(p)));
+      a1 = A::add(a1, A::mul(ws, A::load(p + kL)));
+      a2 = A::add(a2, A::mul(ws, A::load(p + 2 * kL)));
+      a3 = A::add(a3, A::mul(ws, A::load(p + 3 * kL)));
+      a4 = A::add(a4, A::mul(ws, A::load(p + 4 * kL)));
+      a5 = A::add(a5, A::mul(ws, A::load(p + 5 * kL)));
+      a6 = A::add(a6, A::mul(ws, A::load(p + 6 * kL)));
+      a7 = A::add(a7, A::mul(ws, A::load(p + 7 * kL)));
+    }
+    double* o = out + i;
+    A::store(o, a0);
+    A::store(o + kL, a1);
+    A::store(o + 2 * kL, a2);
+    A::store(o + 3 * kL, a3);
+    A::store(o + 4 * kL, a4);
+    A::store(o + 5 * kL, a5);
+    A::store(o + 6 * kL, a6);
+    A::store(o + 7 * kL, a7);
+  }
+  for (; i < n; ++i) {
+    S::D acc = S::set1(0.0);
+    for (std::size_t s = 0; s < steps; ++s)
+      acc = S::add(acc, S::mul(S::set1(w[s]), S::load(x + off[s] + i)));
+    S::store(out + i, acc);
+  }
+}
+
 // Instantiates the per-ISA entry points declared in kernels_decl.hpp for
 // `arch` under name suffix `suffix`; used once per simd_*.cpp TU.
 #define VAB_SIMD_DEFINE_KERNELS(suffix, arch, draw_arch)                       \
@@ -196,6 +240,11 @@ void fill_gaussian_k(common::RngRawState st, double* out, std::size_t n) {
   void fill_gaussian_##suffix(common::RngRawState st, double* out,             \
                               std::size_t n) {                                 \
     fill_gaussian_k<draw_arch>(st, out, n);                                    \
+  }                                                                            \
+  void step_sum_##suffix(const double* x, const std::size_t* off,              \
+                         const double* w, std::size_t steps, double* out,      \
+                         std::size_t n) {                                      \
+    step_sum_k<draw_arch>(x, off, w, steps, out, n);                           \
   }
 
 }  // namespace vab::dsp::simd::detail

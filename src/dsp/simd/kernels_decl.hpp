@@ -14,7 +14,10 @@ namespace vab::dsp::simd::detail {
 #define VAB_SIMD_KERNELS(suffix)                                               \
   void fft_stages_##suffix(cplx* x, std::size_t n, const cplx* twiddle);      \
   void fill_gaussian_##suffix(common::RngRawState st, double* out,             \
-                              std::size_t n);
+                              std::size_t n);                                  \
+  void step_sum_##suffix(const double* x, const std::size_t* off,              \
+                         const double* w, std::size_t steps, double* out,      \
+                         std::size_t n);
 
 VAB_SIMD_KERNELS(scalar)
 VAB_SIMD_KERNELS(avx2)

@@ -1,15 +1,16 @@
-// Hand-vectorized batch kernels for the two hot loops whose vector path
-// moves end-to-end throughput (radix-2 FFT stages and the Gaussian draws of
-// noise synthesis), dispatched at runtime between AVX2 and the width-1
-// scalar reference.
+// Hand-vectorized batch kernels for the three hot loops whose vector path
+// moves end-to-end throughput (radix-2 FFT stages, the Gaussian draws of
+// noise synthesis and the step sums of the preamble correlator), dispatched
+// at runtime between AVX2 and the width-1 scalar reference.
 //
 // Bit-identity contract: each kernel vectorizes across *independent outputs*
-// (FFT butterflies within a stage, engine words and polar candidate pairs),
-// never across a reduction axis, so each SIMD lane executes exactly the
-// scalar sequence of IEEE-754 operations for its output. Remainder tails
-// reuse the same kernel templates instantiated at width 1 (arch_scalar.hpp).
-// Seeded results are therefore bit-identical with AVX2 and with dispatch
-// forced to scalar; the path is on by default and gated by
+// (FFT butterflies within a stage, engine words and polar candidate pairs,
+// correlation lags), never across a reduction axis, so each SIMD lane
+// executes exactly the scalar sequence of IEEE-754 operations for its
+// output; a multiply and an add stay two roundings (never an FMA). Remainder
+// tails reuse the same kernel templates instantiated at width 1
+// (arch_scalar.hpp). Seeded results are therefore bit-identical with AVX2
+// and with dispatch forced to scalar; the path is on by default and gated by
 // tests/test_simd_kernels.cpp and tests/test_rng.cpp.
 #pragma once
 
@@ -49,5 +50,11 @@ void fft_stages(cplx* x, std::size_t n, const cplx* twiddle);
 /// pair of a block without branching and compacts the accepted ones; glibc
 /// `log` still runs once per accepted pair.
 void fill_gaussian(common::Rng& rng, double* out, std::size_t n);
+
+/// out[i] = sum over s < steps of w[s] * x[off[s] + i] for i in [0, n): the
+/// weighted sum of `steps` shifted copies of x, each output summed in s
+/// order. x must hold off[s] + n values for every s.
+void step_sum(const double* x, const std::size_t* off, const double* w,
+              std::size_t steps, double* out, std::size_t n);
 
 }  // namespace vab::dsp::simd

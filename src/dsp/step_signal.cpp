@@ -30,6 +30,12 @@ void StepSignal::reset(double carrier_omega, std::size_t n) {
   values.clear();
 }
 
+void runs_of(const cvec& x, StepSignal& out) {
+  out.reset(0.0, x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (i == 0 || x[i] != x[i - 1]) push_run(out, i, x[i]);
+}
+
 void step_events(const StepSignal& x, std::vector<StepEvent>& events) {
   events.clear();
   if (x.runs() == 0) return;

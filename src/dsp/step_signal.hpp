@@ -42,6 +42,10 @@ struct StepEvent {
   cplx delta;
 };
 
+/// `x` as an envelope at carrier 0 over x.size() samples: one run per
+/// stretch of equal samples.
+void runs_of(const cvec& x, StepSignal& out);
+
 /// The steps of `x`: one per run (its change from the previous run) and the
 /// fall to zero at `x.length`, in sample order.
 void step_events(const StepSignal& x, std::vector<StepEvent>& events);

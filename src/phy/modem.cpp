@@ -193,11 +193,12 @@ ReaderDemodulator::ReaderDemodulator(PhyConfig cfg) : cfg_(cfg) {
   double pre_mean = 0.0;
   for (double v : pre_levels_) pre_mean += v;
   pre_mean /= static_cast<double>(pre_levels_.size());
-  sync_ref_.resize(ref_len);
+  cvec ref(ref_len);
   for (std::size_t i = 0; i < ref_len; ++i) {
     const auto c = static_cast<std::size_t>(static_cast<double>(i) / spc);
-    sync_ref_[i] = cplx{pre_levels_[std::min(c, pre_levels_.size() - 1)] - pre_mean, 0.0};
+    ref[i] = cplx{pre_levels_[std::min(c, pre_levels_.size() - 1)] - pre_mean, 0.0};
   }
+  dsp::runs_of(ref, sync_ref_);
 }
 
 void ReaderDemodulator::front_end(const rvec& passband, cvec& out) const {
@@ -351,11 +352,10 @@ DemodResult ReaderDemodulator::demodulate_baseband(cvec& bb,
   // Sync against the cached zero-meaned reference (built at construction).
   const double spc = cfg_.samples_per_chip_bb();
   const rvec& pre_levels = pre_levels_;
-  const cvec& ref = sync_ref_;
 
   const auto peak = [&] {
     VAB_STAGE("demod.sync");
-    return dsp::find_peak(bb, ref, cfg_.sync_threshold);
+    return dsp::find_peak(bb, sync_ref_, cfg_.sync_threshold);
   }();
   if (!peak) return res;
   res.sync_found = true;

@@ -120,7 +120,7 @@ class BackscatterModulator {
 struct DemodResult {
   bool sync_found = false;
   bitvec bits;                 ///< decoded payload bits (empty if no sync)
-  double corr_peak = 0.0;      ///< normalized preamble correlation
+  double corr_peak = 0.0;      ///< normalized preamble correlation, exact at the peak
   double carrier_phase_rad = 0.0;
   double snr_db = 0.0;         ///< post-processing chip SNR estimate
   double sic_suppression_db = 0.0;
@@ -170,6 +170,9 @@ class ReaderDemodulator {
   /// The anti-alias FIR prototype `front_end` runs at `fs_hz`.
   const rvec& lowpass_taps() const { return lowpass_taps_; }
 
+  /// The sync reference `demodulate_baseband` correlates against.
+  const dsp::StepSignal& sync_reference() const { return sync_ref_; }
+
   const PhyConfig& config() const { return cfg_; }
 
  private:
@@ -186,7 +189,9 @@ class ReaderDemodulator {
   double step_h_all_ = 0.0;             ///< H over all taps
   cplx step_t_all_;                     ///< T over all taps
   rvec pre_levels_;    ///< settle pilot + preamble chip levels
-  cvec sync_ref_;      ///< zero-meaned baseband-rate sync reference
+  /// Zero-meaned baseband-rate sync reference, one run per stretch of equal
+  /// chip levels.
+  dsp::StepSignal sync_ref_;
 };
 
 }  // namespace vab::phy

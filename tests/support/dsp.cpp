@@ -5,21 +5,124 @@
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "dsp/correlate.hpp"
 #include "dsp/fft.hpp"
 
 namespace vab::dsp {
 
+namespace {
+
+/// acc + s * conj(r), spelled out as the library's direct dot spells it.
+cplx conj_mac(cplx acc, cplx s, double cr, double ci) {
+  return cplx{acc.real() + (s.real() * cr - s.imag() * ci),
+              acc.imag() + (s.imag() * cr + s.real() * ci)};
+}
+
+double sum_norms(const cplx* x, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    acc += x[i].real() * x[i].real() + x[i].imag() * x[i].imag();
+  return acc;
+}
+
+/// a[i] *= b[i] as the explicit (ac - bd, bc + ad) product.
+void cmul_inplace(cplx* a, const cplx* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    a[i] = cplx{a[i].real() * b[i].real() - a[i].imag() * b[i].imag(),
+                a[i].imag() * b[i].real() + a[i].real() * b[i].imag()};
+}
+
+// Overlap-save cross-correlation. With h[m] = conj(ref[M-1-m]) the full
+// convolution c = sig * h satisfies out[k] = c[k + M - 1], so each circular
+// nfft-block over sig[k0 .. k0+nfft) yields the L = nfft - M + 1 valid
+// outputs out[k0 .. k0+L) at circular indices M-1 .. nfft-1.
+cvec overlap_save_correlate(const cvec& sig, const cvec& ref) {
+  const std::size_t m = ref.size();
+  const std::size_t n_out = sig.size() - m + 1;
+  cvec out(n_out);
+  std::size_t nfft = next_pow2(4 * m);
+  nfft = std::min(nfft, next_pow2(sig.size()));
+  nfft = std::max(nfft, next_pow2(m));
+  const std::size_t block_len = nfft - m + 1;
+  cvec href(nfft), blk(nfft);
+  const FftPlan& plan = fft_plan(nfft);
+  for (std::size_t i = 0; i < m; ++i) href[i] = std::conj(ref[m - 1 - i]);
+  plan.forward(href.data());
+  for (std::size_t k0 = 0; k0 < n_out; k0 += block_len) {
+    const std::size_t avail = std::min(nfft, sig.size() - k0);
+    std::copy(sig.begin() + static_cast<std::ptrdiff_t>(k0),
+              sig.begin() + static_cast<std::ptrdiff_t>(k0 + avail), blk.begin());
+    std::fill(blk.begin() + static_cast<std::ptrdiff_t>(avail), blk.end(), cplx{});
+    plan.forward(blk.data());
+    cmul_inplace(blk.data(), href.data(), nfft);
+    plan.inverse(blk.data());
+    const std::size_t n_take = std::min(block_len, n_out - k0);
+    for (std::size_t j = 0; j < n_take; ++j) out[k0 + j] = blk[m - 1 + j];
+  }
+  return out;
+}
+
+}  // namespace
+
 cvec sliding_correlate(const cvec& sig, const cvec& ref) {
-  cvec out;
-  sliding_correlate(sig, ref, out);
+  if (ref.empty() || sig.size() < ref.size()) return {};
+  cvec out(sig.size() - ref.size() + 1);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    cplx acc{};
+    for (std::size_t n = 0; n < ref.size(); ++n)
+      acc = conj_mac(acc, sig[k + n], ref[n].real(), -ref[n].imag());
+    out[k] = acc;
+  }
   return out;
 }
 
 rvec normalized_correlate(const cvec& sig, const cvec& ref) {
-  rvec out;
-  normalized_correlate(sig, ref, out);
+  const cvec dot = sliding_correlate(sig, ref);
+  const double ref_norm = std::sqrt(sum_norms(ref.data(), ref.size()));
+  rvec out(dot.size(), 0.0);
+  if (ref_norm == 0.0) return out;
+  for (std::size_t k = 0; k < dot.size(); ++k) {
+    const double win = std::max(sum_norms(sig.data() + k, ref.size()), 1e-30);
+    out[k] = std::abs(dot[k]) / (std::sqrt(win) * ref_norm);
+  }
   return out;
+}
+
+cvec samples_of(const StepSignal& x) {
+  cvec out(x.length);
+  for (std::size_t i = 0; i < x.runs(); ++i)
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(x.starts[i]),
+              out.begin() + static_cast<std::ptrdiff_t>(x.run_end(i)), x.values[i]);
+  return out;
+}
+
+std::optional<CorrelationPeak> fft_find_peak(const cvec& sig, const cvec& ref,
+                                             double threshold) {
+  if (sig.size() < ref.size() || ref.empty()) return std::nullopt;
+  const std::size_t n_out = sig.size() - ref.size() + 1;
+  const bool direct = ref.size() <= 8 || n_out * ref.size() <= (std::size_t{1} << 14);
+  const cvec dot =
+      direct ? sliding_correlate(sig, ref) : overlap_save_correlate(sig, ref);
+  rvec corr(n_out, 0.0);
+  const double ref_norm = std::sqrt(sum_norms(ref.data(), ref.size()));
+  if (ref_norm != 0.0) {
+    double win_energy = sum_norms(sig.data(), ref.size());
+    for (std::size_t k = 0; k < n_out; ++k) {
+      const double denom = std::sqrt(std::max(win_energy, 1e-30)) * ref_norm;
+      corr[k] = std::abs(dot[k]) / denom;
+      if (k + 1 < n_out) {
+        win_energy += std::norm(sig[k + ref.size()]) - std::norm(sig[k]);
+        win_energy = std::max(win_energy, 0.0);
+      }
+    }
+  }
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < corr.size(); ++k)
+    if (corr[k] > corr[best]) best = k;
+  if (corr[best] < threshold) return std::nullopt;
+  cplx raw{};
+  for (std::size_t n = 0; n < ref.size(); ++n)
+    raw = conj_mac(raw, sig[best + n], ref[n].real(), -ref[n].imag());
+  return CorrelationPeak{best, corr[best], raw};
 }
 
 double energy(const rvec& x) {

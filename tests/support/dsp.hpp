@@ -1,20 +1,39 @@
 // DSP oracles and estimators that tests compare the library against: the
-// allocating correlation forms, vector energy/RMS, an FIR's frequency
-// response and the Welch PSD. No shipped binary needs them.
+// direct sliding correlation, the FFT peak search the step correlator
+// replaced, vector energy/RMS, an FIR's frequency response and the Welch
+// PSD. No shipped binary needs them.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "common/types.hpp"
+#include "dsp/correlate.hpp"
+#include "dsp/step_signal.hpp"
 #include "dsp/window.hpp"
 
 namespace vab::dsp {
 
-/// Allocating form of `sliding_correlate(sig, ref, out)`.
+/// Direct sliding dot product: out[k] = sum_n sig[k+n] * conj(ref[n]) for
+/// k in [0, sig.size() - ref.size()], each lag summed in n order. Empty
+/// when `ref` is empty or longer than `sig`.
 cvec sliding_correlate(const cvec& sig, const cvec& ref);
 
-/// Allocating form of `normalized_correlate(sig, ref, out)`.
+/// Direct normalized correlation |dot[k]| / (|window k| |ref|), each norm a
+/// serial sum (the window's floored at 1e-30 like find_peak's); all zeros
+/// when `ref` has no energy.
 rvec normalized_correlate(const cvec& sig, const cvec& ref);
+
+/// The envelope of `x` (carrier ignored) as x.length samples.
+cvec samples_of(const StepSignal& x);
+
+/// The peak search the demodulator's sync ran before the step correlator:
+/// sliding dots by FFT overlap-save (the direct loop below 2^14 lag-taps or
+/// for references of 8 samples or fewer), a running window energy, the
+/// first maximum of |dot| / (|window| |ref|), and the direct dot at the peak
+/// as `raw`. Kept as the A/B reference for the sync decisions.
+std::optional<CorrelationPeak> fft_find_peak(const cvec& sig, const cvec& ref,
+                                             double threshold);
 
 /// Energy of a real signal (sum of x^2, in index order).
 double energy(const rvec& x);

@@ -133,10 +133,10 @@ TEST_F(DeterminismTest, MismatchMonteCarloBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(DeterminismTest, FftCorrelationPipelineBitIdenticalAcrossThreadCounts) {
-  // The FFT overlap-save correlation path runs inside worker threads with
-  // thread-local plan caches and scratch arenas. Per-item results must be
-  // bit-identical regardless of which thread (and hence which cache/arena)
-  // serves the item, at 1, 2 and 8 threads.
+  // The preamble correlation runs inside worker threads with thread-local
+  // scratch arenas (its prefix sums, dots and window energies). Per-item
+  // results must be bit-identical regardless of which thread (and hence
+  // which arena) serves the item, at 1, 2 and 8 threads.
   constexpr std::size_t kItems = 24;
   auto run = [&](unsigned threads) {
     common::set_thread_count(threads);

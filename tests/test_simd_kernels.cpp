@@ -1,9 +1,10 @@
-// Bit-identity matrix for the hand-vectorized batch kernels: FFT stages,
-// dispatched at whatever ISA this binary compiled in, must produce outputs
-// byte-identical to the forced width-1 scalar reference — across odd
-// lengths, remainder tails and the public entry points that route through
-// them. The serial mixer and correlation
-// loops are checked against literal fresh-Nco and naive references. The
+// Bit-identity matrix for the hand-vectorized batch kernels: FFT stages and
+// the correlator's step sums, dispatched at whatever ISA this binary
+// compiled in, must produce outputs byte-identical to the forced width-1
+// scalar reference — across odd lengths, remainder tails and the public
+// entry points that route through them. The serial mixer loops and the
+// correlation peak are checked against literal fresh-Nco and naive
+// references. The
 // cross-ISA tests at the end run seeded waveform campaigns and a fleet
 // replicate both ways at 1/2/8 threads. The comparisons are memcmp, not
 // EXPECT_DOUBLE_EQ: the contract is identical bits, not tolerable error.
@@ -20,6 +21,8 @@
 #include "dsp/fft.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/simd/simd.hpp"
+#include "dsp/step_signal.hpp"
+#include "phy/modem.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fleet/fleet.hpp"
 #include "sim/montecarlo.hpp"
@@ -113,37 +116,86 @@ TEST_F(SimdKernels, ForcingUncompiledIsaFails) {
   }
 }
 
-TEST_F(SimdKernels, SlidingCorrelateMatchesScalarNaiveAndFftPaths) {
+/// step_sum's inputs: `steps` offsets in [0, span) and weights, and x long
+/// enough for every offset plus `n` outputs.
+struct StepSumCase {
+  std::vector<std::size_t> off;
+  rvec w, x;
+};
+
+StepSumCase step_sum_case(common::Rng& rng, std::size_t steps, std::size_t n,
+                          std::size_t span) {
+  StepSumCase c;
+  for (std::size_t s = 0; s < steps; ++s) {
+    c.off.push_back(static_cast<std::size_t>(rng.uniform() * static_cast<double>(span)));
+    c.w.push_back(rng.gaussian());
+  }
+  c.x = random_rvec(rng, span + n);
+  return c;
+}
+
+TEST_F(SimdKernels, StepSumMatchesScalar) {
+  // Dispatched step sums against forced scalar and against a literal serial
+  // loop (mul, then add, from 0.0 in step order), over every length and
+  // step counts from none to the sync reference's 40.
   common::Rng rng(202);
   for (const std::size_t n : kLengths) {
-    if (n == 0) continue;
-    const cvec sig = random_cvec(rng, n);
-    for (const std::size_t ref_len :
-         {std::size_t{1}, std::size_t{3}, std::size_t{16}, std::size_t{33}}) {
-      if (ref_len > n) continue;
-      const cvec ref = random_cvec(rng, ref_len);
-      EXPECT_TRUE(bytes_equal(naive_ccorr(sig, ref),
-                              dsp::sliding_correlate_naive(sig, ref)))
-          << "naive n=" << n << " ref=" << ref_len;
-      // Long problems take the overlap-save path, whose FFT stages dispatch.
-      auto [scalar_auto, simd_auto] =
-          scalar_vs_dispatched([&] { return dsp::sliding_correlate(sig, ref); });
-      EXPECT_TRUE(bytes_equal(scalar_auto, simd_auto))
-          << "auto n=" << n << " ref=" << ref_len;
+    for (const std::size_t steps :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{40}}) {
+      const StepSumCase c = step_sum_case(rng, steps, n, 720);
+      rvec want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < steps; ++k) {
+          const double term = c.w[k] * c.x[c.off[k] + i];
+          acc = acc + term;
+        }
+        want[i] = acc;
+      }
+      auto [scalar, simd] = scalar_vs_dispatched([&] {
+        rvec out(n);
+        dsp::simd::step_sum(c.x.data(), c.off.data(), c.w.data(), steps, out.data(), n);
+        return out;
+      });
+      EXPECT_TRUE(bytes_equal(want, scalar)) << "n=" << n << " steps=" << steps;
+      EXPECT_TRUE(bytes_equal(scalar, simd)) << "n=" << n << " steps=" << steps;
     }
+  }
+  // The correlator on top: dots and window energies of a sync-shaped scan,
+  // real and complex references.
+  const phy::ReaderDemodulator demod{phy::PhyConfig{}};
+  const cvec sig = random_cvec(rng, 3000);
+  cvec wobbly(200);
+  for (std::size_t i = 0; i < wobbly.size(); ++i)
+    wobbly[i] = cplx{(i / 7) % 2 ? 1.0 : -1.0, (i / 5) % 3 ? 0.5 : -0.25};
+  dsp::StepSignal complex_ref;
+  dsp::runs_of(wobbly, complex_ref);
+  const dsp::StepSignal* refs[] = {&demod.sync_reference(), &complex_ref};
+  for (const dsp::StepSignal* ref : refs) {
+    auto [scalar, simd] = scalar_vs_dispatched([&] {
+      std::pair<cvec, rvec> out;
+      dsp::step_correlate(sig, *ref, out.first, out.second);
+      return out;
+    });
+    EXPECT_TRUE(bytes_equal(scalar.first, simd.first)) << "runs=" << ref->runs();
+    EXPECT_TRUE(bytes_equal(scalar.second, simd.second)) << "runs=" << ref->runs();
   }
 }
 
 TEST_F(SimdKernels, UnalignedHeadsProduceIdenticalBits) {
-  // Walk the signal pointer across every 16-byte phase.
+  // Walk the input and output pointers across every 8-byte phase of a
+  // 32-byte vector.
   common::Rng rng(303);
-  const cvec sig = random_cvec(rng, 70);
-  const cvec ref = random_cvec(rng, 9);
+  const StepSumCase c = step_sum_case(rng, 9, 70, 50);
   for (std::size_t head = 0; head < 4; ++head) {
-    const cvec view(sig.begin() + static_cast<std::ptrdiff_t>(head), sig.end());
-    EXPECT_TRUE(bytes_equal(naive_ccorr(view, ref),
-                            dsp::sliding_correlate_naive(view, ref)))
-        << "head=" << head;
+    const std::size_t n = 70 - head;
+    auto [scalar, simd] = scalar_vs_dispatched([&] {
+      rvec out(n + head, 0.0);
+      dsp::simd::step_sum(c.x.data() + head, c.off.data(), c.w.data(), c.w.size(),
+                          out.data() + head, n);
+      return out;
+    });
+    EXPECT_TRUE(bytes_equal(scalar, simd)) << "head=" << head;
   }
 }
 
@@ -223,16 +275,21 @@ TEST_F(SimdKernels, EnergyAndRmsShareTheSerialReduction) {
 }
 
 TEST_F(SimdKernels, NormalizedCorrelateAndFindPeakMatchScalar) {
-  // The peak's raw dot is the direct loop at the peak lag, and the peak
-  // value is the normalized correlation there.
+  // The peak's raw dot is the direct loop at the peak lag and the peak value
+  // is the direct normalized correlation there, under either dispatch.
   common::Rng rng(707);
   const cvec sig = random_cvec(rng, 300);
   const cvec ref = random_cvec(rng, 25);
-  const auto peak = dsp::find_peak(sig, ref, 0.0);
-  ASSERT_TRUE(peak.has_value());
+  auto [scalar, simd] =
+      scalar_vs_dispatched([&] { return dsp::find_peak(sig, ref, 0.0); });
+  ASSERT_TRUE(scalar.has_value());
+  ASSERT_TRUE(simd.has_value());
+  EXPECT_EQ(scalar->index, simd->index);
+  EXPECT_EQ(std::memcmp(&scalar->raw, &simd->raw, sizeof(cplx)), 0);
+  EXPECT_EQ(std::memcmp(&scalar->value, &simd->value, sizeof(double)), 0);
   const cvec dots = naive_ccorr(sig, ref);
-  EXPECT_EQ(std::memcmp(&peak->raw, &dots[peak->index], sizeof(cplx)), 0);
-  EXPECT_EQ(peak->value, dsp::normalized_correlate(sig, ref).at(peak->index));
+  EXPECT_EQ(std::memcmp(&simd->raw, &dots[simd->index], sizeof(cplx)), 0);
+  EXPECT_EQ(simd->value, dsp::normalized_correlate(sig, ref).at(simd->index));
 }
 
 // ---- Cross-ISA identity of whole workloads ---------------------------------

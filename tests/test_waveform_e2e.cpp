@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -24,6 +25,7 @@
 #include "sim/scenario.hpp"
 #include "sim/waveform_sim.hpp"
 #include "support/common.hpp"
+#include "support/dsp.hpp"
 #include "support/sim.hpp"
 #include "vanatta/array.hpp"
 
@@ -257,8 +259,12 @@ struct RefOutcome {
   double snr_db = 0.0;
 };
 
+/// With the noise at baseband, `demod_out` and `post_sic` (when given)
+/// receive the demodulator's result and the capture its sync searched.
 RefOutcome reference_trial(const sim::Scenario& sc, std::size_t payload_bits,
-                           const common::Rng& job_rng, std::size_t t, NoiseAt noise_at) {
+                           const common::Rng& job_rng, std::size_t t, NoiseAt noise_at,
+                           phy::DemodResult* demod_out = nullptr,
+                           cvec* post_sic = nullptr) {
   common::Rng rng = job_rng.child(t);
   const bitvec payload = rng.random_bits(payload_bits);
   const phy::PhyConfig& cfg = sc.phy;
@@ -357,6 +363,8 @@ RefOutcome reference_trial(const sim::Scenario& sc, std::size_t payload_bits,
                                        sc.env.noise, rng, noise);
     for (std::size_t n = 0; n < bb.size(); ++n) bb[n] += noise[n];
     demod = demodulator.demodulate_baseband(bb, coded);
+    if (demod_out) *demod_out = demod;
+    if (post_sic) *post_sic = bb;  // the canceller ran in place
   }
   RefOutcome out;
   out.sync_found = demod.sync_found;
@@ -445,17 +453,17 @@ TEST(WaveformE2E, BasebandNoiseMatchesPassbandReference) {
   }
 }
 
-TEST(WaveformE2E, EnvelopeTrialMatchesPassbandReference) {
-  // The simulator carries each trial as a piecewise-constant envelope; the
-  // reference runs the same trial on passband samples with the noise drawn
-  // at baseband. Every step of the envelope path is exact up to rounding, so
-  // every trial must decode identically and give the same SNR to 1e-6 dB.
-  struct Job {
-    std::string name;
-    sim::Scenario scenario;
-    std::size_t bits;
-  };
-  std::vector<Job> jobs;
+struct EnvelopeJob {
+  std::string name;
+  sim::Scenario scenario;
+  std::size_t bits;
+};
+
+/// Sixteen jobs over the scenarios, codes, bitrates and faults the waveform
+/// trial runs: the four wave_campaign jobs, fig_ber_vs_range's check ranges,
+/// far ocean, Miller-2, PAB, SNR dips, a 96-bit frame and 2000 bps.
+std::vector<EnvelopeJob> envelope_jobs() {
+  std::vector<EnvelopeJob> jobs;
   const auto river = [](double r) {
     sim::Scenario s = sim::vab_river_scenario();
     s.range_m = r;
@@ -497,6 +505,15 @@ TEST(WaveformE2E, EnvelopeTrialMatchesPassbandReference) {
   sim::Scenario fast = river(100.0);
   fast.phy.bitrate_bps = 2000.0;
   jobs.push_back({"river 100 m 2000 bps", fast, 96});
+  return jobs;
+}
+
+TEST(WaveformE2E, EnvelopeTrialMatchesPassbandReference) {
+  // The simulator carries each trial as a piecewise-constant envelope; the
+  // reference runs the same trial on passband samples with the noise drawn
+  // at baseband. Every step of the envelope path is exact up to rounding, so
+  // every trial must decode identically and give the same SNR to 1e-6 dB.
+  const std::vector<EnvelopeJob> jobs = envelope_jobs();
 
   constexpr std::size_t kTrials = 12;
   std::size_t synced = 0, failed = 0;
@@ -522,6 +539,114 @@ TEST(WaveformE2E, EnvelopeTrialMatchesPassbandReference) {
   // would show little.
   EXPECT_GT(synced, jobs.size() * kTrials / 2);
   EXPECT_GT(failed, 0u);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Checks the step correlator's sync on a post-SIC capture against the FFT
+/// overlap-save scan it replaced: the same decision and lag, the same raw
+/// dot (so the same carrier phase) and the peak value within 1e-12, and the
+/// same best lag and value with no threshold. Past
+/// sync, demodulate_baseband reads only the capture, the lag and the phase,
+/// so equal syncs give equal bits, bit errors, frame_ok and SNR.
+/// Returns whether the old scan found a peak.
+bool expect_sync_as_fft_scan(const phy::ReaderDemodulator& demod, const cvec& post_sic,
+                             const phy::DemodResult& got, const std::string& what) {
+  const auto old = dsp::fft_find_peak(post_sic, dsp::samples_of(demod.sync_reference()),
+                                      demod.config().sync_threshold);
+  EXPECT_EQ(got.sync_found, old.has_value()) << what;
+  if (got.sync_found && old) {
+    EXPECT_EQ(got.sync_index_bb, old->index) << what;
+    EXPECT_TRUE(same_bits(got.carrier_phase_rad, std::arg(old->raw))) << what;
+    EXPECT_NEAR(got.corr_peak, old->value, 1e-12) << what;
+  }
+  // Below the threshold too (a missed sync): the same best lag and value.
+  const auto best = dsp::find_peak(post_sic, demod.sync_reference(), 0.0);
+  const auto old_best =
+      dsp::fft_find_peak(post_sic, dsp::samples_of(demod.sync_reference()), 0.0);
+  EXPECT_TRUE(best && old_best) << what;
+  if (best && old_best) {
+    EXPECT_EQ(best->index, old_best->index) << what;
+    EXPECT_NEAR(best->value, old_best->value, 1e-12) << what;
+  }
+  return old.has_value();
+}
+
+TEST(WaveformE2E, StepSyncMatchesFftSyncReference) {
+  // EnvelopeTrialMatchesPassbandReference's sixteen jobs, twelve trials each.
+  const std::vector<EnvelopeJob> jobs = envelope_jobs();
+  constexpr std::size_t kTrials = 12;
+  std::size_t synced = 0, missed = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const common::Rng job_rng = common::Rng(28).child(j);
+    const phy::ReaderDemodulator demod(jobs[j].scenario.phy);
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      phy::DemodResult got;
+      cvec post_sic;
+      reference_trial(jobs[j].scenario, jobs[j].bits, job_rng, t, NoiseAt::kBaseband,
+                      &got, &post_sic);
+      const bool found = expect_sync_as_fft_scan(
+          demod, post_sic, got, jobs[j].name + ", trial " + std::to_string(t));
+      (found ? synced : missed) += 1;
+    }
+  }
+  EXPECT_GT(synced, jobs.size() * kTrials / 2);
+  EXPECT_GT(missed, 0u);
+}
+
+TEST(WaveformE2E, StepSyncMatchesFftSyncOnBlastCaptures) {
+  // fig_sic's (E8) captures, built as it builds them: the blast-to-signal
+  // sweep with the canceller on, and the receive-chain ablation at 80 dB,
+  // whose notch-off rows leave the blast in the baseband as a large DC
+  // offset.
+  const auto capture = [](const phy::PhyConfig& cfg, const bitvec& payload,
+                          double mod_amp, common::Rng& rng) {
+    const phy::BackscatterModulator mod(cfg);
+    const bitvec states = mod.switch_waveform(payload);
+    const bitvec mask = mod.active_mask(payload.size());
+    const std::size_t n = states.size() + 1024;
+    rvec x = dsp::make_tone(cfg.carrier_hz, cfg.fs_hz, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double coef = 1.0;
+      if (i < states.size() && mask[i]) coef += mod_amp * (states[i] ? 1.0 : -1.0);
+      x[i] *= coef;
+      x[i] += mod_amp * 0.05 * rng.gaussian();
+    }
+    return x;
+  };
+  const common::Rng root(8);
+  const auto check = [&](const phy::PhyConfig& cfg, common::Rng local, double mod_amp,
+                         const std::string& what) {
+    const bitvec payload = local.random_bits(64);
+    const rvec x = capture(cfg, payload, mod_amp, local);
+    const phy::ReaderDemodulator demod(cfg);
+    const phy::DemodResult got = demod.demodulate(x, payload.size());
+    cvec post_sic;
+    demod.to_baseband(x, post_sic);
+    return expect_sync_as_fft_scan(demod, post_sic, got, what);
+  };
+  std::size_t synced = 0;
+  for (const double bsr_db : {40.0, 60.0, 80.0, 90.0}) {
+    phy::PhyConfig cfg;
+    cfg.fs_hz = 96000.0;
+    const bool found = check(cfg, root.child(static_cast<std::uint64_t>(bsr_db)),
+                             std::pow(10.0, -bsr_db / 20.0),
+                             "bsr " + std::to_string(bsr_db));
+    synced += found ? 1 : 0;
+  }
+  for (const bool notch : {true, false}) {
+    for (const bool eq : {true, false}) {
+      phy::PhyConfig cfg;
+      cfg.fs_hz = 96000.0;
+      cfg.sic.enable_dc_notch = notch;
+      cfg.enable_equalizer = eq;
+      const auto child = static_cast<std::uint64_t>(notch * 2 + eq + 10);
+      const std::string what =
+          std::string("notch ") + (notch ? "on" : "off") + ", eq " + (eq ? "on" : "off");
+      synced += check(cfg, root.child(child), 1e-4, what) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(synced, 0u);
 }
 
 TEST(WaveformE2E, MovingTapHoldMatchesPassbandReference) {

@@ -23,8 +23,9 @@ import re
 import sys
 from pathlib import Path
 
-# Kernels the perf PRs promised: correlation and FFT paths (plus the decimated
-# FIR that replaced full-rate filtering on the demod chain), the mixer, the
+# Kernels the perf PRs promised: the preamble sync correlation and FFT paths
+# (plus the decimated FIR that replaced full-rate filtering on the demod
+# chain), the mixer, the
 # end-to-end waveform trial, the fleet simulator's hot path (event queue,
 # spatial grid, budget-fidelity run), the two per-poll costs of a budget
 # poll (link-budget evaluation, report-frame serialize + CRC-checked parse)
@@ -32,9 +33,10 @@ from pathlib import Path
 # ambient-noise synthesis (passband and baseband) with its batch Gaussian
 # sampler, the static-tap channel gather, and the run-summed front end the
 # waveform trial runs on its carrier envelope.
-# This also covers the *Scalar twins of the two vectorized kernels (FFT
-# stages, Gaussian fill) and of the trial, so the reference path is
-# regression-gated alongside the dispatched one. The decimating FIR has no
+# This also covers the *Scalar twins of two vectorized kernels (FFT stages,
+# Gaussian fill) and of the trial, which also runs the third (the sync step
+# sums) scalar, so the reference path is regression-gated alongside the
+# dispatched one. The decimating FIR has no
 # vector path and no twin: BM_FirDecimate times its one scalar loop.
 WATCH_PATTERN = re.compile(
     r"Correlate|Fft|FirDecimate|Downconvert|WaveformTrial|Fleet|LinkBudget|Frame|Poll|"
