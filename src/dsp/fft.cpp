@@ -1,5 +1,6 @@
 #include "dsp/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 
 #include "common/units.hpp"
 #include "dsp/simd/simd.hpp"
+#include "dsp/workspace.hpp"
 #include "obs/metrics.hpp"
 
 namespace vab::dsp {
@@ -63,9 +65,11 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
 
 void FftPlan::transform(cplx* x, const cplx* twiddle, bool normalize) const {
   const std::size_t n = n_;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
+  {
+    auto copy_l = Workspace::local().take_c_for_overwrite(n);
+    cplx* src = copy_l->data();
+    std::copy(x, x + n, src);
+    for (std::size_t i = 0; i < n; ++i) x[i] = src[bitrev_[i]];
   }
   // Danielson–Lanczos butterflies; stage `len` reads its precomputed table.
   simd::fft_stages(x, n, twiddle);
@@ -79,6 +83,9 @@ void FftPlan::transform(cplx* x, const cplx* twiddle, bool normalize) const {
 void FftPlan::forward(cplx* x) const { transform(x, tw_fwd_.data(), false); }
 void FftPlan::inverse(cplx* x) const { transform(x, tw_inv_.data(), true); }
 void FftPlan::inverse_unscaled(cplx* x) const { transform(x, tw_inv_.data(), false); }
+void FftPlan::inverse_unscaled_bitrev(cplx* x) const {
+  simd::fft_stages(x, n_, tw_inv_.data());
+}
 
 const FftPlan& fft_plan(std::size_t n) {
   static const obs::Counter hits = obs::counter("dsp.fft.plan_hits");

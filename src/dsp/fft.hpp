@@ -1,13 +1,24 @@
 // Planned radix-2 FFT.
 //
-// Self-contained (no external FFT dependency): iterative in-place
-// decimation-in-time, O(n log n) for power-of-two sizes. All transforms run
-// through an FftPlan — per-size precomputed twiddle-factor tables and
-// bit-reversal permutation — held in a thread-local plan cache, so repeated
-// transforms of the same size (the Monte-Carlo steady state) do no trig, no
-// table rebuilding and no allocation. Planned transforms are bit-identical
-// to the historical direct implementation: the tables are filled with the
-// exact same recurrence the unplanned code evaluated inline.
+// Self-contained (no external FFT dependency): iterative decimation-in-time,
+// O(n log n) for power-of-two sizes. All transforms run through an FftPlan —
+// per-size precomputed twiddle-factor tables and bit-reversal permutation —
+// held in a thread-local plan cache, so repeated transforms of the same size
+// (the Monte-Carlo steady state) do no trig, no table rebuilding and no
+// allocation. Planned transforms are bit-identical to the historical direct
+// implementation: the tables are filled with the exact same recurrence the
+// unplanned code evaluated inline.
+//
+// A transform is a permutation, then the butterflies. The permutation is a
+// gather, x[i] = src[bitrev[i]], from a copy of the input in the thread's
+// dsp::Workspace (or from the caller's own buffer: `bitrev()` and
+// `inverse_unscaled_bitrev` let a caller fold its own pass into the gather,
+// as the noise synthesis folds its scaling), not an in-place swap loop. The
+// butterflies run two radix-2 stages per pass over memory (radix-2^2: each
+// pass loads four points and applies the two stages' four butterflies with
+// the same table twiddles), so every element sees the same IEEE operations,
+// in the same order, as stage-by-stage radix-2; an odd stage count ends on
+// one radix-2 stage. See dsp::simd::fft_stages.
 //
 // `fft` zero-pads a non-power-of-two input to the next power of two.
 #pragma once
@@ -45,6 +56,13 @@ class FftPlan {
   /// two is exact, so this is N * `inverse` bit for bit wherever `inverse`
   /// yields no subnormal.
   void inverse_unscaled(cplx* x) const;
+
+  /// The bit-reversal permutation the transforms start with: they run their
+  /// butterflies on x[i] = input[bitrev()[i]].
+  const std::uint32_t* bitrev() const { return bitrev_.data(); }
+  /// `inverse_unscaled` of a spectrum the caller has already permuted:
+  /// x[i] must hold spectrum[bitrev()[i]]. Runs only the butterflies.
+  void inverse_unscaled_bitrev(cplx* x) const;
 
  private:
   void transform(cplx* x, const cplx* twiddle, bool normalize) const;

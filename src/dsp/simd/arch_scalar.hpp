@@ -13,8 +13,9 @@
 // ScalarDrawArch is the same idea for the Gaussian batch sampler: one
 // 64-bit engine word or one double per lane, each op the exact expression
 // common::Rng evaluates per draw (it calls the engine's own twist_word,
-// temper and canonical_double). Its double ops (set1, add, mul) also carry
-// the correlator's step sums.
+// temper and canonical_double). Its double ops (set1, add, sub, mul) also
+// carry the correlator's step sums and the envelope front end's scatter and
+// combine.
 #pragma once
 
 #include <cmath>
@@ -32,6 +33,17 @@ struct ScalarArch {
 
   static V load(const cplx* p) { return *p; }
   static void store(cplx* p, V v) { *p = v; }
+  /// kLanes values `stride` apart, and back.
+  static V load_strided(const cplx* p, std::size_t stride) {
+    (void)stride;
+    return *p;
+  }
+  static void store_strided(cplx* p, std::size_t stride, V v) {
+    (void)stride;
+    *p = v;
+  }
+  /// One value in every lane.
+  static V splat(cplx v) { return v; }
   static V add(V a, V b) { return cplx{a.real() + b.real(), a.imag() + b.imag()}; }
   static V sub(V a, V b) { return cplx{a.real() - b.real(), a.imag() - b.imag()}; }
   static V cmul(V a, V b) {
@@ -62,6 +74,11 @@ struct ScalarDrawArch {
     x = p[0];
     y = p[1];
   }
+  /// load_pairs of kLanes pairs `stride` doubles apart.
+  static void load_pairs_strided(const double* p, std::size_t stride, D& x, D& y) {
+    (void)stride;
+    load_pairs(p, x, y);
+  }
   static D radius2(D x, D y) { return x * x + y * y; }
   /// Lane bitmask of the candidates the polar method accepts.
   static unsigned accept(D r2) { return (r2 > 1.0 || r2 == 0.0) ? 0U : 1U; }
@@ -75,6 +92,7 @@ struct ScalarDrawArch {
   static D polar_mult(D log_r2, D r2) { return std::sqrt(-2.0 * log_r2 / r2); }
   static D set1(double v) { return v; }
   static D add(D a, D b) { return a + b; }
+  static D sub(D a, D b) { return a - b; }
   static D mul(D a, D b) { return a * b; }
   /// normal_distribution's "* stddev + mean" at (1, 0): "+ 0.0" maps -0.0
   /// to +0.0 and leaves every other value as it is.

@@ -99,4 +99,12 @@ void step_sum(const double* x, const std::size_t* off, const double* w,
   }
 }
 
+void front_end_outputs(const FrontEndSteps& in, cplx* out, std::size_t n) {
+  if (active_isa() == Isa::kAvx2) {
+    detail::front_end_outputs_avx2(in, out, n);
+  } else {
+    detail::front_end_outputs_scalar(in, out, n);
+  }
+}
+
 }  // namespace vab::dsp::simd

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace vab::dsp::simd::detail {
 
@@ -17,7 +18,9 @@ namespace vab::dsp::simd::detail {
                               std::size_t n);                                  \
   void step_sum_##suffix(const double* x, const std::size_t* off,              \
                          const double* w, std::size_t steps, double* out,      \
-                         std::size_t n);
+                         std::size_t n);                                   \
+  void front_end_outputs_##suffix(const FrontEndSteps& in, cplx* out,          \
+                                  std::size_t n);
 
 VAB_SIMD_KERNELS(scalar)
 VAB_SIMD_KERNELS(avx2)

@@ -60,7 +60,10 @@ struct EventStream {
 /// Sums the streams into `out`'s runs: the envelope is the running sum of
 /// every shifted, scaled step. Steps at one sample combine into one run, in
 /// stream order; steps at or past `out.length` are dropped. `out.omega` and
-/// `out.length` are the caller's (see StepSignal::reset).
+/// `out.length` are the caller's (see StepSignal::reset). The streams are
+/// merged through a min-heap keyed by (next sample, stream index), so a run
+/// costs O(log K) heap work per stream stepping at it, not a scan of all K
+/// streams; each stream's events must be sorted by `pos`.
 void merge_events(std::span<const EventStream> streams, StepSignal& out);
 
 /// out = x times a real step gain: `gains[i]` on [gain_starts[i],

@@ -10,6 +10,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/resample.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/workspace.hpp"
 #include "obs/obs.hpp"
 #include "phy/equalizer.hpp"
@@ -167,14 +168,28 @@ ReaderDemodulator::ReaderDemodulator(PhyConfig cfg) : cfg_(cfg) {
   }
   step_h_all_ = h_prefix[taps];
   step_t_all_ = t_prefix[taps];
-  step_rows_.assign(1, 0);
+  // A step reaches the outputs of one row, widened to whole groups of
+  // dsp::simd::kFrontEndGroup from a group start (front_end): up to
+  // kFrontEndGroup - 1 entries before the row and up to step_width_ - 1
+  // past it, so the rows sit between that many zeros. Row r's entries start
+  // at step_rows_[r].
+  constexpr std::size_t kGroup = dsp::simd::kFrontEndGroup;
+  const std::size_t longest_row = (taps - 1) / m + 1;
+  step_width_ = (kGroup - 1 + longest_row + kGroup - 1) / kGroup * kGroup;
+  const auto pad = [this](std::size_t zeros) {
+    step_h_.insert(step_h_.end(), zeros, 0.0);
+    step_tr_.insert(step_tr_.end(), zeros, 0.0);
+    step_ti_.insert(step_ti_.end(), zeros, 0.0);
+  };
+  pad(kGroup);
   for (std::size_t row = 0; row < m; ++row) {
+    step_rows_.push_back(step_h_.size());
     for (std::size_t i = row; i < taps; i += m) {
       step_h_.push_back(h_prefix[i]);
       step_tr_.push_back(t_prefix[i].real());
       step_ti_.push_back(t_prefix[i].imag());
     }
-    step_rows_.push_back(step_h_.size());
+    pad(step_width_);
   }
 
   // Baseband sync reference at the (possibly fractional) samples-per-chip
@@ -218,31 +233,6 @@ void ReaderDemodulator::front_end(const rvec& passband, cvec& out) const {
   dsp::fir_filter_decimate(lowpass_taps_, bb, m, warmup, out);
 }
 
-namespace {
-/// o1 += Δ h and o2 += conj(Δ) t over n outputs, real and imaginary parts
-/// in separate arrays. The main loop's trip count is a multiple of 4, which
-/// lets the compiler vectorize it at -O2 without a scalar epilogue.
-void scatter_step(double dr, double di, const double* __restrict h,
-                  const double* __restrict tr, const double* __restrict ti,
-                  double* __restrict o1r, double* __restrict o1i, double* __restrict o2r,
-                  double* __restrict o2i, std::size_t n) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t q = 0;
-  for (; q < n4; ++q) {
-    o1r[q] += dr * h[q];
-    o1i[q] += di * h[q];
-    o2r[q] += dr * tr[q] + di * ti[q];
-    o2i[q] += dr * ti[q] - di * tr[q];
-  }
-  for (; q < n; ++q) {
-    o1r[q] += dr * h[q];
-    o1i[q] += di * h[q];
-    o2r[q] += dr * tr[q] + di * ti[q];
-    o2i[q] += dr * ti[q] - di * tr[q];
-  }
-}
-}  // namespace
-
 void ReaderDemodulator::front_end(const dsp::StepSignal& capture, cvec& out) const {
   VAB_STAGE("demod.baseband");
   const double omega = common::kTwoPi * cfg_.carrier_hz / cfg_.fs_hz;
@@ -259,17 +249,19 @@ void ReaderDemodulator::front_end(const dsp::StepSignal& capture, cvec& out) con
   // Output j (sample n = offset + j m) sums h[k] v(n - k) over the window.
   // In steps of v: every step at p <= n - L + 1 has left the window and adds
   // up to the envelope v(n - L + 1), which meets all L taps (H[L], T[L]);
-  // a step Δ at p inside it meets taps [0, n - p]: Δ H[n - p + 1]. Each step
-  // is scattered to the outputs it is inside of along one residue row of
-  // the prefix tables, a contiguous loop.
-  auto s1r_l = dsp::Workspace::local().take_r(n_out);
-  auto s1i_l = dsp::Workspace::local().take_r(n_out);
-  auto s2r_l = dsp::Workspace::local().take_r(n_out);
-  auto s2i_l = dsp::Workspace::local().take_r(n_out);
-  double* s1r = s1r_l->data();
-  double* s1i = s1i_l->data();
-  double* s2r = s2r_l->data();
-  double* s2i = s2i_l->data();
+  // a step Δ at p inside it meets taps [0, n - p]: Δ H[n - p + 1]. The
+  // outputs a step is inside of read one residue row of the prefix tables.
+  //
+  // Each step is listed with the outputs it reaches, widened to step_width_
+  // outputs from a group start, and the kernel gathers every output's sum
+  // over the steps that reach it, in step order. The outputs a widened step
+  // adds to but does not reach read table zeros (the row padding, or H[0] =
+  // T[0] = 0 just before a row) and add a signed zero, which leaves every
+  // sum as it was: a sum starts at +0.0 and so is never -0.0, and
+  // x + (+-0.0) = x for every other x.
+  constexpr std::size_t kGroup = dsp::simd::kFrontEndGroup;
+  thread_local std::vector<dsp::simd::FrontEndStep> steps;
+  steps.clear();
   cplx prev{};
   std::size_t j0 = 0, n0 = offset;  // first output at or past the step
   for (std::size_t i = 0; i < capture.runs(); ++i) {
@@ -284,41 +276,48 @@ void ReaderDemodulator::front_end(const dsp::StepSignal& capture, cvec& out) con
     if (j0 >= n_out) break;
     const std::size_t idx0 = n0 - p + 1;  // >= 1
     if (idx0 >= taps) continue;           // already whole-window at output 0
-    // Row and column of idx0; past output 0, idx0 <= m (no division).
+    // Row and column of idx0; past output 0, idx0 <= m (no division), so
+    // the column is 0 or 1 and the lead entries before it are zeros.
     const std::size_t row = idx0 < m ? idx0 : idx0 % m;
     const std::size_t q0 = step_rows_[row] + (idx0 < m ? 0 : idx0 / m);
-    const std::size_t count = std::min(step_rows_[row + 1] - q0, n_out - j0);
-    const double* h = step_h_.data() + q0;
-    const double* tr = step_tr_.data() + q0;
-    const double* ti = step_ti_.data() + q0;
-    scatter_step(dr, di, h, tr, ti, s1r + j0, s1i + j0, s2r + j0, s2i + j0, count);
+    const std::size_t lead = j0 % kGroup;
+    steps.push_back({dr, di, q0 - lead, j0 - lead});
   }
 
-  // e^{-2j omega n}, as the oscillator cache holds it (the constructor took
-  // T's rotations from the same table).
+  // The envelope each output's window holds whole: outputs whose window
+  // starts in run r (starts[r] <= n + 1 - taps < run_end(r)) take its
+  // value, the rest (windows starting before the first run) zero.
+  out.assign(n_out, cplx{});
+  std::size_t j = 0;
+  std::size_t w0 = offset + 1;  // window start of output j, plus taps
+  for (std::size_t r = 0; r < capture.runs() && j < n_out; ++r) {
+    for (; j < n_out && w0 < capture.starts[r] + taps; w0 += m) ++j;
+    for (; j < n_out && w0 < capture.run_end(r) + taps; w0 += m)
+      out[j++] = capture.values[r];
+  }
+
+  // The image term rotates by e^{-2j omega n}, as the oscillator cache holds
+  // it (the constructor took T's rotations from the same table).
   const cvec* rot =
       dsp::cached_tone(-2.0 * cfg_.carrier_hz, cfg_.fs_hz, 0.0, capture.length);
-  const double h_all = step_h_all_;
-  const cplx t_all = step_t_all_;
-  out.resize(n_out);
-  std::size_t r = 0;  // run holding the window's first sample
-  for (std::size_t j = 0; j < n_out; ++j) {
-    const std::size_t n = offset + j * m;
-    cplx base{};
-    if (n + 1 >= taps) {
-      const std::size_t w0 = n + 1 - taps;
-      while (r < capture.runs() && capture.run_end(r) <= w0) ++r;
-      if (r < capture.runs() && capture.starts[r] <= w0) base = capture.values[r];
-    }
-    const double a1r = s1r[j] + base.real() * h_all;
-    const double a1i = s1i[j] + base.imag() * h_all;
-    const double a2r = s2r[j] + (base.real() * t_all.real() + base.imag() * t_all.imag());
-    const double a2i = s2i[j] + (base.real() * t_all.imag() - base.imag() * t_all.real());
-    const cplx e =
-        rot ? (*rot)[n] : std::polar(1.0, -2.0 * omega * static_cast<double>(n));
-    out[j] = cplx{0.5 * (a1r + (e.real() * a2r - e.imag() * a2i)),
-                  0.5 * (a1i + (e.real() * a2i + e.imag() * a2r))};
+  auto e_l = dsp::Workspace::local().take_c(rot ? 0 : n_out);
+  if (!rot) {
+    for (std::size_t i = 0; i < n_out; ++i)
+      (*e_l)[i] = std::polar(1.0, -2.0 * omega * static_cast<double>(offset + i * m));
   }
+  dsp::simd::FrontEndSteps in;
+  in.steps = steps.data();
+  in.count = steps.size();
+  in.width = step_width_;
+  in.h = step_h_.data();
+  in.tr = step_tr_.data();
+  in.ti = step_ti_.data();
+  in.h_all = step_h_all_;
+  in.t_r = step_t_all_.real();
+  in.t_i = step_t_all_.imag();
+  in.e = rot ? rot->data() + offset : e_l->data();
+  in.stride = rot ? m : 1;
+  dsp::simd::front_end_outputs(in, out.data(), n_out);
 }
 
 namespace {
@@ -412,7 +411,10 @@ DemodResult ReaderDemodulator::demodulate_baseband(cvec& bb,
       const cvec w = design_zf_equalizer(est, kEqualizerTaps, delay);
       cvec shifted = chips;
       for (auto& v : shifted) v -= est.baseline;
-      chips = equalize(shifted, w, delay);
+      // Copied, not move-assigned: `chips` is a workspace lease and must go
+      // back to the arena with its own buffer.
+      const cvec equalized = equalize(shifted, w, delay);
+      chips.assign(equalized.begin(), equalized.end());
       // Residual complex gain after equalization, from the training region.
       cplx g{};
       for (std::size_t c = 0; c < n_known; ++c) g += chips[c] * pre_levels[c];

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -309,12 +311,18 @@ WaveformShardResult run_waveform_batch_shard(const std::vector<WaveformJob>& job
   for (std::size_t j = 0; j < jobs.size(); ++j)
     offsets[j + 1] = offsets[j] + jobs[j].trials;
   const std::size_t total = offsets.back();
+  // One set-up per job, shared read-only by the workers' trials. Each is
+  // built by the first trial of its job that runs, so a resumed shard, or
+  // one whose range misses a job, builds none it does not use.
+  std::vector<std::optional<WaveformSetup>> setups(jobs.size());
+  const auto built = std::make_unique<std::once_flag[]>(jobs.size());
   return run_shard<WaveformTrialOutcome>("waveform", total, cfg, [&](std::size_t flat) {
     const std::size_t j = static_cast<std::size_t>(
                               std::upper_bound(offsets.begin(), offsets.end(), flat) -
                               offsets.begin()) -
                           1;
-    return run_waveform_trial(jobs[j].scenario, jobs[j].payload_bits, jobs[j].rng,
+    std::call_once(built[j], [&] { setups[j].emplace(jobs[j].scenario); });
+    return run_waveform_trial(*setups[j], jobs[j].payload_bits, jobs[j].rng,
                               flat - offsets[j]);
   });
 }

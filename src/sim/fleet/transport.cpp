@@ -44,12 +44,12 @@ void FleetLinkTransport::set_uplink_mcs(std::uint8_t addr,
 FleetLinkTransport::WaveLink& FleetLinkTransport::wave_link(std::uint8_t addr) {
   std::unique_ptr<WaveLink>& slot = wave_[addr];
   if (!slot) {
-    Scenario s = base_;
-    s.range_m = links_[addr].range_m;
+    if (!wave_setup_) wave_setup_.emplace(base_);
     // One draw stream per (run, node): escalation order cannot perturb other
     // links, and the parent window stream is never advanced.
-    slot = std::make_unique<WaveLink>(std::move(s),
-                                      wave_stream_.child(links_[addr].node_id));
+    slot = std::make_unique<WaveLink>(
+        wave_setup_->at_range(common::Meters{links_[addr].range_m}),
+        wave_stream_.child(links_[addr].node_id));
   }
   return *slot;
 }

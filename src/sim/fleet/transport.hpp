@@ -120,10 +120,14 @@ class FleetLinkTransport final : public net::LinkTransport {
   const std::vector<LinkInfo>& links() const { return links_; }
 
  private:
+  /// One escalated link's waveform state: its set-up (the transport's PHY
+  /// chain at the link's range), draw stream and simulator.
   struct WaveLink {
+    WaveformSetup setup;
     common::Rng rng;
     WaveformSimulator sim;
-    WaveLink(Scenario s, common::Rng stream) : rng(stream), sim(std::move(s), rng) {}
+    WaveLink(WaveformSetup s, common::Rng stream)
+        : setup(std::move(s)), rng(stream), sim(setup, rng) {}
   };
 
   // Private helper in the raw interior domain (the penalty arithmetic
@@ -139,6 +143,9 @@ class FleetLinkTransport final : public net::LinkTransport {
   double waterfall_snr_db_;
   LinkBudget budget_;
   std::vector<LinkInfo> links_;
+  /// The scenario's waveform set-up, built on the first waveform poll; every
+  /// link's set-up shares its PHY chain.
+  std::optional<WaveformSetup> wave_setup_;
   std::vector<std::unique_ptr<WaveLink>> wave_;  ///< lazy, per window addr
   std::vector<const net::mcs::McsEntry*> mcs_;   ///< commanded rung, per addr
   common::Rng wave_stream_{0};

@@ -31,13 +31,13 @@ WaveformStats fold_waveform_trials(const WaveformTrialOutcome* slots,
   return stats;
 }
 
-WaveformTrialOutcome run_waveform_trial(const Scenario& scenario,
+WaveformTrialOutcome run_waveform_trial(const WaveformSetup& setup,
                                         std::size_t payload_bits,
                                         const common::Rng& rng, std::size_t t) {
   static const obs::Counter trials = obs::counter("sim.trials");
   trials.inc();
   common::Rng trial_rng = rng.child(t);
-  WaveformSimulator sim(scenario, trial_rng);
+  WaveformSimulator sim(setup, trial_rng);
   const bitvec payload = trial_rng.random_bits(payload_bits);
   const auto res = sim.run_trial(payload);
   WaveformTrialOutcome s;

@@ -67,8 +67,9 @@ struct WaveformTrialOutcome {
 
 /// Runs global trial `t` (drawing from `rng.child(t)`; the parent stream is
 /// never advanced, so any process holding the master seed computes the same
-/// outcome for the same t).
-WaveformTrialOutcome run_waveform_trial(const Scenario& scenario,
+/// outcome for the same t) on a shared set-up: the campaign builds one per
+/// job and runs every trial of the job on it, from any worker thread.
+WaveformTrialOutcome run_waveform_trial(const WaveformSetup& setup,
                                         std::size_t payload_bits,
                                         const common::Rng& rng, std::size_t t);
 

@@ -13,32 +13,48 @@
 
 namespace vab::sim {
 
-WaveformSimulator::WaveformSimulator(Scenario scenario, common::Rng& rng)
-    : scenario_(std::move(scenario)),
-      rng_(&rng),
-      array_(scenario_.node.array),
-      modulator_(scenario_.phy),
-      demodulator_(scenario_.phy) {
-  if (!scenario_.fault.empty()) fault_.emplace(scenario_.fault);
+WaveformSetup::WaveformSetup(Scenario scenario) : scenario_(std::move(scenario)) {
+  const vanatta::VanAttaArray array(scenario_.node.array);
   const double fc = scenario_.phy.carrier_hz;
   const double theta = scenario_.node.orientation_rad;
-  const cplx r1 = array_.bistatic_response(theta, theta, fc, 1);
-  const cplx r0 = array_.bistatic_response(theta, theta, fc, 0);
+  const cplx r1 = array.bistatic_response(theta, theta, fc, 1);
+  const cplx r0 = array.bistatic_response(theta, theta, fc, 0);
   const double ts0_lin = std::pow(10.0, kElementTargetStrengthDb / 20.0);
-  mod_amp_lin_ = ts0_lin * std::abs(r1 - r0) / 2.0;
-  static_amp_lin_ = scenario_.node.static_reflection_rel * mod_amp_lin_;
+  const double mod_amp_lin = ts0_lin * std::abs(r1 - r0) / 2.0;
+  chain_ = std::make_shared<const Chain>(
+      Chain{phy::BackscatterModulator(scenario_.phy),
+            phy::ReaderDemodulator(scenario_.phy), mod_amp_lin,
+            scenario_.node.static_reflection_rel * mod_amp_lin});
+  // Tap gains follow the scenario's spreading law so the waveform simulator
+  // and the analytic link budget agree on energetics.
+  fwd_taps_ = forward_taps(scenario_);
+  ret_taps_ = return_taps(scenario_);
+  blast_taps_ = blast_taps(scenario_);
 }
 
-void WaveformSimulator::reflection_gains(const bitvec& payload,
-                                         std::size_t start_offset,
-                                         std::vector<std::size_t>& starts,
-                                         rvec& gains) const {
+WaveformSetup::WaveformSetup(Scenario scenario, std::shared_ptr<const Chain> chain)
+    : scenario_(std::move(scenario)),
+      chain_(std::move(chain)),
+      fwd_taps_(forward_taps(scenario_)),
+      ret_taps_(return_taps(scenario_)),
+      blast_taps_(blast_taps(scenario_)) {}
+
+WaveformSetup WaveformSetup::at_range(common::Meters range) const {
+  Scenario s = scenario_;
+  s.range_m = range.raw();
+  return WaveformSetup(std::move(s), chain_);
+}
+
+void WaveformSetup::reflection_gains(const bitvec& payload, std::size_t start_offset,
+                                     std::vector<std::size_t>& starts,
+                                     rvec& gains) const {
   std::vector<phy::SwitchRun> runs;
-  modulator_.switch_runs(payload, runs);
+  chain_->modulator.switch_runs(payload, runs);
   const bool polarity =
       scenario_.node.array.scheme == vanatta::ModulationScheme::kPolarity;
+  const double static_amp = chain_->static_amp_lin;
   starts.assign(1, 0);
-  gains.assign(1, static_amp_lin_);  // idle: absorptive
+  gains.assign(1, static_amp);  // idle: absorptive
   const auto set = [&](std::size_t n, double g) {
     if (starts.back() == n) {
       gains.back() = g;
@@ -49,36 +65,46 @@ void WaveformSimulator::reflection_gains(const bitvec& payload,
   };
   for (const phy::SwitchRun& run : runs) {
     // Per-state signed levels such that the differential amplitude is
-    // mod_amp_lin_: polarity toggles +/-1, on-off toggles 0/2 around mean 1.
-    double g = static_amp_lin_;
+    // mod_amp_lin: polarity toggles +/-1, on-off toggles 0/2 around mean 1.
+    double g = static_amp;
     if (run.active) {
       const double level = polarity ? (run.state ? 1.0 : -1.0) : (run.state ? 2.0 : 0.0);
-      g += mod_amp_lin_ * level;
+      g += chain_->mod_amp_lin * level;
     }
     set(start_offset + run.start, g);
   }
   // The frame ends on idle chips, so the last gain holds past the frame.
 }
 
+WaveformSimulator::WaveformSimulator(Scenario scenario, common::Rng& rng)
+    : owned_(std::make_unique<const WaveformSetup>(std::move(scenario))),
+      setup_(owned_.get()),
+      rng_(&rng) {
+  if (!setup_->scenario().fault.empty()) fault_.emplace(setup_->scenario().fault);
+}
+
+WaveformSimulator::WaveformSimulator(const WaveformSetup& setup, common::Rng& rng)
+    : setup_(&setup), rng_(&rng) {
+  if (!setup.scenario().fault.empty()) fault_.emplace(setup.scenario().fault);
+}
+
 WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   VAB_STAGE("wave.trial");
-  const auto& phy = scenario_.phy;
+  const Scenario& scenario = setup_->scenario();
+  const auto& phy = scenario.phy;
   const double fs = phy.fs_hz;
-  const double c = scenario_.env.sound_speed();
+  const double c = scenario.env.sound_speed();
   const bitvec air_bits = [&] {
     VAB_STAGE("wave.fec_encode");
-    return phy::FrameCodec(scenario_.fec).encode(payload);
+    return phy::FrameCodec(scenario.fec).encode(payload);
   }();
 
-  // Channel tap sets. Tap gains follow the scenario's spreading law so the
-  // waveform simulator and the analytic link budget agree on energetics.
-  const auto fwd_taps = forward_taps(scenario_);
-  const auto ret_taps = return_taps(scenario_);
-  const double sep = std::max(scenario_.reader.tx_rx_separation_m, 0.1);
-  const auto blast_tap_set = sim::blast_taps(scenario_);
+  const auto& fwd_taps = setup_->forward();
+  const auto& ret_taps = setup_->ret();
+  const double sep = std::max(scenario.reader.tx_rx_separation_m, 0.1);
 
   // Transmit long enough to cover the node frame plus round-trip delays.
-  const std::size_t frame_len = modulator_.waveform_length(air_bits.size());
+  const std::size_t frame_len = setup_->modulator().waveform_length(air_bits.size());
   double max_delay = sep / c;
   for (const auto& t : fwd_taps) max_delay = std::max(max_delay, t.delay_s);
   double ret_delay = 0.0;
@@ -87,7 +113,7 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
       frame_len +
       static_cast<std::size_t>(std::ceil((2.0 * max_delay + ret_delay) * fs)) + 64;
 
-  const double spl = scenario_.reader.source_level_db;
+  const double spl = scenario.reader.source_level_db;
   const double amp = common::pressure_from_spl(spl) * std::sqrt(2.0);  // peak from rms
   // The projector's tone: one run of its amplitude at the carrier.
   dsp::StepSignal tx;
@@ -103,9 +129,9 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   fwd_cfg.fs_hz = fs;
   fwd_cfg.taps = fwd_taps;
   fwd_cfg.sound_speed_mps = c;
-  fwd_cfg.fading_sigma_db = scenario_.env.fading_sigma_db / 2.0;  // per leg
-  fwd_cfg.surface_wave_amplitude_m = scenario_.env.surface_wave_amplitude_m;
-  fwd_cfg.surface_wave_period_s = scenario_.env.surface_wave_period_s;
+  fwd_cfg.fading_sigma_db = scenario.env.fading_sigma_db / 2.0;  // per leg
+  fwd_cfg.surface_wave_amplitude_m = scenario.env.surface_wave_amplitude_m;
+  fwd_cfg.surface_wave_period_s = scenario.env.surface_wave_period_s;
   channel::WaveformChannel fwd(fwd_cfg, *rng_);
   dsp::StepSignal incident;
   {
@@ -123,7 +149,7 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
     VAB_STAGE("wave.reflect");
     std::vector<std::size_t> starts;
     rvec gains;
-    reflection_gains(air_bits, node_start, starts, gains);
+    setup_->reflection_gains(air_bits, node_start, starts, gains);
     dsp::modulate(incident, starts, gains, reflected);
   }
 
@@ -141,7 +167,7 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
 
   // Direct projector blast.
   channel::WaveformChannelConfig blast_cfg = fwd_cfg;
-  blast_cfg.taps = blast_tap_set;
+  blast_cfg.taps = setup_->blast();
   blast_cfg.fading_sigma_db = 0.0;
   channel::WaveformChannel blast(blast_cfg, *rng_);
   dsp::StepSignal blast_rx;
@@ -170,25 +196,22 @@ WaveformTrialResult WaveformSimulator::run_trial(const bitvec& payload) {
   // anti-alias filter.
   auto bb_l = dsp::Workspace::local().take_c(0);
   cvec& bb = *bb_l;
-  demodulator_.front_end(capture, bb);
+  const phy::ReaderDemodulator& demodulator = setup_->demodulator();
+  demodulator.front_end(capture, bb);
   {
     VAB_STAGE("wave.noise");
-    auto noise_l = dsp::Workspace::local().take_c(0);
-    cvec& noise = *noise_l;
-    channel::synthesize_baseband_noise(bb.size(), common::SampleRateHz{fs},
-                                       common::Hz{phy.carrier_hz},
-                                       demodulator_.lowpass_taps(), phy.decimation(),
-                                       scenario_.env.noise, *rng_, noise);
-    for (std::size_t n = 0; n < bb.size(); ++n) bb[n] += noise[n];
+    channel::add_baseband_noise(common::SampleRateHz{fs}, common::Hz{phy.carrier_hz},
+                                demodulator.lowpass_taps(), phy.decimation(),
+                                scenario.env.noise, *rng_, bb);
   }
 
   // Demodulate (and FEC-decode when the scenario runs coded).
   WaveformTrialResult res;
   res.tx_bits = payload;
-  const phy::FrameCodec codec(scenario_.fec);
+  const phy::FrameCodec codec(scenario.fec);
   {
     VAB_STAGE("wave.demod");
-    res.demod = demodulator_.demodulate_baseband(bb, codec.coded_size(payload.size()));
+    res.demod = demodulator.demodulate_baseband(bb, codec.coded_size(payload.size()));
   }
   if (res.demod.sync_found &&
       res.demod.bits.size() == codec.coded_size(payload.size())) {

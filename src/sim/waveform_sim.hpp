@@ -14,11 +14,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "channel/waveform_channel.hpp"
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "fault/fault.hpp"
 #include "phy/modem.hpp"
 #include "sim/scenario.hpp"
@@ -34,16 +36,29 @@ struct WaveformTrialResult {
   double incident_spl_at_node_db = 0.0;
 };
 
-class WaveformSimulator {
+/// The scenario-only part of a waveform trial: the scenario, the node's
+/// reflection amplitudes from its Van Atta array, the modulator, the
+/// demodulator (anti-alias Kaiser, prefix tables, sync reference) and the
+/// forward, return and blast tap sets. No draw changes any of it, so it is
+/// built once per job and shared read-only by every trial and every worker
+/// thread. A trial's mutable state, its Rng and its FaultInjector, lives in
+/// the WaveformSimulator.
+class WaveformSetup {
  public:
-  WaveformSimulator(Scenario scenario, common::Rng& rng);
+  explicit WaveformSetup(Scenario scenario);
 
-  /// Runs one uplink trial with the given payload bits.
-  WaveformTrialResult run_trial(const bitvec& payload);
+  /// This set-up's scenario moved to `range`: new tap sets on the same
+  /// PHY chain (modulator, demodulator, amplitudes), which is shared, not
+  /// rebuilt.
+  WaveformSetup at_range(common::Meters range) const;
 
   const Scenario& scenario() const { return scenario_; }
+  const phy::BackscatterModulator& modulator() const { return chain_->modulator; }
+  const phy::ReaderDemodulator& demodulator() const { return chain_->demodulator; }
+  const std::vector<channel::PathTap>& forward() const { return fwd_taps_; }
+  const std::vector<channel::PathTap>& ret() const { return ret_taps_; }
+  const std::vector<channel::PathTap>& blast() const { return blast_taps_; }
 
- private:
   /// The node's reflection coefficient as a step gain for dsp::modulate:
   /// the static leak, plus the array's modulated amplitude on each active
   /// chip from `start_offset` on (the node begins its frame once the carrier
@@ -51,16 +66,45 @@ class WaveformSimulator {
   void reflection_gains(const bitvec& payload, std::size_t start_offset,
                         std::vector<std::size_t>& starts, rvec& gains) const;
 
+ private:
+  /// What depends only on the PHY and the node, not on the geometry.
+  struct Chain {
+    phy::BackscatterModulator modulator;
+    phy::ReaderDemodulator demodulator;
+    double mod_amp_lin = 0.0;  ///< absolute linear reflection amplitude (1 m ref)
+    double static_amp_lin = 0.0;
+  };
+
+  WaveformSetup(Scenario scenario, std::shared_ptr<const Chain> chain);
+
   Scenario scenario_;
+  std::shared_ptr<const Chain> chain_;
+  std::vector<channel::PathTap> fwd_taps_;
+  std::vector<channel::PathTap> ret_taps_;
+  std::vector<channel::PathTap> blast_taps_;
+};
+
+class WaveformSimulator {
+ public:
+  /// A simulator with a set-up of its own, built from `scenario`.
+  WaveformSimulator(Scenario scenario, common::Rng& rng);
+  /// A simulator on a shared set-up, which must outlive it.
+  WaveformSimulator(const WaveformSetup& setup, common::Rng& rng);
+
+  /// Runs one uplink trial with the given payload bits.
+  WaveformTrialResult run_trial(const bitvec& payload);
+
+  const Scenario& scenario() const { return setup_->scenario(); }
+
+ private:
+  std::unique_ptr<const WaveformSetup> owned_;
+  const WaveformSetup* setup_;
   common::Rng* rng_;
   /// Engaged when the scenario carries a non-empty FaultPlan; applied to the
-  /// return leg (SNR dips on the backscattered signal).
+  /// return leg (SNR dips on the backscattered signal). Per simulator, not
+  /// in the set-up: the injector draws from its own stream, which a trial
+  /// advances.
   std::optional<fault::FaultInjector> fault_;
-  vanatta::VanAttaArray array_;
-  phy::BackscatterModulator modulator_;
-  phy::ReaderDemodulator demodulator_;
-  double mod_amp_lin_ = 0.0;     ///< absolute linear reflection amplitude (1 m ref)
-  double static_amp_lin_ = 0.0;
 };
 
 }  // namespace vab::sim

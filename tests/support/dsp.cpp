@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
@@ -62,6 +65,69 @@ cvec overlap_save_correlate(const cvec& sig, const cvec& ref) {
 }
 
 }  // namespace
+
+void fft_radix2_reference(cvec& x, bool inverse, bool normalize) {
+  const std::size_t n = x.size();
+  if (!is_pow2(n))
+    throw std::invalid_argument("fft_radix2_reference: size not a power of two");
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang = (inverse ? 1.0 : -1.0) * common::kTwoPi / static_cast<double>(len);
+    const cplx wlen(std::cos(ang), std::sin(ang));
+    cvec tw;
+    cplx w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      tw.push_back(w);
+      w *= wlen;
+    }
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const cplx u = x[i + k];
+        const cplx h = x[i + k + len / 2];
+        const cplx v{h.real() * tw[k].real() - h.imag() * tw[k].imag(),
+                     h.imag() * tw[k].real() + h.real() * tw[k].imag()};
+        x[i + k] = cplx{u.real() + v.real(), u.imag() + v.imag()};
+        x[i + k + len / 2] = cplx{u.real() - v.real(), u.imag() - v.imag()};
+      }
+    }
+  }
+  if (normalize) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& v : x) v = cplx{inv_n * v.real(), inv_n * v.imag()};
+  }
+}
+
+void merge_events_linear(std::span<const EventStream> streams, StepSignal& out) {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  out.starts.clear();
+  out.values.clear();
+  std::vector<std::size_t> next(streams.size(), kNone);
+  std::vector<std::size_t> idx(streams.size(), 0);
+  for (std::size_t s = 0; s < streams.size(); ++s)
+    if (!streams[s].events.empty()) next[s] = streams[s].events[0].pos + streams[s].shift;
+  cplx v{};
+  while (!next.empty()) {
+    const std::size_t pos = *std::min_element(next.begin(), next.end());
+    if (pos >= out.length) break;  // also kNone: every stream is exhausted
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const EventStream& st = streams[s];
+      while (next[s] == pos) {
+        const cplx d = st.events[idx[s]].delta;
+        v += cplx{st.gain.real() * d.real() - st.gain.imag() * d.imag(),
+                  st.gain.real() * d.imag() + st.gain.imag() * d.real()};
+        ++idx[s];
+        next[s] = idx[s] < st.events.size() ? st.events[idx[s]].pos + st.shift : kNone;
+      }
+    }
+    out.starts.push_back(pos);
+    out.values.push_back(v);
+  }
+}
 
 cvec sliding_correlate(const cvec& sig, const cvec& ref) {
   if (ref.empty() || sig.size() < ref.size()) return {};

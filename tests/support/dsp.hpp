@@ -1,11 +1,13 @@
 // DSP oracles and estimators that tests compare the library against: the
 // direct sliding correlation, the FFT peak search the step correlator
-// replaced, vector energy/RMS, an FIR's frequency response and the Welch
-// PSD. No shipped binary needs them.
+// replaced, the radix-2 swap-loop FFT and the linear-scan event merge the
+// library's FFT passes and heap merge replaced, vector energy/RMS, an FIR's
+// frequency response and the Welch PSD. No shipped binary needs them.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 
 #include "common/types.hpp"
 #include "dsp/correlate.hpp"
@@ -34,6 +36,20 @@ cvec samples_of(const StepSignal& x);
 /// as `raw`. Kept as the A/B reference for the sync decisions.
 std::optional<CorrelationPeak> fft_find_peak(const cvec& sig, const cvec& ref,
                                              double threshold);
+
+/// The FFT FftPlan ran before its gather permutation and radix-2^2 passes,
+/// in place on x (a power-of-two size): the bit-reversal swap loop, then one
+/// radix-2 stage per pass, each stage's twiddles from the recurrence
+/// w *= e^{-+2 pi i / len}, the butterfly v = x[hi] * w spelled (ac - bd,
+/// bc + ad), x[lo] + v, x[lo] - v; `normalize` then scales every value by
+/// 1/n as (inv_n * re, inv_n * im). The bit-exact oracle of FftPlan's
+/// forward (inverse = false), inverse and inverse_unscaled.
+void fft_radix2_reference(cvec& x, bool inverse, bool normalize);
+
+/// merge_events by a linear scan: at every output run, the smallest next
+/// sample over all the streams, then every stream stepping there in stream
+/// order. The oracle of the library's heap merge.
+void merge_events_linear(std::span<const EventStream> streams, StepSignal& out);
 
 /// Energy of a real signal (sum of x^2, in index order).
 double energy(const rvec& x);

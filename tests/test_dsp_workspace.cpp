@@ -49,6 +49,20 @@ TEST(Workspace, RecycledBufferComesBackZeroed) {
   for (double v : *r2) EXPECT_EQ(v, 0.0);
 }
 
+TEST(Workspace, OverwriteLeaseKeepsRecycledValues) {
+  Workspace& ws = Workspace::local();
+  {
+    auto c = ws.take_c(32);
+    for (auto& v : *c) v = cplx{2.5, -1.0};
+  }
+  // Exact size, the recycled values left in place (the caller overwrites
+  // them), and only the growth past the old size zeroed.
+  auto c = ws.take_c_for_overwrite(40);
+  ASSERT_EQ(c->size(), 40u);
+  for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ((*c)[i], (cplx{2.5, -1.0}));
+  for (std::size_t i = 32; i < 40; ++i) EXPECT_EQ((*c)[i], cplx{});
+}
+
 TEST(Workspace, SteadyStateGrowthIsFlat) {
   Workspace& ws = Workspace::local();
   // Warm the pool at this size.

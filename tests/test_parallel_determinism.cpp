@@ -12,6 +12,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "dsp/correlate.hpp"
+#include "fault/fault.hpp"
 #include "sim/montecarlo.hpp"
 #include "sim/scenario.hpp"
 #include "vanatta/mismatch.hpp"
@@ -111,6 +112,42 @@ TEST_F(DeterminismTest, WaveformBatchMatchesPerJobRuns) {
       const auto alone = sim::run_waveform_batch({jobs[j]});
       ASSERT_EQ(alone.size(), 1u);
       expect_waveform_stats_identical(alone[0], batch[j], t);
+    }
+  }
+}
+
+TEST_F(DeterminismTest, SharedSetUpEqualsPerTrialConstruction) {
+  // The campaign runs every trial of a job on one shared WaveformSetup; its
+  // stats must equal the fold of trials that each build their own, at 1, 2
+  // and 8 threads. With a fault plan every trial must still draw from a
+  // fresh FaultInjector: its dips land differently trial after trial when
+  // one injector is shared, which the precondition below checks.
+  for (const bool faulted : {false, true}) {
+    sim::Scenario s = sim::vab_river_scenario();
+    s.range_m = 60.0;
+    if (faulted) {
+      s.fault.snr_dip_prob = 0.5;
+      s.fault.snr_dip_db = 20.0;
+      fault::FaultInjector shared(s.fault);
+      const bool first = shared.draw_snr_dip(1000).has_value();
+      bool differs = false;
+      for (int t = 1; t < 12; ++t)
+        differs |= shared.draw_snr_dip(1000).has_value() != first;
+      ASSERT_TRUE(differs) << "the check needs a plan whose later draws differ";
+    }
+    constexpr std::size_t kTrials = 12, kBits = 32;
+    const common::Rng rng(2024);
+    std::vector<sim::WaveformTrialOutcome> slots;
+    for (std::size_t t = 0; t < kTrials; ++t)
+      slots.push_back(sim::run_waveform_trial(sim::WaveformSetup(s), kBits, rng, t));
+    const sim::WaveformStats per_trial =
+        sim::fold_waveform_trials(slots.data(), kTrials, kBits);
+    ASSERT_GT(per_trial.frames_synced, 0u);
+    for (unsigned t : kThreadCounts) {
+      common::set_thread_count(t);
+      const auto shared =
+          sim::run_waveform_batch({sim::WaveformJob{s, kTrials, kBits, rng}});
+      expect_waveform_stats_identical(per_trial, shared.at(0), t);
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -12,11 +13,14 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/mixer.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/step_signal.hpp"
 #include "fault/fault.hpp"
 #include "phy/modem.hpp"
 #include "sim/scenario.hpp"
 #include "support/channel.hpp"
+#include "support/dsp.hpp"
+#include "support/phy.hpp"
 
 namespace vab {
 namespace {
@@ -154,6 +158,62 @@ channel::WaveformChannelConfig leg_config(const std::vector<channel::PathTap>& t
   cfg.sound_speed_mps = 1480.0;
   cfg.fading_sigma_db = 1.5;
   return cfg;
+}
+
+/// Same runs, bit for bit.
+bool identical(const dsp::StepSignal& a, const dsp::StepSignal& b) {
+  return a.starts == b.starts && a.values.size() == b.values.size() &&
+         (a.values.empty() || std::memcmp(a.values.data(), b.values.data(),
+                                          a.values.size() * sizeof(cplx)) == 0);
+}
+
+bool identical(const cvec& a, const cvec& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0);
+}
+
+TEST(StepSignal, HeapMergeEqualsTheLinearScan) {
+  // Random event streams against the linear-scan oracle: streams sharing a
+  // shift (ties across streams at every event), empty streams, repeated
+  // samples inside a stream, events at and past `length`, and moving-tap
+  // streams (shift 0, gain 1, all stepping on one shared grid).
+  common::Rng rng(31);
+  for (std::size_t trial = 0; trial < 200; ++trial) {
+    const auto k = static_cast<std::size_t>(rng.uniform_int(0, 24));
+    std::vector<std::vector<dsp::StepEvent>> events(k);
+    std::vector<dsp::EventStream> streams;
+    const bool moving = trial % 4 == 3;
+    std::size_t last = 0;
+    for (std::size_t s = 0; s < k; ++s) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(0, 40));
+      std::size_t pos = static_cast<std::size_t>(rng.uniform_int(0, 20));
+      for (std::size_t e = 0; e < n; ++e) {
+        events[s].push_back({pos, cplx{rng.gaussian(), rng.gaussian()}});
+        if (moving) {
+          pos += 16;  // the shared hold grid
+        } else if (!rng.coin(0.1)) {
+          pos += static_cast<std::size_t>(rng.uniform_int(1, 6));
+        }
+      }
+      if (moving) {
+        for (auto& ev : events[s]) ev.pos -= ev.pos % 16;
+        streams.push_back({events[s], 0, cplx{1.0, 0.0}});
+      } else {
+        const auto shift = static_cast<std::size_t>(rng.uniform_int(0, 3)) * 5;
+        streams.push_back({events[s], shift, cplx{rng.gaussian(), rng.gaussian()}});
+      }
+      if (!events[s].empty()) last = std::max(last, events[s].back().pos + 20);
+    }
+    dsp::StepSignal want, got;
+    // At, before and past the last event.
+    const std::size_t length =
+        trial % 3 == 0 ? last : static_cast<std::size_t>(rng.uniform_int(0, 250));
+    want.reset(kOmega, length);
+    got.reset(kOmega, length);
+    dsp::merge_events_linear(streams, want);
+    dsp::merge_events(streams, got);
+    EXPECT_TRUE(identical(got, want)) << "trial " << trial << ", " << k << " streams";
+  }
 }
 
 TEST(EnvelopeChannel, StaticTapsMatchTheGather) {
@@ -319,6 +379,33 @@ TEST(EnvelopeFrontEnd, EqualsThePassbandFrontEnd) {
       EXPECT_GT(max_abs_diff(front_end_without_image(demod, ret_capture), swing_ref),
                 1e-3 * swing)
           << what;
+    }
+  }
+}
+
+TEST(EnvelopeFrontEnd, BitIdenticalToTheScatterReference) {
+  // The output gather against the step scatter it replaced, at every ISA
+  // the binary can run, over three decimations and captures short enough
+  // to end inside the warm-up, inside the first window, and far past it.
+  common::Rng rng(12);
+  for (const double bitrate : {200.0, 500.0, 2000.0}) {
+    phy::PhyConfig cfg;
+    cfg.fs_hz = kFs;
+    cfg.carrier_hz = kFc;
+    cfg.bitrate_bps = bitrate;
+    const phy::ReaderDemodulator demod(cfg);
+    for (const std::size_t length : {200u, 400u, 1000u, 30000u}) {
+      const dsp::StepSignal capture = random_steps(rng, length, 3, 90);
+      cvec want;
+      phy::front_end_scatter_reference(demod, capture, want);
+      for (const auto isa : {dsp::simd::Isa::kScalar, dsp::simd::Isa::kAvx2}) {
+        if (!dsp::simd::force_isa(isa)) continue;
+        cvec got;
+        demod.front_end(capture, got);
+        EXPECT_TRUE(identical(got, want))
+            << bitrate << " bps, length " << length << ", " << dsp::simd::isa_name(isa);
+      }
+      dsp::simd::reset_isa();
     }
   }
 }
