@@ -246,10 +246,9 @@ TEST(Noise, BasebandSynthesisMatchesFrontEndOfPassband) {
       cvec via_front_end;
       demod.front_end(pass, via_front_end);
       ASSERT_EQ(via_front_end.size(), n);
-      cvec base;
-      synthesize_baseband_noise(n, common::SampleRateHz{cfg.fs_hz},
-                                common::Hz{cfg.carrier_hz}, demod.lowpass_taps(), m,
-                                sc->env.noise, rng_base, base);
+      cvec base(n);
+      add_baseband_noise(common::SampleRateHz{cfg.fs_hz}, common::Hz{cfg.carrier_hz},
+                         demod.lowpass_taps(), m, sc->env.noise, rng_base, base);
       ASSERT_EQ(base.size(), n);
       for (auto [x, bands, var] : {std::tuple{via_front_end, &bands_pass, &var_pass},
                                    std::tuple{base, &bands_base, &var_base}}) {
